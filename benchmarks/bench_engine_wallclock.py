@@ -22,10 +22,6 @@ with them disabled (floor: 2x on ``hot-loop``), and a warm vs cold DBT
 sweep through the persistent code cache (floor: 3x).  A third tracked
 split runs ``hot-loop`` with the observability layer disabled vs
 enabled (ceiling: 5% overhead enabled, guest counters bit-identical).
-A fourth matrix runs every kernel on the DBT engine at each optimizer
-level (``opt_level`` 0/1/2) with guest counters asserted bit-identical
-across levels; the optimized lowering must not lose to the direct
-emitter on ``hot-loop``.
 The standalone entry point emits ``BENCH_engines.json`` at the repo
 root (same shape as ``BENCH_runner.json``); all runs assert counters
 are bit-identical across the toggles.
@@ -50,7 +46,7 @@ from repro.machine import Board
 from repro.platform import VEXPRESS
 from repro.obs.metrics import METRICS
 from repro.sim import DBTSimulator, DetailedInterpreter, FastInterpreter
-from repro.sim.dbt import DBTConfig, codestore
+from repro.sim.dbt import codestore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -246,43 +242,6 @@ def run_dbt_code_cache_sweep(scale=1):
     }
 
 
-def run_dbt_opt_matrix(scale=1, rounds=3):
-    """Every kernel on the DBT engine at each optimizer level.
-
-    Levels are interleaved within each round (min taken per level) so
-    host-load drift hits all of them equally; the translation memo is
-    cleared before every pass so each level pays its own lowering.
-    Guest counters must be bit-identical across levels -- the tier
-    optimizes host code only.
-    """
-    matrix = {}
-    for kernel_name, source in kernels(scale).items():
-        program = assemble(source)
-        timings = {level: [] for level in (0, 1, 2)}
-        snapshots = {}
-        for _ in range(rounds):
-            for level in timings:
-                TRANSLATION_MEMO.clear()
-                engine, seconds = _run_engine(
-                    DBTSimulator, program, config=DBTConfig(opt_level=level)
-                )
-                timings[level].append(seconds)
-                snapshots[level] = engine.counters.snapshot()
-        assert snapshots[0] == snapshots[1] == snapshots[2], (
-            "optimizer tier changed guest-visible counters on %s" % kernel_name
-        )
-        instructions = snapshots[0]["instructions"]
-        matrix[kernel_name] = {
-            "opt%d" % level: {
-                "seconds": min(times),
-                "mips": instructions / min(times) / 1e6,
-            }
-            for level, times in timings.items()
-        }
-        matrix[kernel_name]["identical_counters"] = True
-    return matrix
-
-
 def run_metrics_overhead_split(scale=1, rounds=5):
     """Hot interpreter kernel with the observability layer disabled vs
     enabled: one warm-up pass, then ``rounds`` interleaved rounds (the
@@ -332,7 +291,6 @@ def run_all(scale=1):
         "engines": run_engine_matrix(scale),
         "interp_block_cache": run_interp_block_split(scale),
         "dbt_code_cache": run_dbt_code_cache_sweep(scale),
-        "dbt_opt_levels": run_dbt_opt_matrix(scale),
         "metrics_overhead": run_metrics_overhead_split(scale),
     }
 
@@ -348,23 +306,6 @@ def test_engine_kernel_wallclock(benchmark, engine_name, kernel_name):
 
     def run():
         engine, _seconds = _run_engine(_ENGINES[engine_name], program)
-        return engine.counters.instructions
-
-    insns = benchmark(run)
-    assert insns > 10_000
-
-
-@pytest.mark.parametrize("opt_level", [0, 1, 2], ids=["opt0", "opt1", "opt2"])
-@pytest.mark.parametrize("kernel_name", ["hot-loop", "mem-loop", "exc-loop"])
-def test_dbt_opt_level_wallclock(benchmark, kernel_name, opt_level):
-    """Host time per kernel at each DBT optimizer level."""
-    program = assemble(kernels()[kernel_name])
-
-    def run():
-        TRANSLATION_MEMO.clear()
-        engine, _seconds = _run_engine(
-            DBTSimulator, program, config=DBTConfig(opt_level=opt_level)
-        )
         return engine.counters.instructions
 
     insns = benchmark(run)
@@ -395,7 +336,6 @@ def test_engines_tracked_trajectory(benchmark):
     assert payload["interp_block_cache"]["speedup"] >= 2.0
     assert payload["dbt_code_cache"]["speedup"] >= 3.0
     assert payload["metrics_overhead"]["identical_counters"]
-    assert all(row["identical_counters"] for row in payload["dbt_opt_levels"].values())
 
 
 # ------------------------------------------------------------ standalone
@@ -438,13 +378,6 @@ def main(argv=None):
             "metrics-enabled overhead %.2f%% on the hot interpreter kernel "
             "exceeds the 5%% ceiling"
             % payload["metrics_overhead"]["overhead_pct"]
-        )
-    hot_opt = payload["dbt_opt_levels"]["hot-loop"]
-    if hot_opt["opt2"]["seconds"] > hot_opt["opt0"]["seconds"]:
-        failures.append(
-            "DBT opt_level=2 is slower than the direct emitter on hot-loop "
-            "(%.4fs vs %.4fs)"
-            % (hot_opt["opt2"]["seconds"], hot_opt["opt0"]["seconds"])
         )
     if failures:
         raise SystemExit("; ".join(failures))

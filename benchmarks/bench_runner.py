@@ -29,7 +29,6 @@ from repro.core import ExperimentRunner, ResultCache
 from repro.obs.metrics import METRICS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCALE = 0.5
 JOBS = 4
 #: Explicit chunk sizes swept for the sensitivity table (the adaptive
@@ -143,10 +142,9 @@ def check_gates(payload):
     return failures
 
 
-def test_runner_cold_warm_parallel(benchmark, save_artifact):
+def test_runner_cold_warm_parallel(benchmark):
     payload = benchmark.pedantic(run_cold_warm_parallel, rounds=1, iterations=1)
     text = json.dumps(payload, indent=2) + "\n"
-    save_artifact("BENCH_runner.json", text)
     print()
     print(text)
     assert not check_gates(payload)
@@ -157,8 +155,6 @@ def main():
     text = json.dumps(payload, indent=2) + "\n"
     path = REPO_ROOT / "BENCH_runner.json"
     path.write_text(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_runner.json").write_text(text)
     print(text)
     print("wrote %s" % path)
     failures = check_gates(payload)

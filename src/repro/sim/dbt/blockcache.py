@@ -14,15 +14,6 @@ class TranslatedBlock:
     ``succ_taken``/``succ_not`` are the chaining slots patched by the
     dispatcher; ``valid`` is cleared on invalidation so stale chain
     links are never followed.
-
-    Superblocks (``opt_level >= 2`` traces spanning two guest blocks)
-    need no extra state: the internal crossing uses this block's own
-    ``succ_taken`` slot -- patched by the dispatcher to the *standalone*
-    tail block on the crossing's first execution -- as both its chain
-    state and its handle on the standalone block, whose ``succ`` slots
-    the inlined tail's exits then patch and follow.  Standalone and
-    inlined executions of the tail therefore share one chain lifecycle,
-    exactly as the baseline's single tail block would.
     """
 
     __slots__ = (

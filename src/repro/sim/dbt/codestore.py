@@ -11,14 +11,10 @@ within a run.
 
 Keys are content addresses: SHA-256 over the CPython bytecode magic
 (marshalled code objects are only loadable by the interpreter version
-that produced them), :meth:`DBTConfig.translation_key` (which includes
-the host-only ``opt_level`` -- optimized and direct lowerings of the
-same bytes are different code), the virtual start address and the
-unit's instruction bytes -- for superblocks, every segment's offset
-and bytes, since the compiled unit's identity spans the whole trace.
-Any of those changing produces a different key, so stale entries are
-never *loaded* -- at worst they sit unused until ``repro cache
-clear``.
+that produced them), :meth:`DBTConfig.translation_key`, the virtual
+start address and the block's instruction bytes.  Any of those
+changing produces a different key, so stale entries are never
+*loaded* -- at worst they sit unused until ``repro cache clear``.
 
 Entries are ``marshal`` payloads ``(word_bytes, insn_count, source,
 code)`` stored through the same two-level directory scheme and
@@ -70,23 +66,13 @@ class CodeStore(DirectoryStore):
             fh.write(marshal.dumps(payload))
 
 
-def block_key(translation_key, vaddr, word_bytes, segments=None):
-    """Content address for one compiled unit.
-
-    ``segments`` (superblocks only) is an iterable of ``(delta,
-    seg_bytes)`` continuation segments; their offsets and bytes are
-    part of the identity, so a single block and a superblock headed by
-    the same bytes never collide.
-    """
+def block_key(translation_key, vaddr, word_bytes):
+    """Content address for one compiled block."""
     digest = hashlib.sha256()
     digest.update(importlib.util.MAGIC_NUMBER)
     digest.update(repr(translation_key).encode("utf-8"))
     digest.update(vaddr.to_bytes(4, "little"))
     digest.update(word_bytes)
-    if segments:
-        for delta, seg_bytes in segments:
-            digest.update(delta.to_bytes(4, "little", signed=True))
-            digest.update(seg_bytes)
     return digest.hexdigest()
 
 

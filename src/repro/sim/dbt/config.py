@@ -44,16 +44,6 @@ class DBTConfig:
         behaviour and counters are unaffected -- translation still
         *happens* (and is accounted) per engine, only the host-side
         lowering and ``compile()`` are skipped.
-    opt_level:
-        Host-only optimizer tier for generated code: 0 is the direct
-        one-statement-per-instruction emitter, 1 runs the peephole
-        pass pipeline (:mod:`repro.sim.dbt.passes`), 2 additionally
-        forms superblocks from unconditional same-page branch chains.
-        Guest counters are bit-identical across levels (the
-        equivalence suite sweeps this knob); only the emitted host
-        code -- and therefore wallclock -- changes, which is why the
-        knob is host-kind in the spec yet *must* be part of
-        :meth:`translation_key` (cached code depends on it).
     """
 
     def __init__(
@@ -67,14 +57,11 @@ class DBTConfig:
         version=None,
         asid_tagged=False,
         memoize=True,
-        opt_level=0,
     ):
         if max_block_insns < 1:
             raise ValueError("max_block_insns must be positive")
         if not 2 <= tlb_bits <= 16:
             raise ValueError("tlb_bits out of range")
-        if opt_level not in (0, 1, 2):
-            raise ValueError("opt_level must be 0, 1 or 2")
         self.chain_enabled = chain_enabled
         self.chain_cross_page = chain_cross_page
         self.max_block_insns = max_block_insns
@@ -84,27 +71,22 @@ class DBTConfig:
         self.version = version
         self.asid_tagged = asid_tagged
         self.memoize = memoize
-        self.opt_level = opt_level
 
     def translation_key(self):
         """The knobs generated code depends on.
 
         Lowered source is a pure function of (instruction bytes, start
-        vaddr, this key): chaining flags change emitted exits,
-        ``max_block_insns`` changes where decoding stops, and
-        ``opt_level`` changes what the emitter produces (host-only for
-        *counters*, but absolutely part of the code's identity -- a
-        level-2 block served to a level-0 engine would be a cache
-        poisoning bug).  Everything else (TLB geometry, cache capacity,
-        costs) prices or places blocks without altering their code, so
-        memo/code-store entries are shared across those dimensions --
-        the whole point of memoizing a version sweep.
+        vaddr, this key): chaining flags change emitted exits and
+        ``max_block_insns`` changes where decoding stops.  Everything
+        else (TLB geometry, cache capacity, costs) prices or places
+        blocks without altering their code, so memo/code-store entries
+        are shared across those dimensions -- the whole point of
+        memoizing a version sweep.
         """
         return (
             self.chain_enabled,
             self.chain_cross_page,
             self.max_block_insns,
-            self.opt_level,
         )
 
     def replace(self, **kwargs):
@@ -119,7 +101,6 @@ class DBTConfig:
             "version": self.version,
             "asid_tagged": self.asid_tagged,
             "memoize": self.memoize,
-            "opt_level": self.opt_level,
         }
         fields.update(kwargs)
         return DBTConfig(**fields)

@@ -74,10 +74,6 @@ class DBTSimulator(Simulator):
         self.fault_state = (0, 0)
         #: (block, slot) requesting a chain patch after the next lookup.
         self.pending_chain = None
-        #: The active run()'s instruction ceiling, mirrored onto the
-        #: engine so superblock crossings can take the same limit side
-        #: exit the dispatcher's loop top would.
-        self.run_limit = float("inf")
         #: Content signatures of every block this engine has translated;
         #: re-seeing one (the same bytes at the same place, e.g. after an
         #: SMC invalidation or a tcache flush) is a *retranslation* --
@@ -382,7 +378,6 @@ class DBTSimulator(Simulator):
         intc = self._intc
         start = counters.instructions
         limit = start + max_insns if max_insns is not None else float("inf")
-        self.run_limit = limit
         block = None
         while not cpu.halted:
             if counters.instructions >= limit:

@@ -1,34 +1,27 @@
-"""Explicit intermediate representation for the DBT optimizer tier.
+"""Explicit intermediate representation of one DBT block.
 
-The baseline translator lowers decoded instructions straight to Python
-source, one statement per guest instruction.  The optimizer tier
-(``DBTConfig.opt_level >= 1``) inserts a typed IR between decode and
-codegen so passes (:mod:`repro.sim.dbt.passes`) can reason about the
-block before anything is emitted:
+The translator lifts every decoded block into a typed IR between decode
+and codegen so the peephole passes (:mod:`repro.sim.dbt.passes`) can
+reason about the block before anything is emitted:
 
 - every :class:`IRNode` mirrors one decoded instruction (op, operand
-  fields, absolute ``pc``, global ``idx`` within the compiled unit)
+  fields, absolute ``pc``, ``idx`` within the block)
   and precomputes its **def/use register sets**, whether it **reads or
   writes the NZCV flags**, whether it has a **side effect** (calls an
   engine helper that may fault, count an event, or touch a device --
   the points where the whole guest state becomes observable), and
-  whether it is a **terminal** (ends the compiled unit);
+  whether it is a **terminal** (ends the block);
 - passes communicate with the emitter through annotations only:
   ``dead`` (emit nothing), ``const_value`` (the def is a known 32-bit
   constant), ``reg_consts`` (operand registers with known constant
   values), and the fusion links (``addr_from``/``addr_temp``,
-  ``fused_cmp``/``fuse_branch``);
-- at ``opt_level >= 2`` a *superblock* lifts two same-page blocks into
-  one unit; the internal unconditional-branch terminal becomes a
-  **crossing** (``crossing`` holds its index, ``target`` the successor
-  address) that the emitter expands into exact dispatcher-equivalent
-  counter accounting plus limit/interrupt side-exit guards.
+  ``fused_cmp``/``fuse_branch``).
 
 Instruction accounting never moves with optimization: the
 ``c.instructions`` increments are derived from node *indices*, so a
-dead or folded node is still counted exactly as the baseline counts
-it.  Passes may only change *how* a guest-visible effect is computed,
-never *whether* it happens.
+dead or folded node is still counted exactly as an unoptimized block
+counts it.  Passes may only change *how* a guest-visible effect is
+computed, never *whether* it happens.
 """
 
 from repro.isa.encoding import (
@@ -63,12 +56,11 @@ FLAG_WRITE_OPS = frozenset({Op.CMP, Op.CMPI})
 
 
 class IRNode:
-    """One guest instruction (or synthetic crossing) in IR form.
+    """One guest instruction in IR form.
 
-    Quacks like a decoded ``Insn`` (``op``/``rd``/``rn``/``rm``/
-    ``imm``/``cond``) so terminal emission can share the baseline
-    templates, and carries the analysis sets and pass annotations
-    documented in the module docstring.
+    Carries the decoded fields (``op``/``rd``/``rn``/``rm``/``imm``/
+    ``cond``) plus the analysis sets and pass annotations documented in
+    the module docstring.
     """
 
     __slots__ = (
@@ -90,9 +82,6 @@ class IRNode:
         "reads_flags",
         "side_effect",
         "terminal",
-        # superblock crossing: crossing index within the unit, else None
-        "crossing",
-        "target",
         # pass annotations
         "dead",
         "const_value",
@@ -122,8 +111,6 @@ class IRNode:
         self.reads_flags = self.op in (Op.B, Op.BL) and self.cond != 0
         self.side_effect = self.op in SIDE_EFFECT_OPS or self.op is None
         self.terminal = self.op is None or self.op in BLOCK_END_OPS
-        self.crossing = None
-        self.target = None
         self.dead = False
         self.const_value = None
         self.reg_consts = None
@@ -155,8 +142,6 @@ class IRNode:
             notes.append("const=%d" % self.const_value)
         if self.reg_consts:
             notes.append("subs=%r" % (self.reg_consts,))
-        if self.crossing is not None:
-            notes.append("crossing=%d" % self.crossing)
         return "IRNode(%s pc=0x%x idx=%d%s)" % (
             label,
             self.pc,
@@ -206,50 +191,7 @@ def _def_use(op, rd, rn, rm):
     return NO_REGS, NO_REGS
 
 
-def lift_block(insns, vaddr, base_idx=0):
-    """Lift one decoded block into IR nodes.
-
-    ``vaddr`` is the guest address of the first instruction and
-    ``base_idx`` the global index of that instruction within the
-    compiled unit (non-zero for superblock continuation segments, so
-    incremental accounting stays exact across segments).
-    """
-    return [
-        IRNode(insn, vaddr + 4 * offset, base_idx + offset)
-        for offset, insn in enumerate(insns)
-    ]
-
-
-def lift_trace(segments):
-    """Lift a superblock trace into one IR node list.
-
-    ``segments`` is a sequence of ``(vaddr, insns)`` pairs; every
-    segment except the last must end in an unconditional direct branch
-    (``Op.B`` with cond AL) to the next segment's start.  Those
-    terminals become *crossings*: ``crossing`` is their ordinal within
-    the unit and ``target`` the successor's address.  Returns
-    ``(nodes, n_crossings)``.
-    """
-    nodes = []
-    base_idx = 0
-    for seg_index, (seg_vaddr, insns) in enumerate(segments):
-        seg_nodes = lift_block(insns, seg_vaddr, base_idx)
-        base_idx += len(insns)
-        last_seg = seg_index == len(segments) - 1
-        if not last_seg:
-            branch = seg_nodes[-1]
-            if branch.op is not Op.B or branch.cond != 0:
-                raise ValueError(
-                    "trace segment %d does not end in an unconditional "
-                    "direct branch: %r" % (seg_index, branch)
-                )
-            branch.crossing = seg_index
-            branch.target = (branch.pc + 4 + 4 * branch.imm) & MASK32
-            if branch.target != segments[seg_index + 1][0]:
-                raise ValueError(
-                    "trace segment %d branches to 0x%08x, not the next "
-                    "segment at 0x%08x"
-                    % (seg_index, branch.target, segments[seg_index + 1][0])
-                )
-        nodes.extend(seg_nodes)
-    return nodes, len(segments) - 1
+def lift_block(insns, vaddr):
+    """Lift one decoded block into IR nodes; ``vaddr`` is the guest
+    address of the first instruction."""
+    return [IRNode(insn, vaddr + 4 * idx, idx) for idx, insn in enumerate(insns)]

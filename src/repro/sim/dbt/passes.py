@@ -1,6 +1,6 @@
-"""The DBT optimizer pass pipeline.
+"""The DBT peephole pass pipeline.
 
-Four conservative peephole passes over the IR of one compiled unit
+Four conservative peephole passes over the IR of one block
 (:mod:`repro.sim.dbt.ir`), in a fixed order chosen so each pass feeds
 the next:
 
@@ -23,9 +23,9 @@ the next:
 Safety discipline (what keeps guest counters bit-identical):
 
 - **Observation points are barriers.**  Any node that may fault,
-  deliver work to a device, or end the unit (``side_effect``,
-  ``terminal``, superblock ``crossing``) makes every register and the
-  flags live: a fault handler or interrupt can observe all of them.
+  deliver work to a device, or end the block (``side_effect``,
+  ``terminal``) makes every register and the flags live: a fault
+  handler or interrupt can observe all of them.
 - **Accounting is positional.**  ``c.instructions`` increments are
   derived from node indices; a dead node still occupies its index, so
   the increments the emitter produces are unchanged.
@@ -85,7 +85,7 @@ def fold_constants(nodes):
     The ``known`` map tracks registers holding compile-time-known
     values.  Engine helpers never write ``cpu.regs`` (loads assign in
     generated code), so knowledge survives side-effect nodes except for
-    the register they define; a fault abandons the unit entirely, so
+    the register they define; a fault abandons the block entirely, so
     downstream substitutions never run with stale assumptions.
     """
     known = {}
@@ -134,7 +134,7 @@ def eliminate_dead_flags(nodes):
     overwritten before any read or observation point.  Returns the
     number of nodes killed."""
     elided = 0
-    live = True  # flags escape the unit at its end
+    live = True  # flags escape the block at its end
     for node in reversed(nodes):
         if node.dead:
             continue
@@ -144,12 +144,7 @@ def eliminate_dead_flags(nodes):
                 elided += 1
                 continue
             live = False
-        elif (
-            node.reads_flags
-            or node.side_effect
-            or node.terminal
-            or node.crossing is not None
-        ):
+        elif node.reads_flags or node.side_effect or node.terminal:
             live = True
     return elided
 
@@ -159,11 +154,11 @@ def eliminate_dead_stores(nodes):
     overwritten before any read or observation point.  Returns the
     number of nodes killed."""
     elided = 0
-    live = set(ALL_REGS)  # conservative live-out at the unit's end
+    live = set(ALL_REGS)  # conservative live-out at the block's end
     for node in reversed(nodes):
         if node.dead:
             continue
-        if node.side_effect or node.terminal or node.crossing is not None:
+        if node.side_effect or node.terminal:
             live = set(ALL_REGS)
             continue
         rd = node.rd_def
@@ -207,7 +202,6 @@ def fuse_pairs(nodes):
             first.op in (Op.CMP, Op.CMPI)
             and second.op in (Op.B, Op.BL)
             and second.cond != 0
-            and second.crossing is None
         ):
             first.fuse_branch = True
             second.fused_cmp = first
@@ -215,18 +209,21 @@ def fuse_pairs(nodes):
     return fused
 
 
-def run_pipeline(nodes, opt_level):
-    """Run the level-1 peephole passes over one unit's IR.
+#: The peephole passes in order; each returns the count the stats
+#: report under its name.  Emptying it (tests monkeypatch it to ``()``)
+#: emits the lifted IR unchanged -- the reference the passes are
+#: checked against.
+PIPELINE = (
+    ("insns_folded", fold_constants),
+    ("flags_elided", eliminate_dead_flags),
+    ("stores_elided", eliminate_dead_stores),
+    ("pairs_fused", fuse_pairs),
+)
 
-    Superblock formation (level 2) happens before lifting, in the
-    translator; the peephole passes themselves are identical at levels
-    1 and 2 (they simply see a longer unit with crossing barriers).
-    Returns a stats dict for host-side observability.
+
+def run_pipeline(nodes):
+    """Run every pass of :data:`PIPELINE` over one block's IR.
+
+    Returns a ``{stat name: count}`` dict for host-side observability.
     """
-    stats = {"insns_folded": 0, "flags_elided": 0, "stores_elided": 0, "pairs_fused": 0}
-    if opt_level >= 1:
-        stats["insns_folded"] = fold_constants(nodes)
-        stats["flags_elided"] = eliminate_dead_flags(nodes)
-        stats["stores_elided"] = eliminate_dead_stores(nodes)
-        stats["pairs_fused"] = fuse_pairs(nodes)
-    return stats
+    return {name: run(nodes) for name, run in PIPELINE}

@@ -17,11 +17,10 @@ really executing the guest on the engine, so per-benchmark sensitivity
 to a version is determined by which events the benchmark actually
 exercises.
 
-``DBTConfig.opt_level`` (the host-side optimizer tier) is deliberately
-*not* part of this timeline: it changes how fast the host runs
-translated code, never what the guest observes, so every version here
-leaves it at its default.  Sweeps may combine any version with any
-``opt_level`` without changing modeled results.
+The engine's host-side lowering (IR plus peephole passes, see
+:mod:`repro.sim.dbt.passes`) is deliberately *not* part of this
+timeline: it changes how fast the host runs translated code, never what
+the guest observes.
 """
 
 from repro.sim.costs import DBT_BASE_COSTS

@@ -402,11 +402,6 @@ class DBTSpec(EngineSpec):
         Field("cost_overrides", {}, Field.PRICING),
         Field("version", None, Field.META),
         Field("memoize", True, Field.HOST),
-        # Optimizer tier of the generated code (0 direct, 1 peephole,
-        # 2 +superblocks).  Host kind: counters never move with it, so
-        # it must not split structural dedup -- but it *is* part of
-        # DBTConfig.translation_key(), because emitted code differs.
-        Field("opt_level", 0, Field.HOST),
     )
     #: Toggle pairs for single-feature attribution.  ``tlb_bits``
     #: mirrors the simulated QEMU history's one structural change
@@ -437,7 +432,6 @@ class DBTSpec(EngineSpec):
             version=self.version,
             asid_tagged=self.asid_tagged,
             memoize=self.memoize,
-            opt_level=self.opt_level,
         )
 
     @classmethod
@@ -453,7 +447,6 @@ class DBTSpec(EngineSpec):
             cost_overrides=dict(config.cost_overrides),
             version=config.version,
             memoize=config.memoize,
-            opt_level=config.opt_level,
         )
 
     @classmethod

@@ -8,7 +8,9 @@ differential, because the *structure* of the program is random, not
 just its inputs.
 
 Also checks that the constant-immediate peephole changes instruction
-counts but never results.
+counts but never results, and that the DBT's peephole pass pipeline
+changes nothing guest-visible -- full counter snapshot included -- on
+the same random programs.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.lang import compile_minic
 from repro.lang.parser import parse
 from tests.lang.oracle import Oracle
-from tests.lang.util import run_minic
+from tests.lang.util import minic_image, run_minic
+from tests.sim.util import assert_pipeline_neutral
 
 _VARS = ("a", "b", "c")
 _BINOPS = ("+", "-", "*", "&", "|", "^", "<<", ">>", "/", "%")
@@ -128,6 +131,13 @@ class TestRandomPrograms:
         result_opt, _board = run(source, args=(seed,))
         oracle = Oracle(parse(source))
         assert result_opt == oracle.call("main", seed)
+
+
+class TestDBTPassPipeline:
+    @settings(max_examples=15, deadline=None)
+    @given(source=minic_program(), seed=st.integers(min_value=0, max_value=0xFFFF))
+    def test_passes_are_guest_invisible(self, source, seed):
+        assert_pipeline_neutral(minic_image(source, (seed,)), max_insns=2_000_000)
 
 
 class TestPeepholeEffect:

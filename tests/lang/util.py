@@ -10,12 +10,10 @@ from repro.sim import FastInterpreter
 RESULT_ADDR = 0x0200_0000
 
 
-def run_minic(source, args=(), engine_cls=FastInterpreter, max_insns=2_000_000):
-    """Compile and run MiniC bare-metal; returns (main's result, board).
-
-    ``main`` is called once with ``args`` (at most 4); its return value
-    is stored to ``RESULT_ADDR``.
-    """
+def minic_image(source, args=()):
+    """Compile MiniC and assemble it bare-metal behind a stub that calls
+    ``main`` once with ``args`` (at most 4) and stores its return value
+    to ``RESULT_ADDR``."""
     unit = compile_minic(source)
     lines = [".org 0x8000", "_start:", "    li sp, 0x100000"]
     if "init" in unit.functions:
@@ -26,9 +24,13 @@ def run_minic(source, args=(), engine_cls=FastInterpreter, max_insns=2_000_000):
     lines.append("    li r1, 0x%08x" % RESULT_ADDR)
     lines.append("    str r0, [r1]")
     lines.append("    halt #0")
-    source_asm = "\n".join(lines) + "\n" + unit.text_asm + unit.data_asm
+    return assemble("\n".join(lines) + "\n" + unit.text_asm + unit.data_asm)
+
+
+def run_minic(source, args=(), engine_cls=FastInterpreter, max_insns=2_000_000):
+    """Compile and run MiniC bare-metal; returns (main's result, board)."""
     board = Board(VEXPRESS)
-    board.load(assemble(source_asm))
+    board.load(minic_image(source, args))
     engine = engine_cls(board, arch=ARM)
     result = engine.run(max_insns=max_insns)
     if not result.halted_ok:

@@ -1,12 +1,14 @@
-"""DBT optimizer-tier tests: IR passes, superblocks, key hygiene.
+"""DBT lowering tests: IR passes, emission, key hygiene.
 
-Two kinds of guarantees live here:
+Three kinds of guarantees live here:
 
 - each peephole pass fires on its golden shape and provably does NOT
   fire when its safety precondition fails;
-- the optimizer tier never leaks across cache identities (translation
-  memo, persistent code store) and never changes guest counters, even
-  through superblock side exits, SMC invalidation, and run limits.
+- every config field that changes generated code is part of the
+  translation key, and so of the memo and code-store identity;
+- the passes never change guest counters relative to the reference
+  lowering (the lifted IR emitted with the pipeline emptied), even
+  through self-modifying code and run limits.
 """
 
 import inspect
@@ -18,7 +20,6 @@ from repro.isa.decoder import decode
 from repro.isa.encoding import Cond, Op, encode
 from repro.machine import Board
 from repro.platform import VEXPRESS
-from repro.sim import DBTSimulator
 from repro.sim.dbt import DBTConfig
 from repro.sim.dbt import codestore
 from repro.sim.dbt.ir import lift_block
@@ -29,7 +30,7 @@ from repro.sim.dbt.passes import (
     fuse_pairs,
 )
 from repro.sim.dbt.translator import TRANSLATION_MEMO, Translator
-from tests.sim.util import run_asm
+from tests.sim.util import assert_pipeline_neutral, bare_program, reference_lowering
 
 
 def lift(words, vaddr=0x8000):
@@ -251,16 +252,16 @@ far:
 
 
 class TestOptimizedEmission:
-    def test_fused_source_is_smaller(self):
-        TRANSLATION_MEMO.clear()
-        direct = _block_sources(_PEEPHOLE_BODY, opt_level=0)
-        TRANSLATION_MEMO.clear()
-        optimized = _block_sources(_PEEPHOLE_BODY, opt_level=1)
-        assert len(optimized) < len(direct)
+    def test_passes_reshape_emitted_source(self):
+        with reference_lowering():
+            reference = _block_sources(_PEEPHOLE_BODY)
+        optimized = _block_sources(_PEEPHOLE_BODY)
         assert "_a = (r[4] + 4)" in optimized  # fused address pair
-        assert "condition_holds" in direct
+        assert "_a" not in reference
+        assert "condition_holds" in reference
         assert "condition_holds" not in optimized  # inlined branch cond
         assert "r[2] = 13" in optimized  # folded constant chain
+        assert "r[2] = 13" not in reference
 
 
 class TestKeyCompleteness:
@@ -270,7 +271,7 @@ class TestKeyCompleteness:
     #: Fields whose toggling must change the generated source for the
     #: probe programs below.  A new DBTConfig field that affects
     #: codegen must be added here AND to translation_key().
-    CODEGEN_FIELDS = {"chain_enabled", "chain_cross_page", "max_block_insns", "opt_level"}
+    CODEGEN_FIELDS = {"chain_enabled", "chain_cross_page", "max_block_insns"}
 
     VARIANTS = {
         "chain_enabled": False,
@@ -282,12 +283,15 @@ class TestKeyCompleteness:
         "version": "v9.9.9",
         "asid_tagged": True,
         "memoize": False,
-        "opt_level": 1,
     }
 
     def test_variant_table_covers_every_field(self):
         params = set(inspect.signature(DBTConfig.__init__).parameters) - {"self"}
         assert set(self.VARIANTS) == params
+
+    def test_translation_key_is_the_codegen_fields(self):
+        config = DBTConfig(chain_cross_page=True, max_block_insns=7)
+        assert config.translation_key() == (True, True, 7)
 
     @pytest.mark.parametrize("field", sorted(VARIANTS))
     def test_codegen_sensitive_fields_are_keyed(self, field):
@@ -311,62 +315,8 @@ class TestKeyCompleteness:
             )
 
 
-class TestOptLevelIsolation:
-    def test_memo_entries_are_distinct_per_level(self):
-        board = Board(VEXPRESS)
-        board.load(
-            assemble(
-                ".org 0x8000\n_start:\n    movi r0, 6\n    movi r1, 7\n"
-                "    add r2, r0, r1\n    halt #0\n"
-            )
-        )
-        TRANSLATION_MEMO.clear()
-        plain = Translator(DBTConfig(opt_level=0))
-        opt = Translator(DBTConfig(opt_level=1))
-        block_plain = plain.translate(board.memory, 0x8000, 0x8000)
-        block_opt = opt.translate(board.memory, 0x8000, 0x8000)
-        assert block_plain.source != block_opt.source
-        assert len(TRANSLATION_MEMO) == 2
-        # Memo hits keep serving the level they were lowered at.
-        assert plain.translate(board.memory, 0x8000, 0x8000).source == block_plain.source
-        assert opt.translate(board.memory, 0x8000, 0x8000).source == block_opt.source
-        TRANSLATION_MEMO.clear()
-
-    def test_code_store_addresses_are_distinct_per_level(self):
-        word_bytes = b"\x12\x34\x56\x78"
-        keys = {
-            codestore.block_key(DBTConfig(opt_level=lvl).translation_key(), 0x8000, word_bytes)
-            for lvl in (0, 1, 2)
-        }
-        assert len(keys) == 3
-
-    def test_superblock_address_differs_from_plain_block(self):
-        # Same head bytes, but the trace's continuation segment is part
-        # of the identity: a superblock never aliases the plain block.
-        key = DBTConfig(opt_level=2).translation_key()
-        head = b"\x12\x34\x56\x78"
-        plain = codestore.block_key(key, 0x8000, head)
-        traced = codestore.block_key(key, 0x8000, head, ((8, b"\x9a\xbc\xde\xf0"),))
-        assert plain != traced
-
-
-#: Bottom-branching loop: the tail's unconditional back-edge forms a
-#: two-segment superblock at opt_level 2.
-_LOOP_BODY = """
-    li r0, 0
-    li r1, 500
-head:
-    cmp r0, r1
-    beq done
-    addi r0, r0, 1
-    b head
-done:
-    halt #0
-"""
-
-#: Same loop shape, but the body rewrites an instruction of its own
-#: superblock (with identical bytes) every iteration, invalidating the
-#: trace mid-execution.
+#: A counted loop whose body rewrites one of its own instructions (with
+#: identical bytes) every iteration, invalidating the block mid-run.
 _SMC_LOOP_BODY = """
     li r5, 10
     li r6, tgt
@@ -384,65 +334,23 @@ done:
 """
 
 
-def _run_level(body, opt_level, max_insns=200_000):
-    TRANSLATION_MEMO.clear()
-    engine, board, res = run_asm(
-        DBTSimulator, body, config=DBTConfig(opt_level=opt_level), max_insns=max_insns
-    )
-    return engine, board, res
+class TestPipelineNeutrality:
+    def test_smc_loop(self):
+        assert_pipeline_neutral(bare_program(_SMC_LOOP_BODY))
 
-
-class TestSuperblocks:
-    def test_trace_forms_on_loop_back_edge(self):
-        engine, _board, res = _run_level(_LOOP_BODY, 2)
-        assert res.halted_ok
-        entries = list(TRANSLATION_MEMO._entries.values())
-        traced = [entry for entry in entries if entry.segments]
-        assert len(traced) == 1
-        assert traced[0].n_crossings == 1
-        # The compiled unit inlines the tail: its source carries the
-        # crossing's chain-follow accounting and the shared tail block.
-        assert any(
-            block.source and "hb = nb" in block.source
-            for block in engine.translation_cache._blocks.values()
+    # Shrunk counterexamples the random-program suites produced against
+    # deliberately broken passes, pinned so those breakages stay caught.
+    def test_def_read_back_through_both_operands(self):
+        # Dead-store elimination must see r1 read by the second ADD.
+        assert_pipeline_neutral(
+            bare_program("add r1, r1, r1\naddi r1, r1, 1\nadd r1, r1, r1\nhalt #0")
         )
 
-    def test_no_trace_without_chaining(self):
-        # Crossings replay *chained* dispatch accounting; with chaining
-        # disabled level 2 must degrade to peephole-only lowering.
-        TRANSLATION_MEMO.clear()
-        engine, _board, res = run_asm(
-            DBTSimulator,
-            _LOOP_BODY,
-            config=DBTConfig(opt_level=2, chain_enabled=False),
-        )
-        assert res.halted_ok
-        assert not any(e.segments for e in TRANSLATION_MEMO._entries.values())
+    def test_eor_fold_of_a_wide_constant(self):
+        assert_pipeline_neutral(bare_program("movi r1, 0x1234\neori r2, r1, 0\nhalt #0"))
 
-    def test_loop_counters_bit_identical(self):
-        base = _run_level(_LOOP_BODY, 0)
-        for level in (1, 2):
-            engine, board, res = _run_level(_LOOP_BODY, level)
-            assert res.halted_ok
-            assert board.cpu.regs[0] == 500
-            assert engine.counters.snapshot() == base[0].counters.snapshot()
-            assert res.exit_reason == base[2].exit_reason
-
-    def test_limit_side_exit_counters_bit_identical(self):
-        # An odd limit lands mid-loop, exercising the crossing's
-        # run-limit side exit; the instruction count must stop at the
-        # same point the baseline dispatcher stops.
-        base = _run_level(_LOOP_BODY, 0, max_insns=101)
-        for level in (1, 2):
-            engine, _board, res = _run_level(_LOOP_BODY, level, max_insns=101)
-            assert res.exit_reason == base[2].exit_reason
-            assert engine.counters.snapshot() == base[0].counters.snapshot()
-
-    def test_smc_invalidates_trace_and_counters_match(self):
-        base_engine, base_board, base_res = _run_level(_SMC_LOOP_BODY, 0)
-        assert base_res.halted_ok
-        engine, board, res = _run_level(_SMC_LOOP_BODY, 2)
-        assert res.halted_ok
-        assert board.cpu.regs[5] == 0
-        assert engine.counters.smc_invalidations >= 9
-        assert engine.counters.snapshot() == base_engine.counters.snapshot()
+    @pytest.mark.parametrize("max_insns", [7, 101])
+    def test_run_limit_mid_loop(self, max_insns):
+        # The instruction limit stops the run between blocks; the
+        # optimized and reference lowerings must stop at the same point.
+        assert_pipeline_neutral(bare_program(_SMC_LOOP_BODY), max_insns=max_insns)

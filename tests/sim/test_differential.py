@@ -4,7 +4,10 @@ architectural semantics.
 Hypothesis generates random guest programs (straight-line ALU work,
 memory traffic, branches, and small loops) and asserts that every
 engine produces the same final register file, memory contents and UART
-output.
+output.  A DBT arm also runs every program with the peephole pass
+pipeline on and emptied, and asserts the full counter snapshot matches
+too: random shapes hit constant folding and pair fusion far harder
+than the fixed benchmarks do.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from repro.arch import ARM
 from repro.isa.assembler import assemble
 from repro.machine import Board
 from repro.platform import VEXPRESS
-from tests.sim.util import ALL_ENGINES
+from tests.sim.util import ALL_ENGINES, assert_pipeline_neutral
 
 _WORK_REGS = ("r1", "r2", "r3", "r4", "r5")
 
@@ -55,6 +58,60 @@ def memory_insn(draw):
     return "    ldr %s, [r6, #%d]" % (reg, 4 * slot)
 
 
+@st.composite
+def address_pair(draw):
+    """An ADDI computing a base right before the access that uses it:
+    the shape the DBT's address-pair fusion targets."""
+    base = draw(_reg)
+    offset = 4 * draw(st.integers(min_value=0, max_value=15))
+    access = draw(st.sampled_from(["ldr", "str"]))
+    return "    addi %s, r6, %d\n    %s %s, [%s]" % (
+        base,
+        offset,
+        access,
+        draw(_reg),
+        base,
+    )
+
+
+_branch = st.sampled_from(
+    ["beq", "bne", "blt", "bge", "ble", "bgt", "blo", "bhs", "bmi", "bpl"]
+)
+
+
+@st.composite
+def compare_insn(draw):
+    if draw(st.booleans()):
+        return "    cmp %s, %s" % (draw(_reg), draw(_reg))
+    return "    cmpi %s, %d" % (draw(_reg), draw(_imm))
+
+
+@st.composite
+def pass_shaped_program(draw):
+    """A program shaped for the DBT's peephole passes: registers seeded
+    with constants for folding, overwritten defs and flags for dead
+    code elimination, address pairs and compare+branch pairs for
+    fusion, and flags that stay live across a block boundary."""
+    lines = [".org 0x8000", "_start:", "    li r6, 0x2000000"]
+    for reg in draw(st.lists(_reg, unique=True)):
+        lines.append("    movi %s, %d" % (reg, draw(_imm)))
+    lines += draw(
+        st.lists(
+            st.one_of(
+                straight_line_insn(), memory_insn(), address_pair(), compare_insn()
+            ),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    lines.append(draw(compare_insn()))
+    lines.append("    %s skip" % draw(_branch))
+    lines += draw(st.lists(straight_line_insn(), max_size=3))
+    lines += ["skip:", "    %s done" % draw(_branch), "    movi r5, 7", "done:"]
+    lines.append("    halt #0")
+    return "\n".join(lines) + "\n"
+
+
 def _run_everywhere(source):
     outcomes = {}
     for engine_cls in ALL_ENGINES:
@@ -80,17 +137,25 @@ def _assert_agreement(outcomes):
         assert outcome == reference, "%s diverged from %s" % (name, reference_name)
 
 
+def _check(source):
+    """Every engine agrees, and the DBT's passes change nothing."""
+    _assert_agreement(_run_everywhere(source))
+    assert_pipeline_neutral(assemble(source))
+
+
 class TestStraightLine:
     @settings(max_examples=30, deadline=None)
     @given(insns=st.lists(straight_line_insn(), min_size=1, max_size=40))
     def test_alu_programs_agree(self, insns):
         source = ".org 0x8000\n_start:\n" + "\n".join(insns) + "\n    halt #0\n"
-        _assert_agreement(_run_everywhere(source))
+        _check(source)
 
     @settings(max_examples=20, deadline=None)
     @given(
         insns=st.lists(
-            st.one_of(straight_line_insn(), memory_insn()), min_size=1, max_size=30
+            st.one_of(straight_line_insn(), memory_insn(), address_pair()),
+            min_size=1,
+            max_size=30,
         )
     )
     def test_memory_programs_agree(self, insns):
@@ -99,7 +164,14 @@ class TestStraightLine:
             + "\n".join(insns)
             + "\n    halt #0\n"
         )
-        _assert_agreement(_run_everywhere(source))
+        _check(source)
+
+
+class TestPassShapes:
+    @settings(max_examples=40, deadline=None)
+    @given(source=pass_shaped_program())
+    def test_pass_shaped_programs_agree(self, source):
+        _check(source)
 
 
 class TestLoops:
@@ -114,10 +186,7 @@ class TestLoops:
             + "\n".join(body)
             + "\n    subi r7, r7, 1\n    cmpi r7, 0\n    bne loop\n    halt #0\n"
         )
-        outcomes = _run_everywhere(source)
-        _assert_agreement(outcomes)
-        # And the instruction counts agree too (same dynamic path).
-        # (They are part of neither snapshot, so check separately.)
+        _check(source)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -137,7 +206,7 @@ taken:
     movi r2, 222
     halt #0
 """ % (selector, cond)
-        _assert_agreement(_run_everywhere(source))
+        _check(source)
 
 
 class TestInstructionCountsAgree:

@@ -1,11 +1,11 @@
 """Bit-identical guest behaviour with every host fast path toggled.
 
 The fast-path subsystem (predecoded block interpretation in the
-interpreters, translation memoization in the DBT engine, the
-persistent cross-run code cache) buys host wallclock only: guest-
-visible counter deltas and modeled results must be bit-for-bit
-identical with each layer on vs off, across the full 18-benchmark
-suite on both arch profiles.  Self-modifying code must invalidate
+interpreters, translation memoization and the peephole pass pipeline
+in the DBT engine, the persistent cross-run code cache) buys host
+wallclock only: guest-visible counter deltas and modeled results must
+be bit-for-bit identical with each layer on vs off, across the full
+18-benchmark suite on both arch profiles.  Self-modifying code must invalidate
 predecoded block lists exactly as it invalidates the decode cache.
 """
 
@@ -19,18 +19,50 @@ from repro.sim import DBTSimulator, FastInterpreter
 from repro.sim.dbt import codestore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
 from repro.sim.spec import spec_for
-from tests.sim.util import run_asm
+from tests.sim.util import reference_lowering, run_asm
 
 ITERATIONS = 2
 _PLATFORM = {"arm": "vexpress", "x86": "pcplat"}
 ARCH_NAMES = ("arm", "x86")
 BENCH_IDS = [bench.name for bench in SUITE]
+#: Pass statistics that must be non-zero over the pipeline sweep, so
+#: its equivalence cannot pass vacuously.
+PASS_CENSUS = ("dbt.insns_folded", "dbt.stores_elided", "dbt.pairs_fused")
 
 
 @pytest.fixture(scope="module")
 def harness():
     # Shared across the module so benchmark programs build once.
     return Harness()
+
+
+@pytest.fixture(scope="module")
+def pipeline_sweep(harness):
+    """Every benchmark on both arches on the DBT, lowered with the full
+    pass pipeline and with it emptied (the reference lowering).
+
+    Returns ``({(bench, arch): (optimized, reference)}, census)``; the
+    census sums the pass statistics METRICS recorded while lowering
+    the optimized runs.
+    """
+    spec = spec_for("qemu-dbt")
+    observations = {}
+    METRICS.reset()
+    METRICS.enable()
+    try:
+        for bench in SUITE:
+            for arch_name in ARCH_NAMES:
+                TRANSLATION_MEMO.clear()
+                optimized = _observe(harness, bench, arch_name, spec)
+                with reference_lowering():
+                    reference = _observe(harness, bench, arch_name, spec)
+                observations[bench.name, arch_name] = (optimized, reference)
+        counters = METRICS.snapshot()["counters"]
+    finally:
+        METRICS.enable(False)
+        METRICS.reset()
+    census = {name: counters.get(name, 0) for name in PASS_CENSUS}
+    return observations, census
 
 
 def _observe(harness, bench, arch_name, spec):
@@ -68,18 +100,12 @@ class TestToggleEquivalence:
         off = _observe(harness, bench, arch_name, spec_for("qemu-dbt", memoize=False))
         assert on == off
 
-    def test_dbt_opt_levels(self, harness, bench, arch_name):
-        # The optimizer tier (peephole passes at 1, superblocks at 2)
-        # rearranges host code only: every guest-visible counter and
-        # the modeled time must be bit-identical across levels.
-        TRANSLATION_MEMO.clear()
-        base = _observe(harness, bench, arch_name, spec_for("qemu-dbt", opt_level=0))
-        for level in (1, 2):
-            TRANSLATION_MEMO.clear()
-            opt = _observe(
-                harness, bench, arch_name, spec_for("qemu-dbt", opt_level=level)
-            )
-            assert opt == base, "opt_level=%d diverged" % level
+    def test_dbt_pass_pipeline(self, pipeline_sweep, bench, arch_name):
+        # The peephole passes rearrange host code only: every
+        # guest-visible counter and the modeled time must be
+        # bit-identical to the reference lowering.
+        optimized, reference = pipeline_sweep[0][bench.name, arch_name]
+        assert optimized == reference
 
     def test_metrics_toggle(self, harness, bench, arch_name):
         # The observability layer records host-side phases/counters
@@ -130,16 +156,12 @@ class TestHostFieldNeutrality:
         assert on.structural_key() == off.structural_key()
         assert on.cache_key_payload() == off.cache_key_payload()
 
-    def test_dbt_opt_level_is_host_only(self):
-        # opt_level changes how blocks are lowered, never what the
-        # guest observes -- it must not split dedup groups or result
-        # cache keys (it IS part of the translation/code-store key,
-        # which tests/sim/test_dbt_opt.py covers).
-        direct = spec_for("qemu-dbt", opt_level=0)
-        traced = spec_for("qemu-dbt", opt_level=2)
-        assert direct.structural_key() == traced.structural_key()
-        assert direct.cache_key_payload() == traced.cache_key_payload()
-        assert direct != traced
+
+class TestPassCensus:
+    def test_every_pass_fires_over_the_sweep(self, pipeline_sweep):
+        census = pipeline_sweep[1]
+        for name in PASS_CENSUS:
+            assert census[name] > 0, "%s never fired over the sweep" % name
 
 
 SMC_BODY = """

@@ -60,6 +60,15 @@ class TestEngineOptions:
         assert code == 2
         assert "unknown engine option" in capsys.readouterr().err
 
+    def test_removed_opt_level_exits_2(self, capsys):
+        # The DBT has one lowering path, so there is no tier to select.
+        code = main([
+            "run", "System Call", "--sim", "qemu-dbt",
+            "--engine-opt", "opt_level=2",
+        ])
+        assert code == 2
+        assert "unknown engine option" in capsys.readouterr().err
+
     def test_malformed_engine_opt_exits_2(self, capsys):
         code = main([
             "run", "System Call", "--sim", "simit",
