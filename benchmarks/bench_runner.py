@@ -1,16 +1,16 @@
-"""Experiment-runner performance: cold vs warm cache vs batched parallel.
+"""Experiment-runner performance: cold vs warm dataset vs batched parallel.
 
 Regenerates Figure 7 several ways -- cold (executing and filling a
-fresh result cache), warm (re-pricing cached counter deltas without
-running any guest code), serial (no cache; the parallel baseline),
-parallel (``jobs=4`` over the batched warm worker pool, adaptive chunk
+fresh result dataset), warm (re-pricing stored counter deltas without
+running any guest code), serial (no dataset; the parallel baseline),
+parallel (``jobs=4`` over the batched warm worker pool, default chunk
 size) and warm-pool (a second grid on the same persistent pool, what
 repeat sweeps actually see) -- checks every variant produces an
 identical table, measures chunk-dispatch overhead and shipped payload
 bytes, sweeps explicit chunk sizes, and emits ``BENCH_runner.json`` at
 the repo root.
 
-Gates: the warm-cache run must be at least 5x faster than cold, and on
+Gates: the warm-dataset run must be at least 5x faster than cold, and on
 hosts with >= 2 cores ``parallel_speedup`` must be >= 1.0 (on a
 single-core host fan-out cannot beat serial, so that gate is skipped
 with a notice instead of failing).
@@ -25,14 +25,15 @@ import tempfile
 import time
 
 from repro.analysis import figures
-from repro.core import ExperimentRunner, ResultCache
+from repro.core import ExperimentRunner
+from repro.exp import Dataset
 from repro.obs.metrics import METRICS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCALE = 0.5
 JOBS = 4
-#: Explicit chunk sizes swept for the sensitivity table (the adaptive
-#: default is reported under "auto").
+#: Explicit chunk sizes swept for the sensitivity table (the default
+#: size is reported under "auto").
 CHUNK_SIZES = (1, 4)
 
 
@@ -43,19 +44,19 @@ def _timed_figure7(runner, scale):
 
 
 def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+    with tempfile.TemporaryDirectory() as dataset_dir:
+        cold_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         cold, cold_seconds = _timed_figure7(cold_runner, scale)
-        warm_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+        warm_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         warm, warm_seconds = _timed_figure7(warm_runner, scale)
 
-    # The parallel baseline: plain serial execution, no cache -- the
-    # cold run above also pays cache-fill I/O, which would flatter the
+    # The parallel baseline: plain serial execution, no dataset -- the
+    # cold run above also pays row-append I/O, which would flatter the
     # pool.
     serial_runner = ExperimentRunner()
     serial, serial_seconds = _timed_figure7(serial_runner, scale)
 
-    # Batched pool run (adaptive chunks), dispatch instruments captured
+    # Batched pool run (default chunks), dispatch instruments captured
     # from a clean registry; then a second grid on the SAME pool -- the
     # workers stay warm, which is what repeat sweeps see.
     METRICS.reset()
@@ -77,7 +78,7 @@ def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
         sensitivity[str(chunk_size)] = sized_seconds
     sensitivity["auto"] = parallel_seconds
 
-    assert warm == cold, "warm cache changed the Figure 7 table"
+    assert warm == cold, "warm dataset changed the Figure 7 table"
     assert serial == cold, "serial re-run changed the Figure 7 table"
     assert parallel == cold, "parallel execution changed the Figure 7 table"
     assert warm_pool == cold, "warm-pool re-run changed the Figure 7 table"
@@ -125,7 +126,7 @@ def check_gates(payload):
     failures = []
     if payload["warm_speedup"] < 5.0:
         failures.append(
-            "warm cache speedup %.2fx is below the 5x floor"
+            "warm dataset speedup %.2fx is below the 5x floor"
             % payload["warm_speedup"]
         )
     if payload["cpu_count"] >= 2:

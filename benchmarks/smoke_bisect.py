@@ -18,7 +18,7 @@ from repro.arch import get_arch
 from repro.attrib import BisectAxis, Bisector
 from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner, resolve_benchmark
-from repro.exp import Dataset, DatasetResolver
+from repro.exp import Dataset
 from repro.platform import get_platform
 from repro.sim.spec import DBTSpec
 
@@ -38,9 +38,8 @@ def _axis():
 
 def _bisect(dataset):
     with ExperimentRunner(
-        harness=Harness(timing=TimingPolicy.MODELED)
-    ) as inner:
-        runner = DatasetResolver(inner, dataset)
+        harness=Harness(timing=TimingPolicy.MODELED), dataset=dataset
+    ) as runner:
         result = Bisector(
             runner,
             _axis(),

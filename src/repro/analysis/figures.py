@@ -274,9 +274,7 @@ def figure7(harness=None, scale=1.0, runner=None, dataset=None):
     if runner is None:
         runner = ExperimentRunner(harness=harness)
     if dataset is not None:
-        from repro.exp.resolver import DatasetResolver
-
-        runner = DatasetResolver(runner, dataset)
+        runner.dataset = dataset
     grid = []
     specs = []
     for arch, platform, simulators in (

@@ -11,7 +11,7 @@ on the right structure -- while staying fast.
 The grouping itself lives in the engine-spec layer
 (:meth:`repro.sim.spec.EngineSpec.structural_key`): the sweep builds
 one :class:`~repro.sim.spec.DBTSpec` per version up front, submits one
-job per (benchmark, version) and lets the runner deduplicate, cache
+job per (benchmark, version) and lets the runner deduplicate, store
 and parallelise the executions.
 """
 
@@ -19,7 +19,6 @@ import math
 
 from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner, JobSpec
-from repro.exp.resolver import DatasetResolver
 from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
 from repro.sim.spec import DBTSpec
 
@@ -102,7 +101,7 @@ class VersionSweep:
         if dataset is not None:
             # Resolve sweep cells from the experiment dataset first;
             # only missing structural groups execute (and get appended).
-            runner = DatasetResolver(runner, dataset)
+            runner.dataset = dataset
         self.runner = runner
         self.harness = runner.harness
         # One engine spec per version, built up front: the whole sweep

@@ -22,10 +22,11 @@ Three properties keep the search honest:
   over several steps (``diffuse``); a value outside both means the
   axis is not a single step function (``non-monotonic``).  Both are
   reported as such -- never silently bisected to a wrong step.
-- **Dataset reuse.**  Run through a
-  :class:`~repro.exp.resolver.DatasetResolver`, every probe that was
-  ever stored resolves at zero guest cost; a warm re-bisect executes
-  0 cells.  The bisector only counts *executed* cells it caused.
+- **Dataset reuse.**  Run on an
+  :class:`~repro.core.runner.ExperimentRunner` with a dataset, every
+  probe that was ever stored resolves at zero guest cost; a warm
+  re-bisect executes 0 cells.  The bisector only counts *executed*
+  cells it caused.
 """
 
 from repro.obs.metrics import METRICS
@@ -345,8 +346,8 @@ class Bisector:
     """Binary search for the step that changes ``metric`` on ``axis``.
 
     ``runner`` is anything with the grid-runner contract
-    (:class:`~repro.core.runner.ExperimentRunner` or a
-    :class:`~repro.exp.resolver.DatasetResolver` around one); each
+    (:class:`~repro.core.runner.ExperimentRunner`, with or without a
+    dataset); each
     probe is submitted as its own one-cell grid so a failed probe can
     be retried individually without disturbing stored rows.
     """

@@ -25,7 +25,8 @@ Commands
     ``--validate`` checks the kernel's single-feature claim by
     ablation.
 ``cache stats|clear``
-    Inspect or empty an experiment result cache directory.
+    Inspect or empty the experiment dataset (and, with
+    ``--code-cache-dir``, the persistent DBT code cache).
 ``manifest run|show|diff``
     Run, describe or compare declarative experiment manifests (bundled
     names like ``figure7``/``smoke``, or TOML/JSON paths).
@@ -68,14 +69,12 @@ from repro.core import (
     ExperimentRunner,
     Harness,
     JobSpec,
-    ResultCache,
     SUITE,
     TimingPolicy,
     get_benchmark,
 )
 from repro.exp import (
     Dataset,
-    DatasetResolver,
     ManifestError,
     QueryError,
     bundled_manifests,
@@ -195,15 +194,9 @@ def _add_runner_options(parser):
         type=int,
         default=0,
         metavar="N",
-        help="jobs per pool dispatch under --jobs (default: 0 = adaptive, "
-        "targeting ~100ms of worker time per chunk); larger chunks "
-        "amortise dispatch overhead, smaller ones load-balance better",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory; warm runs re-price cached counter "
-        "deltas instead of executing guest code (modeled timing only)",
+        help="jobs per pool dispatch under --jobs (default: 0 = about "
+        "four chunks per worker); larger chunks amortise dispatch "
+        "overhead, smaller ones load-balance better",
     )
     parser.add_argument(
         "--code-cache-dir",
@@ -283,44 +276,34 @@ def _environment(args):
     return harness, arch, platform
 
 
-def _runner_for(args, harness=None, wrap_dataset=True):
-    cache = None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        cache = ResultCache(cache_dir)
-    runner = ExperimentRunner(
+def _runner_for(args, harness=None):
+    dataset_dir = getattr(args, "dataset_dir", None)
+    return ExperimentRunner(
         harness=harness,
         jobs=getattr(args, "jobs", 1) or 1,
-        cache=cache,
+        dataset=Dataset(dataset_dir) if dataset_dir else None,
         deadline=getattr(args, "deadline", None),
         retries=getattr(args, "retries", 1),
         code_cache_dir=getattr(args, "code_cache_dir", None),
         chunk_size=getattr(args, "chunk_size", 0),
     )
-    dataset_dir = getattr(args, "dataset_dir", None)
-    if wrap_dataset and dataset_dir:
-        runner = DatasetResolver(runner, Dataset(dataset_dir))
-    return runner
 
 
 def _report_runner(args, runner):
-    if (
-        (getattr(args, "jobs", 1) or 1) > 1
-        or getattr(args, "cache_dir", None)
-        or getattr(args, "dataset_dir", None)
+    stats = runner.last_stats
+    if stats and (
+        (getattr(args, "jobs", 1) or 1) > 1 or getattr(args, "dataset_dir", None)
     ):
-        stats = runner.last_stats
-        if stats:
-            line = "runner: %d jobs -> %d unique, %d cache hits, %d executed" % (
+        print(
+            "runner: %d jobs -> %d unique, %d from dataset, %d executed"
+            % (
                 stats["jobs"],
                 stats["unique"],
-                stats["cache_hits"],
+                stats["from_dataset"],
                 stats["executed"],
-            )
-            if stats.get("from_dataset"):
-                line += ", %d from dataset" % stats["from_dataset"]
-            print(line, file=sys.stderr)
-    stats = runner.last_stats
+            ),
+            file=sys.stderr,
+        )
     fault_counts = [
         (name, stats.get(name, 0))
         for name in ("crashed", "timeout", "errors", "retried", "worker_lost")
@@ -733,17 +716,17 @@ def _print_store_totals(stats):
 
 
 def _cmd_cache(args):
-    cache = ResultCache(args.cache_dir)
+    dataset = Dataset(args.dataset_dir)
     if args.action == "stats":
-        stats = cache.stats()
-        print("cache %s" % stats["root"])
+        stats = dataset.stats()
+        print("dataset %s" % stats["root"])
         print("  entries: %d" % stats["entries"])
         print("  bytes:   %d" % stats["bytes"])
         print("  schema:  %s" % stats["schema"])
         _print_store_totals(stats)
     else:
-        removed = cache.clear()
-        print("removed %d cache entries from %s" % (removed, args.cache_dir))
+        removed = dataset.clear()
+        print("removed %d dataset rows from %s" % (removed, args.dataset_dir))
     if args.code_cache_dir:
         store = CodeStore(args.code_cache_dir)
         if args.action == "stats":
@@ -756,18 +739,6 @@ def _cmd_cache(args):
             removed = store.clear()
             print("removed %d code-cache entries from %s"
                   % (removed, args.code_cache_dir))
-    if args.dataset_dir:
-        dataset = Dataset(args.dataset_dir)
-        if args.action == "stats":
-            stats = dataset.stats()
-            print("dataset %s" % stats["root"])
-            print("  entries: %d" % stats["entries"])
-            print("  bytes:   %d" % stats["bytes"])
-            print("  schema:  %s" % stats["schema"])
-            _print_store_totals(stats)
-        else:
-            removed = dataset.clear()
-            print("removed %d dataset rows from %s" % (removed, args.dataset_dir))
     return 0
 
 
@@ -837,33 +808,30 @@ def _cmd_manifest(args):
 
     # action == "run"
     _metrics_begin(args)
-    dataset = Dataset(args.dataset_dir) if args.dataset_dir else None
-    with _runner_for(args, wrap_dataset=False) as runner:
-        result = run_manifest(manifest, runner, dataset=dataset)
-        stats = result.stats
+    with _runner_for(args) as runner:
+        stats = run_manifest(manifest, runner).stats
         # Activity reporting belongs on stderr (like the runner line),
         # so cold and warm stdout captures diff clean.
         print(
             "manifest %s (%s): %d cell(s) -> %d executed, %d from dataset, "
-            "%d cache hit(s), %d appended"
+            "%d appended"
             % (
                 manifest.name,
                 manifest.short_id,
-                stats.get("jobs", 0),
-                stats.get("executed", 0),
-                stats.get("from_dataset", 0),
-                stats.get("cache_hits", 0),
-                stats.get("dataset_appended", 0),
+                stats["jobs"],
+                stats["executed"],
+                stats["from_dataset"],
+                stats["dataset_appended"],
             ),
             file=sys.stderr,
         )
-        _report_runner(args, result.runner)
+        _report_runner(args, runner)
         _metrics_finish(
             args,
-            result.runner,
+            runner,
             meta={"manifest": manifest.name, "manifest_id": manifest.manifest_id()},
         )
-        return _failure_summary(args, result.runner)
+        return _failure_summary(args, runner)
 
 
 def _cmd_query(args):
@@ -1046,7 +1014,6 @@ def _cmd_serve(args):
         service = ExperimentService(
             socket_path=args.socket,
             dataset_dir=args.dataset_dir,
-            cache_dir=args.cache_dir,
             code_cache_dir=args.code_cache_dir,
             jobs=args.jobs or 1,
             deadline=args.deadline,
@@ -1099,7 +1066,7 @@ def _print_job_summary(info, stream=None):
     stream = stream if stream is not None else sys.stdout
     print(
         "%s [%-8s] %-12s tenant=%s cells=%d slices=%d/%d "
-        "executed=%d dataset=%d cache=%d failures=%d"
+        "executed=%d dataset=%d failures=%d"
         % (
             info["id"],
             info["state"],
@@ -1110,7 +1077,6 @@ def _print_job_summary(info, stream=None):
             info["slices"],
             info["executed"],
             info["from_dataset"],
-            info["cache_hits"],
             info["failures"],
         ),
         file=stream,
@@ -1380,19 +1346,20 @@ def build_parser():
     # working-directory dataset, so a warm re-bisect executes nothing.
     p_bisect.set_defaults(dataset_dir=".repro-dataset")
 
-    p_cache = sub.add_parser("cache", help="inspect or clear a result cache")
+    p_cache = sub.add_parser(
+        "cache", help="inspect or clear the experiment dataset"
+    )
     p_cache.add_argument("action", choices=["stats", "clear"])
-    p_cache.add_argument("--cache-dir", default=".repro-cache")
+    p_cache.add_argument(
+        "--dataset-dir",
+        default=".repro-dataset",
+        help="experiment dataset directory (default: .repro-dataset); "
+        "stats include quarantined corrupt-row counts",
+    )
     p_cache.add_argument(
         "--code-cache-dir",
         default=None,
         help="also report/clear the persistent DBT code cache at this path",
-    )
-    p_cache.add_argument(
-        "--dataset-dir",
-        default=None,
-        help="also report/clear the experiment dataset at this path "
-        "(stats include quarantined corrupt-row counts)",
     )
 
     p_manifest = sub.add_parser(

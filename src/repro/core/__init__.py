@@ -13,8 +13,8 @@ This package is the reproduction of the paper's primary contribution:
   reports per-kernel run times and iteration counts;
 - :mod:`repro.core.runner` -- the experiment runner (structural job
   dedup, multiprocessing fan-out, deterministic merge);
-- :mod:`repro.core.resultcache` -- the content-addressed result cache
-  ("execute once, price many");
+- :mod:`repro.core.resultcache` -- job fingerprints, the keys of the
+  experiment dataset ("execute once, price many");
 - :mod:`repro.core.density` -- operation-density measurement;
 - :mod:`repro.core.predict` -- the performance-prediction model
   (contribution 3: model application performance from micro-benchmark
@@ -39,7 +39,7 @@ from repro.core.harness import (
 )
 from repro.core.density import measure_density, density_table
 from repro.core.predict import PerformanceModel, predict_workloads
-from repro.core.resultcache import ResultCache, job_fingerprint
+from repro.core.resultcache import job_fingerprint
 from repro.core.runner import ExperimentRunner, JobSpec, structural_key
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ExecutionRecord",
     "ExperimentRunner",
     "JobSpec",
-    "ResultCache",
     "job_fingerprint",
     "structural_key",
     "measure_density",

@@ -13,8 +13,8 @@ with Microarchitecture Cliffs").
 
 The kernels are registered benchmarks (resolvable by
 :func:`repro.core.runner.resolve_benchmark`), so they ride the whole
-experiment stack unchanged: structural dedup, the result cache, pool
-transport by name, and provenance-stamped dataset rows.  They are kept
+experiment stack unchanged: structural dedup, pool transport by
+name, and provenance-stamped dataset rows.  They are kept
 out of :data:`repro.core.suite.SUITE` so the Figure 3 inventory stays
 faithful to the paper.
 

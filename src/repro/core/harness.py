@@ -89,7 +89,7 @@ class ExecutionRecord:
         return self.status == "ok"
 
     def to_payload(self):
-        """A JSON-serialisable dict (used by the result cache and any
+        """A JSON-serialisable dict (used by the result dataset and any
         future remote transport).  The error -- whatever its class --
         is serialised losslessly via
         :func:`repro.errors.error_to_payload`, so non-ok records keep
@@ -225,6 +225,7 @@ class Harness:
         if not benchmark.supported_by(spec.engine):
             return ExecutionRecord(status="unsupported")
 
+        sim = None
         try:
             with METRICS.phase("harness.setup"):
                 built = self.build_program(benchmark, arch, platform)
@@ -244,10 +245,17 @@ class Harness:
             # Fault isolation: an unexpected engine/decoder/MMU (or
             # program-build) exception becomes one ``crashed`` row
             # instead of aborting the whole grid.  The cause is kept as
-            # strings so the record survives pool and cache transport.
+            # strings so the record survives pool and dataset transport.
             return ExecutionRecord(
                 status="crashed", error=EngineCrashError.from_exception(exc)
             )
+        finally:
+            # An engine and its board form reference cycles; dropping
+            # the engine's state lets reference counting free the
+            # 64 MiB board now instead of whenever the cyclic collector
+            # next runs, which keeps peak memory to one board per job.
+            if sim is not None:
+                vars(sim).clear()
         if run.exit_reason is not ExitReason.HALT:
             return ExecutionRecord(
                 status="error",
@@ -293,7 +301,7 @@ class Harness:
         ``simulator`` is a spec or a registry name, as in
         :meth:`execute_benchmark`.  Under ``MODELED`` timing the result
         is a pure function of the record and the spec's cost table, so
-        a cached record prices to exactly the result a fresh execution
+        a stored record prices to exactly the result a fresh execution
         would have produced.
         """
         spec = as_engine_spec(simulator, dbt_config, sim_kwargs)

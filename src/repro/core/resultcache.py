@@ -1,32 +1,24 @@
-"""Content-addressed on-disk cache of benchmark execution records.
+"""Fingerprints of benchmark execution jobs.
 
 Under the MODELED timing policy an :class:`~repro.core.harness.ExecutionRecord`
 is a pure function of the job's structural inputs, so it can be stored
-once and re-priced forever ("execute once, price many").  The cache
-key is a SHA-256 fingerprint over everything the record depends on:
+once and re-priced forever ("execute once, price many").  The
+experiment dataset (:mod:`repro.exp.dataset`) stores one record per
+job under a SHA-256 fingerprint over everything the record depends on:
 
 - the benchmark's identity (name, implementing class, and -- for MiniC
   workloads -- a hash of the guest source);
 - the engine name and the *structural* part of its configuration (cost
   overrides deliberately excluded: they only affect pricing);
 - architecture, platform and iteration count;
-- a cost-model schema tag covering the counter vocabulary, so the whole
-  cache self-invalidates when the counter set changes.
-
-Entries are JSON files (two-level fan-out by key prefix) written
-atomically via rename, so concurrent runs sharing a cache directory
-never observe torn entries; missing entries count as misses, and
-corrupt entries are quarantined (unlinked, counted in ``stats()``)
-so a bad file is paid for at most once.
+- a cost-model schema tag covering the counter vocabulary, so every
+  stored record self-invalidates when the counter set changes.
 """
 
 import hashlib
 import json
-import os
 
-from repro.core.harness import ExecutionRecord
 from repro.sim.base import COUNTER_NAMES
-from repro.storage import DirectoryStore
 
 #: Bump when the meaning of stored deltas or the key format changes
 #: (e.g. counter semantics, phase-marker protocol, fingerprint layout).
@@ -37,19 +29,19 @@ COST_SCHEMA_VERSION = 2
 
 
 def schema_tag():
-    """Identifier of the counter/cost schema the cache was built for."""
+    """Identifier of the counter/cost schema stored records were built for."""
     digest = hashlib.sha256("\n".join(COUNTER_NAMES).encode("utf-8")).hexdigest()
     return "%d-%s" % (COST_SCHEMA_VERSION, digest[:12])
 
 
 def job_fingerprint(benchmark, simulator, arch, platform, iterations, structure):
-    """The cache key for one execution job.
+    """The storage key for one execution job.
 
     ``structure`` is the job's structural signature (normally
     :meth:`~repro.sim.spec.EngineSpec.cache_key_payload`) and must be
     strictly JSON-serialisable -- values whose only encoding would be
     an unstable ``repr`` (live objects, addresses) raise
-    :class:`ValueError` instead of silently splitting the cache.
+    :class:`ValueError` instead of silently splitting the store.
     Configs differing only in cost overrides must map to the same
     ``structure`` so a single stored record serves all of them.
     """
@@ -73,30 +65,3 @@ def job_fingerprint(benchmark, simulator, arch, platform, iterations, structure)
             "cache fingerprint inputs must be JSON-serialisable: %s" % exc
         ) from None
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class ResultCache(DirectoryStore):
-    """On-disk store of execution records, keyed by job fingerprint."""
-
-    metrics_name = "resultcache"
-
-    def _read_entry(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return ExecutionRecord.from_payload(payload["record"])
-
-    def _write_entry(self, fd, payload):
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-    def put(self, key, record, meta=None):
-        """Store a record atomically (write to a temp file, then rename)."""
-        payload = {"schema": schema_tag(), "record": record.to_payload()}
-        if meta:
-            payload["meta"] = meta
-        DirectoryStore.put(self, key, payload)
-
-    def stats(self):
-        stats = DirectoryStore.stats(self)
-        stats["schema"] = schema_tag()
-        return stats

@@ -1,4 +1,4 @@
-"""The experiment runner: deduplicated, cacheable, parallel job grids.
+"""The experiment runner: deduplicated, stored, parallel job grids.
 
 Every evaluation driver (suite runs, the figure generators, the QEMU
 version sweep) reduces to the same shape: a grid of *job specs* --
@@ -11,11 +11,18 @@ execution:
   generalisation of the version sweep's structural grouping to every
   engine: engine specs differing only in pricing fields, or plainly
   repeated jobs, execute once and are priced per spec);
+- with a result dataset (:class:`~repro.exp.dataset.Dataset`), each
+  unique execution key is probed once, in the same pass as the dedup:
+  a stored record is priced without executing a single guest
+  instruction, and newly executed ``ok``/``unsupported`` records are
+  appended with a provenance stamp.  The dataset is only consulted
+  under the deterministic MODELED timing policy, and failure records
+  (error/crashed/timeout) are never stored;
 - unique executions are optionally fanned out over a *persistent warm*
   process pool (``jobs=N``): the deduplicated job list is sharded by
   engine structural key (DBT-memoization / code-store locality) and
-  submitted in *chunks* -- adaptive size targeting ~100ms of worker
-  time per dispatch -- with one aggregated return payload per chunk,
+  submitted in *chunks* -- a few per worker -- with one aggregated
+  return payload per chunk,
   so per-dispatch pickling/IPC/snapshot cost is amortised over many
   jobs; the pool survives across :meth:`ExperimentRunner.run` calls,
   so repeat grids find warm workers (built programs, translation
@@ -27,12 +34,7 @@ execution:
   to in-parent serial execution for them), a configurable per-job wall
   deadline turns runaway cells into ``timeout`` rows, and transient
   failures (worker death, timeout) are retried with backoff -- so one
-  bad cell never destroys a completed grid;
-- an optional :class:`~repro.core.resultcache.ResultCache` persists
-  kernel counter deltas across processes, letting warm runs re-price
-  without executing a single guest instruction.  The cache is only
-  consulted under the deterministic MODELED timing policy, and failure
-  records (error/crashed/timeout) are never cached.
+  bad cell never destroys a completed grid.
 
 Engine configuration is described exclusively by
 :class:`~repro.sim.spec.EngineSpec`; :class:`JobSpec` is therefore
@@ -50,7 +52,7 @@ themselves.  The parent additionally times chunk dispatch
 (``runner.dispatch``), records a chunk-size histogram
 (``runner.chunk_size``) and counts shipped payload bytes
 (``runner.payload_bytes``), so pool overhead is visible per run.  Persistent-store session
-deltas (result cache, DBT code store) are folded into each store's
+deltas (dataset, DBT code store) are folded into each store's
 on-disk totals at the end of every run, covering parent *and* worker
 activity (``repro cache stats`` reports them).
 """
@@ -165,7 +167,7 @@ class JobSpec:
         return self.engine_spec.structural_key()
 
     def execution_key(self):
-        """Jobs sharing this key share one execution (and cache entry)."""
+        """Jobs sharing this key share one execution (and dataset row)."""
         return (
             self.benchmark.name,
             type(self.benchmark).__qualname__,
@@ -177,7 +179,7 @@ class JobSpec:
         )
 
     def fingerprint(self):
-        """The on-disk cache key for this job."""
+        """The dataset key (cell id) of this job."""
         return job_fingerprint(
             self.benchmark,
             self.engine_spec.engine,
@@ -497,8 +499,8 @@ def _fresh_job_info():
 
 
 class ExperimentRunner:
-    """Executes grids of :class:`JobSpec` with dedup, cache, fan-out
-    and fault isolation.
+    """Executes grids of :class:`JobSpec` with dedup, a result
+    dataset, fan-out and fault isolation.
 
     Parameters
     ----------
@@ -509,14 +511,15 @@ class ExperimentRunner:
         (or garbage collection), so repeat grids reuse built programs,
         translation memos and the open code store.
     chunk_size:
-        Jobs per pool dispatch.  ``None``/``0`` (the default) adapts:
-        the runner targets ~100ms of estimated worker time per chunk
-        (EWMA of observed per-job wall time across runs), clamped so
-        every worker gets work.  Chunks never mix engine structural
-        keys -- each chunk is homogeneous, for DBT-memoization and
-        code-store locality inside the worker.
-    cache:
-        Optional :class:`~repro.core.resultcache.ResultCache`.
+        Jobs per pool dispatch.  ``None``/``0`` (the default) means a
+        few chunks per worker: ``ceil(pending / (4 * workers))``.
+        Chunks never mix engine structural keys -- each chunk is
+        homogeneous, for DBT-memoization and code-store locality
+        inside the worker.
+    dataset:
+        Optional :class:`~repro.exp.dataset.Dataset` to resolve cells
+        from and append executed cells to (MODELED timing only).  A
+        plain attribute: drivers may hand an existing runner a dataset.
     deadline:
         Per-job wall deadline in seconds (a watchdog on top of the
         harness's ``max_insns`` budget); expiry yields a ``timeout``
@@ -535,6 +538,10 @@ class ExperimentRunner:
         and in every pool worker, so warm sweeps skip translation; a
         host-side cache only -- counters and results are unchanged.
 
+    :attr:`manifest` (a :class:`~repro.exp.manifest.Manifest` or
+    ``None``) is stamped onto appended dataset rows and per-job
+    telemetry rows; :func:`~repro.exp.manifest.run_manifest` sets it.
+
     Observability: after every :meth:`run`, :attr:`last_jobs` holds one
     row per submitted spec (status, source, wall/queue-wait timings,
     attempts) in submission order, and :attr:`jobs_log` accumulates
@@ -542,16 +549,11 @@ class ExperimentRunner:
     the process-global registry in submission order.
     """
 
-    #: Target estimated worker time per dispatched chunk (~100ms): big
-    #: enough to amortise dispatch/pickling/snapshot cost, small enough
-    #: to keep the grid load-balanced across workers.
-    TARGET_CHUNK_NS = 100_000_000
-
     def __init__(
         self,
         harness=None,
         jobs=1,
-        cache=None,
+        dataset=None,
         deadline=None,
         retries=1,
         retry_backoff=0.05,
@@ -561,7 +563,8 @@ class ExperimentRunner:
         self.harness = harness if harness is not None else Harness(timing=TimingPolicy.MODELED)
         self.jobs = max(1, int(jobs))
         self.chunk_size = max(0, int(chunk_size)) if chunk_size else 0
-        self.cache = cache
+        self.dataset = dataset
+        self.manifest = None
         self.deadline = float(deadline) if deadline else None
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
@@ -573,18 +576,13 @@ class ExperimentRunner:
         # or the pool breaks) and its configuration key.
         self._pool = None
         self._pool_key = None
-        # EWMA of observed per-job wall time, feeding adaptive chunk
-        # sizing on the next run.
-        self._ewma_job_ns = None
         # Per-run pool accounting (chunks dispatched, split rounds,
         # payload bytes, planned chunk size).
         self._pool_stats = self._fresh_pool_stats()
         #: Counters for the last :meth:`run` call.
         self.last_stats = {}
         #: Raw :class:`ExecutionRecord` per execution key for the last
-        #: :meth:`run` call -- the unpriced half of the results, which
-        #: dataset-backed callers (:mod:`repro.exp`) persist alongside
-        #: their provenance stamps.
+        #: :meth:`run` call -- the unpriced half of the results.
         self.last_records = {}
         #: Per-job observability rows for the last :meth:`run` call.
         self.last_jobs = []
@@ -594,9 +592,6 @@ class ExperimentRunner:
         #: Failing grid cells accumulated across every :meth:`run` call.
         self.failures = []
         self._exec_stats = self._fresh_exec_stats()
-        # Per-store baselines for incremental folds of parent-side
-        # session counters into on-disk totals (one fold per run).
-        self._fold_base = {}
         # Worker code-store deltas shipped back during the current run.
         self._worker_codestore = {}
 
@@ -682,9 +677,6 @@ class ExperimentRunner:
             pass
 
     # ------------------------------------------------------------------
-    def _cache_usable(self):
-        return self.cache is not None and self.harness.timing is TimingPolicy.MODELED
-
     def run(self, specs):
         """Run a grid and return one BenchmarkResult per spec, in order.
 
@@ -692,7 +684,8 @@ class ExperimentRunner:
         result per submitted spec, in submission order, whatever
         individual cells did -- failures surface as ``crashed``/
         ``timeout``/``error`` statuses (and in ``last_stats``), never
-        as a lost grid.
+        as a lost grid.  A dataset only changes *where* records come
+        from, never what they price to.
 
         ``KeyboardInterrupt`` is the one failure that *does* abort the
         grid -- but cleanly: the pool is discarded with its queued
@@ -713,30 +706,30 @@ class ExperimentRunner:
 
     def _run_grid(self, specs):
         specs = [spec if isinstance(spec, JobSpec) else JobSpec(*spec) for spec in specs]
+        keys = [spec.execution_key() for spec in specs]
         self._exec_stats = self._fresh_exec_stats()
         self._pool_stats = self._fresh_pool_stats()
         self._worker_codestore = {}
+        manifest = self.manifest
+        manifest_id = manifest.manifest_id() if manifest is not None else None
+        # A stored record prices to exactly what a fresh run would only
+        # under MODELED timing.
+        dataset = self.dataset if self.harness.timing is TimingPolicy.MODELED else None
 
-        # Group structurally-equal jobs in submission order.
-        groups = {}
-        unique = []
-        for spec in specs:
-            key = spec.execution_key()
-            if key not in groups:
-                groups[key] = spec
-                unique.append((key, spec))
-
-        # Probe the cache, collect what still needs executing.  Jobs
-        # decided statically (not-applicable / unsupported engine) are
-        # resolved inline -- they run no guest code, so they are neither
-        # cached nor counted as executions.
+        # Resolve each unique execution key once, in submission order.
+        # Jobs decided statically (not-applicable / unsupported engine)
+        # run no guest code, so they are neither stored nor counted as
+        # executions; the rest get one dataset probe, and what the
+        # dataset lacks executes.  The fingerprint is the row key and
+        # every telemetry row's ``cell_id``.
         records = {}
         sources = {}
-        infos = {}
+        cell_ids = {}
         pending = []
-        static = 0
-        cache = self.cache if self._cache_usable() else None
-        for key, spec in unique:
+        for key, spec in zip(keys, specs):
+            if key in cell_ids:
+                continue
+            cell_ids[key] = cell_id = spec.fingerprint()
             if not spec.executes():
                 records[key] = self.harness.execute_benchmark(
                     spec.benchmark,
@@ -746,43 +739,36 @@ class ExperimentRunner:
                     iterations=spec.iterations,
                 )
                 sources[key] = "static"
-                infos[key] = _fresh_job_info()
-                static += 1
                 continue
-            record = cache.get(spec.fingerprint()) if cache is not None else None
+            record = dataset.record(cell_id) if dataset is not None else None
             if record is not None:
                 records[key] = record
-                sources[key] = "cache"
-                infos[key] = _fresh_job_info()
+                sources[key] = "dataset"
             else:
                 pending.append((key, spec))
 
         # Execute the remainder -- serially, or over a fork pool.
         executed, exec_infos = self._execute_pending([spec for _, spec in pending])
-        for (key, spec), record, info in zip(pending, executed, exec_infos):
+        infos = {}
+        for (key, _spec), record, info in zip(pending, executed, exec_infos):
             records[key] = record
             sources[key] = "executed"
             infos[key] = info
-            if cache is not None and record.status in ("ok", "unsupported"):
-                cache.put(
-                    spec.fingerprint(),
-                    record,
-                    meta={
-                        "benchmark": spec.benchmark.name,
-                        "simulator": spec.engine_spec.engine,
-                        "arch": spec.arch.name,
-                        "platform": spec.platform.name,
-                        "iterations": spec.iterations,
-                    },
-                )
+        appended = 0
+        if dataset is not None:
+            appended = dataset.store_records(
+                [(spec, records[key]) for key, spec in pending], manifest=manifest
+            )
 
         statuses = [records[key].status for key, _ in pending]
+        resolved = list(sources.values())
         self.last_stats = {
             "jobs": len(specs),
-            "unique": len(unique),
-            "static": static,
-            "cache_hits": len(unique) - static - len(pending),
+            "unique": len(cell_ids),
+            "static": resolved.count("static"),
+            "from_dataset": resolved.count("dataset"),
             "executed": len(pending),
+            "dataset_appended": appended,
             "crashed": statuses.count("crashed"),
             "timeout": statuses.count("timeout"),
             "errors": statuses.count("error"),
@@ -793,44 +779,21 @@ class ExperimentRunner:
             # Pool-path extras: only present when chunks were actually
             # dispatched, so serial runs keep the legacy stats shape.
             self.last_stats.update(self._pool_stats)
-
-        # Feed observed per-job wall time into the adaptive chunk sizer
-        # for the next run (EWMA, so one noisy grid cannot dominate).
-        walls = [
-            info["wall_ns"] // info["attempts"]
-            for info in exec_infos
-            if info["attempts"] and info["wall_ns"] > 0
-        ]
-        if walls:
-            mean = sum(walls) // len(walls)
-            self._ewma_job_ns = (
-                mean
-                if self._ewma_job_ns is None
-                else (self._ewma_job_ns + mean) // 2
-            )
-
         self.last_records = records
 
         # Per-job observability rows, in submission order.  The first
         # spec of each execution group carries the group's source and
         # timings; structurally-identical repeats are ``dedup`` rows.
-        # Every row carries its ``cell_id`` -- the job's structural
-        # fingerprint, shared with the result cache and the experiment
-        # dataset (:mod:`repro.exp`) -- so telemetry rows join against
-        # dataset rows by key.
+        # ``cell_id`` and ``manifest`` join telemetry rows against
+        # dataset rows.
         seen = set()
-        fingerprints = {}
         rows = []
-        for spec in specs:
-            key = spec.execution_key()
-            cell_id = fingerprints.get(key)
-            if cell_id is None:
-                cell_id = fingerprints[key] = spec.fingerprint()
+        for key, spec in zip(keys, specs):
             if key in seen:
                 source, info = "dedup", _fresh_job_info()
             else:
                 seen.add(key)
-                source, info = sources[key], infos[key]
+                source, info = sources[key], infos.get(key) or _fresh_job_info()
             rows.append(
                 {
                     "benchmark": spec.benchmark.name,
@@ -840,7 +803,8 @@ class ExperimentRunner:
                     "iterations": spec.iterations,
                     "status": records[key].status,
                     "source": source,
-                    "cell_id": cell_id,
+                    "cell_id": cell_ids[key],
+                    "manifest": manifest_id,
                     "wall_ns": info["wall_ns"],
                     "queue_wait_ns": info["queue_wait_ns"],
                     "attempts": info["attempts"],
@@ -858,14 +822,14 @@ class ExperimentRunner:
         with METRICS.phase("harness.price_grid"):
             results = [
                 self.harness.price_record(
-                    records[spec.execution_key()],
+                    records[key],
                     spec.benchmark,
                     spec.engine_spec,
                     spec.arch,
                     spec.platform,
                     iterations=spec.iterations,
                 )
-                for spec in specs
+                for key, spec in zip(keys, specs)
             ]
         # One entry per failing grid cell (submission order), for
         # failure summaries without re-walking the results.
@@ -886,22 +850,16 @@ class ExperimentRunner:
 
     def _fold_store_totals(self):
         """Fold store session deltas into persistent totals, once per
-        run: the parent's result-cache and code-store counters (since
-        the previous fold on this runner) plus every code-store delta
-        the workers shipped back.  This is what makes ``repro cache
-        stats`` totals cover ``--jobs N`` runs instead of silently
-        under-reporting worker-side hits."""
-        for store in (self.cache, codestore.active()):
+        run: the dataset's and the parent code store's counters since
+        their previous fold, plus every code-store delta the workers
+        shipped back.  This is what makes ``repro cache stats`` totals
+        cover ``--jobs N`` runs instead of silently under-reporting
+        worker-side hits."""
+        for store in (self.dataset, codestore.active()):
             if store is None:
                 continue
-            current = store.session_stats()
-            base = self._fold_base.get(store, {})
-            delta = {
-                key: current[key] - base.get(key, 0) for key in current
-            }
-            self._fold_base[store] = current
             try:
-                store.fold_totals(delta)
+                store.fold_session()
             except OSError:
                 pass  # totals are best-effort accounting, never fatal
         if self._worker_codestore:
@@ -917,20 +875,12 @@ class ExperimentRunner:
 
     # -- chunk planning ------------------------------------------------
     def _auto_chunk_size(self, pending_count, workers):
-        """Jobs per chunk for this run.
-
-        An explicit ``chunk_size`` wins.  Otherwise size adapts: with a
-        per-job wall-time estimate (EWMA across runs), target
-        :attr:`TARGET_CHUNK_NS` of worker time per dispatch; without
-        one (first run), fall back to a few chunks per worker for load
-        balance.  Always clamped so no chunk exceeds an even share of
-        the grid -- every worker gets work."""
+        """Jobs per chunk for this run: an explicit ``chunk_size``, else
+        a few chunks per worker for load balance,
+        ``ceil(pending / (4 * workers))`` -- never more than an even
+        share of the grid, so every worker gets work."""
         if self.chunk_size:
             return self.chunk_size
-        fair_share = -(-pending_count // workers)  # ceil
-        if self._ewma_job_ns and self._ewma_job_ns > 0:
-            by_time = int(self.TARGET_CHUNK_NS // self._ewma_job_ns)
-            return max(1, min(max(1, by_time), fair_share))
         return max(1, -(-pending_count // (workers * 4)))
 
     def _plan_chunks(self, specs):
@@ -1251,7 +1201,7 @@ class ExperimentRunner:
         scale=1.0,
         dbt_config=None,
     ):
-        """Drop-in parallel/cached equivalent of ``Harness.run_suite``."""
+        """Drop-in parallel/stored equivalent of ``Harness.run_suite``."""
         engine_spec = as_engine_spec(simulator, dbt_config)
         if benchmarks is None:
             benchmarks = SUITE

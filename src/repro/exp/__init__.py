@@ -1,11 +1,11 @@
-"""Declarative experiments: manifests, the result dataset, resolution.
+"""Declarative experiments: manifests and the result dataset.
 
 The :mod:`repro.exp` package turns experiment definitions from
 imperative driver code into declarative, schema-versioned *manifests*
 (:mod:`repro.exp.manifest`), executes them resumably against an
 append-only, provenance-stamped *dataset* of result rows
-(:mod:`repro.exp.dataset`, :mod:`repro.exp.provenance`,
-:mod:`repro.exp.resolver`), and exposes a predicate *query* grammar
+(:mod:`repro.exp.dataset`, :mod:`repro.exp.provenance`) through the
+experiment runner, and exposes a predicate *query* grammar
 over the accumulated rows (:mod:`repro.exp.query`).  The analysis
 figures are pure views over this layer; ``repro manifest`` and
 ``repro query`` are its command-line surface.
@@ -16,17 +16,17 @@ from repro.exp.manifest import (
     MANIFEST_SCHEMA,
     Manifest,
     ManifestError,
+    ManifestResult,
     bundled_manifests,
     resolve_manifest,
+    run_manifest,
 )
 from repro.exp.provenance import capture, git_revision, host_info
 from repro.exp.query import Query, QueryError, parse_query
-from repro.exp.resolver import DatasetResolver, ManifestResult, run_manifest
 
 __all__ = [
     "DATASET_SCHEMA",
     "Dataset",
-    "DatasetResolver",
     "MANIFEST_SCHEMA",
     "Manifest",
     "ManifestError",

@@ -1,9 +1,13 @@
 """The append-only, provenance-stamped experiment result dataset.
 
-A :class:`Dataset` accumulates one row per *cell* -- a (benchmark,
-engine structure, arch, platform, iterations) point -- keyed by the
-same structural fingerprint the result cache uses
-(:meth:`repro.core.runner.JobSpec.fingerprint`).  Rows are:
+A :class:`Dataset` is the one persistent store of execution results:
+one row per *cell* -- a (benchmark, engine structure, arch, platform,
+iterations) point -- keyed by the job's structural fingerprint
+(:meth:`repro.core.runner.JobSpec.fingerprint`).  An
+:class:`~repro.core.runner.ExperimentRunner` handed a dataset probes
+it once per unique execution key (:meth:`Dataset.record`), prices hits
+at zero guest cost, and appends what it executed
+(:meth:`Dataset.store_records`).  Rows are:
 
 - **append-only**: the first write of a cell wins; re-running a
   manifest never rewrites history (a cell whose inputs change gets a
@@ -18,16 +22,19 @@ same structural fingerprint the result cache uses
 
 Storage rides :class:`repro.storage.DirectoryStore`, so rows get the
 same two-level fan-out, atomic writes, and corrupt-entry quarantine
-(skipped, unlinked, counted -- surfaced in ``repro cache stats
---dataset-dir``) as the result cache and the DBT code store.  Failure
-rows (``crashed``/``timeout``/``error``) are never appended, so a
-failed cell re-executes on the next manifest run.
+(skipped, unlinked, counted -- surfaced in ``repro cache stats``) as
+the DBT code store.  A row of another :data:`DATASET_SCHEMA`, or an
+entry of any other shape, is quarantined the same way -- never
+misread.  Failure rows (``crashed``/``timeout``/``error``) are never
+appended, so a failed cell re-executes on the next run.
 """
 
 import json
 import os
 
+from repro.core.harness import ExecutionRecord
 from repro.core.suite import slugify
+from repro.exp.provenance import capture
 from repro.storage import DirectoryStore
 
 #: Bump when the row shape changes incompatibly.
@@ -48,8 +55,8 @@ _REQUIRED_KEYS = (
 )
 
 #: Statuses worth persisting: completed cells and known engine
-#: limitations.  Failures are transient by policy -- parity with the
-#: result cache, which never stores them either.
+#: limitations.  Failures are transient by policy, so a failed cell
+#: re-executes instead of pinning the failure.
 STORABLE_STATUSES = ("ok", "unsupported")
 
 
@@ -94,6 +101,8 @@ class Dataset(DirectoryStore):
         for key in _REQUIRED_KEYS:
             if key not in row:
                 raise KeyError(key)
+        if row["schema"] != DATASET_SCHEMA:
+            raise ValueError("dataset row schema %r" % (row["schema"],))
         return row
 
     def _write_entry(self, fd, row):
@@ -105,12 +114,40 @@ class Dataset(DirectoryStore):
         """Whether a row exists for ``cell_id`` (no decode, no counters)."""
         return os.path.exists(self._path(cell_id))
 
+    def record(self, cell_id):
+        """The stored :class:`~repro.core.harness.ExecutionRecord` of
+        ``cell_id``, or ``None``: one counted :meth:`get` probe."""
+        row = self.get(cell_id)
+        return None if row is None else ExecutionRecord.from_payload(row["record"])
+
+    def store_records(self, executed, manifest=None):
+        """Append one provenance-stamped row per storable ``(spec,
+        record)`` pair in ``executed``; returns how many were new.
+
+        ``manifest`` is the :class:`~repro.exp.manifest.Manifest` the
+        rows belong to, if any; one stamp, captured on the first
+        storable record, covers the whole call.
+        """
+        seed = manifest_id = None
+        if manifest is not None:
+            seed, manifest_id = manifest.seed, manifest.manifest_id()
+        stamp = None
+        appended = 0
+        for spec, record in executed:
+            if record.status not in STORABLE_STATUSES:
+                continue
+            if stamp is None:
+                stamp = capture(seed=seed, manifest=manifest_id)
+            row = make_row(spec, record, provenance=stamp, manifest=manifest_id)
+            appended += self.append(row)
+        return appended
+
     def append(self, row):
         """Append one row (keyed by its ``cell`` fingerprint).
 
         Append-only *and* race-safe: if the cell already has a row --
         including one that appeared between the existence probe and the
-        write, as happens when two resolvers (the experiment service
+        write, as happens when two runners (the experiment service
         plus a CLI run, or two concurrent manifest runs) store the same
         cell -- the existing row is kept untouched, this writer's temp
         file is discarded, and ``False`` is returned.  History never

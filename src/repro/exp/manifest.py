@@ -45,6 +45,7 @@ import os
 import tomllib
 
 from repro.arch import get_arch
+from repro.core.harness import FAILURE_STATUSES
 from repro.core.runner import JobSpec
 from repro.core.suite import (
     SUITE,
@@ -258,7 +259,7 @@ class Manifest:
 
     def cells(self):
         """``(cell_id, JobSpec)`` pairs -- cell ids are the structural
-        fingerprints shared with the result cache and the dataset.
+        fingerprints that key the dataset.
         Structurally identical cells repeat their id (the runner/
         dataset dedup them)."""
         return [(spec.fingerprint(), spec) for spec in self._jobs]
@@ -398,3 +399,42 @@ def resolve_manifest(ref):
         "no manifest file %r and no bundled manifest of that name "
         "(bundled: %s)" % (ref, ", ".join(sorted(bundled)) or "none")
     )
+
+
+class ManifestResult:
+    """The outcome of one manifest run."""
+
+    def __init__(self, manifest, specs, results, stats, runner):
+        self.manifest = manifest
+        self.specs = specs
+        self.results = results
+        self.stats = dict(stats)
+        #: The runner that executed the grid -- callers reach
+        #: telemetry/failures through it.
+        self.runner = runner
+
+    def failures(self):
+        return [r for r in self.results if r.status in FAILURE_STATUSES]
+
+    def __repr__(self):
+        return "ManifestResult(%s, %d cells)" % (
+            self.manifest.name,
+            len(self.results),
+        )
+
+
+def run_manifest(manifest, runner, dataset=None):
+    """Execute a manifest's grid on ``runner``, resuming from its
+    dataset (or ``dataset``, which replaces it).
+
+    Sets ``runner.manifest`` so appended rows and telemetry rows carry
+    the manifest id.  Re-running the same manifest against the same
+    dataset executes only cells whose rows are missing (none, on a
+    fully warm dataset).
+    """
+    if dataset is not None:
+        runner.dataset = dataset
+    runner.manifest = manifest
+    specs = manifest.jobs()
+    results = runner.run(specs)
+    return ManifestResult(manifest, specs, results, runner.last_stats, runner)

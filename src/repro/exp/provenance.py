@@ -52,7 +52,7 @@ def capture(seed=None, manifest=None):
     ``seed`` is the manifest's declared seed (informational: execution
     is deterministic, but the stamp records what the manifest pinned);
     ``manifest`` is the manifest id the rows belong to, when any.
-    ``spec_schema`` is the result-cache schema tag, so a row can be
+    ``spec_schema`` is the counter/cost schema tag, so a row can be
     recognised as stale when the counter vocabulary or fingerprint
     layout changes.
     """

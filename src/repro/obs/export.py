@@ -8,12 +8,12 @@ per line, so consumers can stream-filter with nothing smarter than
   whatever run description the caller supplies (command, grid shape);
 - ``{"type": "job", ...}`` -- one line per grid cell, in submission
   order: benchmark/engine/arch/platform/iterations identity, final
-  ``status``, ``source`` (``executed``/``cache``/``dataset``/
-  ``static``/``dedup``), ``wall_ns``/``queue_wait_ns`` host timings,
+  ``status``, ``source`` (``executed``/``dataset``/``static``/
+  ``dedup``), ``wall_ns``/``queue_wait_ns`` host timings,
   ``attempts``, and the join keys ``cell_id`` (the structural
-  fingerprint shared with the result cache and the experiment dataset)
-  plus -- for dataset-resolved runs -- the ``manifest`` id, so
-  telemetry rows join dataset rows directly;
+  fingerprint that keys the experiment dataset) plus the ``manifest``
+  id (``None`` outside manifest runs), so telemetry rows join dataset
+  rows directly;
 - ``{"type": "counter"|"gauge"|"phase"|"histogram", "name": ...}`` --
   one line per instrument in the merged registry snapshot.
 
@@ -93,7 +93,6 @@ def breakdown(jobs):
                 "arch": key[2],
                 "jobs": 0,
                 "executed": 0,
-                "cache": 0,
                 "dataset": 0,
                 "static": 0,
                 "dedup": 0,
@@ -104,7 +103,7 @@ def breakdown(jobs):
             order.append(key)
         cell["jobs"] += 1
         source = row.get("source")
-        if source in ("executed", "cache", "dataset", "static", "dedup"):
+        if source in ("executed", "dataset", "static", "dedup"):
             cell[source] += 1
         if row.get("status") in ("error", "crashed", "timeout"):
             cell["failed"] += 1
@@ -119,7 +118,6 @@ _COLUMNS = (
     ("arch", "arch"),
     ("jobs", "jobs"),
     ("executed", "exec"),
-    ("cache", "cache"),
     ("dataset", "dataset"),
     ("static", "static"),
     ("dedup", "dedup"),
@@ -139,8 +137,7 @@ def render_breakdown(rows):
                 "arch": str(row["arch"]),
                 "jobs": str(row["jobs"]),
                 "executed": str(row["executed"]),
-                "cache": str(row["cache"]),
-                "dataset": str(row.get("dataset", 0)),
+                "dataset": str(row["dataset"]),
                 "static": str(row["static"]),
                 "dedup": str(row["dedup"]),
                 "failed": str(row["failed"]),

@@ -24,10 +24,10 @@ Execution model:
   round-robin, ``--priority`` ordering within a tenant) instead of
   queueing whole submissions behind each other;
 - the **scheduler thread** drains the queue one slice at a time
-  through a per-job :class:`~repro.exp.resolver.DatasetResolver` over
-  the shared runner: cells already in the dataset are priced warm
-  (zero guest cost), the rest ride the existing dedup / result-cache /
-  chunked warm-pool dispatch path with all its PR 3 fault semantics
+  through the shared dataset-backed runner, stamped with the slice's
+  manifest: cells already in the dataset are priced warm (zero guest
+  cost), the rest ride the existing dedup / chunked warm-pool
+  dispatch path with all its fault semantics
   (crash/timeout rows, worker-death recovery, retries).  Per-job
   deadlines stay enforced: pool workers arm SIGALRM in their own
   chunk loop, and the scheduler thread's serial fallback degrades to
@@ -53,11 +53,9 @@ import socket
 import threading
 import time
 
-from repro.core.resultcache import ResultCache
 from repro.core.runner import ExperimentRunner
 from repro.exp.dataset import Dataset
 from repro.exp.manifest import Manifest, ManifestError, resolve_manifest
-from repro.exp.resolver import DatasetResolver
 from repro.obs.metrics import METRICS
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -87,7 +85,6 @@ class Job:
     _STAT_KEYS = (
         "executed",
         "from_dataset",
-        "cache_hits",
         "static",
         "dataset_appended",
         "crashed",
@@ -97,12 +94,13 @@ class Job:
         "worker_lost",
     )
 
-    def __init__(self, job_id, tenant, priority, name, manifest_id, cells):
+    def __init__(self, job_id, tenant, priority, manifest, cells):
         self.id = job_id
         self.tenant = tenant
         self.priority = priority
-        self.name = name
-        self.manifest_id = manifest_id
+        self.name = manifest.name
+        self.manifest = manifest
+        self.manifest_id = manifest.manifest_id()
         self.cells = cells
         self.state = "queued"
         self.slices_total = 0
@@ -151,9 +149,9 @@ class ExperimentService:
     """The daemon: one warm runner, one dataset, many tenants.
 
     Parameters mirror the CLI runner knobs (``jobs``, ``deadline``,
-    ``retries``, ``chunk_size``, ``cache_dir``, ``code_cache_dir``,
-    ``dataset_dir``) plus the service's own: ``socket_path``,
-    ``slice_size`` and ``weights`` (tenant -> fair-share weight).
+    ``retries``, ``chunk_size``, ``code_cache_dir``, ``dataset_dir``)
+    plus the service's own: ``socket_path``, ``slice_size`` and
+    ``weights`` (tenant -> fair-share weight).
 
     The scheduler and listener run on daemon threads after
     :meth:`start`; :meth:`serve_forever` parks the calling (main)
@@ -166,7 +164,6 @@ class ExperimentService:
         self,
         socket_path,
         dataset_dir=None,
-        cache_dir=None,
         code_cache_dir=None,
         jobs=1,
         deadline=None,
@@ -177,22 +174,21 @@ class ExperimentService:
     ):
         self.socket_path = os.fspath(socket_path)
         self.slice_size = max(1, int(slice_size))
+        self.dataset = Dataset(dataset_dir) if dataset_dir else None
         self.runner = ExperimentRunner(
             jobs=jobs,
-            cache=ResultCache(cache_dir) if cache_dir else None,
+            dataset=self.dataset,
             deadline=deadline,
             retries=retries,
             code_cache_dir=code_cache_dir,
             chunk_size=chunk_size,
         )
-        self.dataset = Dataset(dataset_dir) if dataset_dir else None
         self.queue = FairQueue()
         for tenant, weight in (weights or {}).items():
             self.queue.set_weight(tenant, weight)
         self._jobs = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
-        self._resolvers = {}  # job id -> per-job DatasetResolver
         #: Completed (job_id, tenant) pairs in scheduling order -- the
         #: observable fairness record (and the smoke test's evidence).
         self.slice_log = []
@@ -243,17 +239,9 @@ class ExperimentService:
         with self._jobs_lock:
             self._job_counter += 1
             job = Job(
-                "j%04d" % self._job_counter,
-                tenant,
-                priority,
-                manifest.name,
-                manifest.manifest_id(),
-                len(specs),
+                "j%04d" % self._job_counter, tenant, priority, manifest, len(specs)
             )
             self._jobs[job.id] = job
-            self._resolvers[job.id] = DatasetResolver(
-                self.runner, self.dataset, manifest=manifest
-            )
             slices = [
                 specs[start : start + self.slice_size]
                 for start in range(0, len(specs), self.slice_size)
@@ -299,13 +287,13 @@ class ExperimentService:
         METRICS.set_gauge("serve.inflight_slices", 1)
         try:
             with METRICS.phase("serve.slice"):
-                resolver = self._resolvers[job_id]
-                resolver.run(slice_specs)
+                self.runner.manifest = job.manifest
+                self.runner.run(slice_specs)
             rows = [
                 dict(row, job=job_id, tenant=job.tenant)
-                for row in resolver.last_jobs
+                for row in self.runner.last_jobs
             ]
-            job.fold_slice(resolver.last_stats, rows)
+            job.fold_slice(self.runner.last_stats, rows)
         except Exception as exc:  # a slice failure fails its job only
             job.finish("failed", error="%s: %s" % (type(exc).__name__, exc))
             return True
@@ -505,13 +493,12 @@ class ExperimentService:
             for job in self._jobs.values():
                 if not job.done.is_set():
                     job.finish("drained")
-        # Persist every store's totals: the runner folds cache/code
-        # store once per run, but the dataset's fold happens inside the
-        # resolvers -- one final locked fold covers whatever session
-        # counters are still unflushed, then the pool goes down.
+        # Persist every store's totals: the runner folds once per run;
+        # one final fold covers counters a failed slice left unflushed,
+        # then the pool goes down.
         if self.dataset is not None:
             try:
-                self.dataset.fold_totals()
+                self.dataset.fold_session()
             except OSError:
                 pass
         self.runner.close()

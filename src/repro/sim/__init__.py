@@ -75,7 +75,7 @@ def cost_model_for(kind, arch=None, dbt_config=None, sim_kwargs=None):
 
     Lets callers price a recorded counter delta without instantiating
     (or running) an engine -- the basis of the "execute once, price
-    many" result cache.  ``dbt_config``/``sim_kwargs`` mirror the
+    many" result dataset.  ``dbt_config``/``sim_kwargs`` mirror the
     harness arguments; a ``config`` entry in ``sim_kwargs`` wins, as it
     does when constructing the engine.  Dispatch is spec-driven, so
     unknown engines fail with the same error as engine construction.

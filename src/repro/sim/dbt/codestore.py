@@ -18,7 +18,7 @@ changing produces a different key, so stale entries are never
 
 Entries are ``marshal`` payloads ``(word_bytes, insn_count, source,
 code)`` stored through the same two-level directory scheme and
-quarantine discipline as the result cache (truncated or garbage files
+quarantine discipline as the experiment dataset (truncated or garbage files
 count as a miss, are unlinked, and bump ``stats()["quarantined"]`` --
 never a crash).
 

@@ -3,7 +3,7 @@
 An :class:`EngineSpec` is the *single* description of an execution
 engine configuration, threaded unchanged through every layer of an
 experiment: the harness builds the engine from it, the runner dedups
-structurally-equal jobs with it, the result cache keys stored counter
+structurally-equal jobs with it, the result dataset keys stored counter
 deltas by it, and the analysis drivers construct their grids from it.
 
 Every spec separates two kinds of fields:
@@ -31,7 +31,7 @@ lists/tuples and string-keyed dicts are accepted.  Arbitrary objects
 (a pre-built TLB, a config object smuggled in as a constructor kwarg)
 are rejected with :class:`ValueError` instead of leaking an unstable
 ``repr`` -- whose embedded ``0x...`` id would silently defeat
-structural dedup and the on-disk result cache.
+structural dedup and the on-disk result dataset.
 
 The registry (:data:`SPEC_CLASSES`) is the one source of truth for
 which engines exist: the simulator-class table, cost-model dispatch and
@@ -197,7 +197,7 @@ class EngineSpec:
         return (self.engine, _freeze(self.structural_values()))
 
     def cache_key_payload(self):
-        """JSON-serializable identity for the on-disk result cache."""
+        """JSON-serializable identity for the on-disk result dataset."""
         return {"engine": self.engine, "structure": self.structural_values()}
 
     def to_payload(self):

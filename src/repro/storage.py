@@ -1,8 +1,8 @@
 """Shared on-disk storage machinery.
 
 :class:`DirectoryStore` is the content-addressed two-level directory
-store underlying both persistent caches -- execution records
-(:mod:`repro.core.resultcache`) and compiled DBT blocks
+store underlying both persistent stores -- the experiment dataset of
+execution records (:mod:`repro.exp.dataset`) and compiled DBT blocks
 (:mod:`repro.sim.dbt.codestore`).  It lives here, close to
 dependency-free, so either side can import it without dragging in the
 other's package.
@@ -21,10 +21,12 @@ Two layers of accounting:
   serialised across processes by an advisory ``fcntl.flock`` on a
   sidecar ``_totals.lock`` file -- so two concurrent runners (or the
   experiment service plus a CLI run on the same store) never lose each
-  other's deltas.  Callers fold once per run (the experiment runner
-  does this for the parent *and* every pool worker's shipped delta),
-  so ``repro cache stats`` reports activity across all processes, not
-  just the parent.
+  other's deltas.  Callers fold once per run through
+  :meth:`fold_session`, whose baseline lives on the store instance, so
+  runners sharing one instance never fold the same event twice; the
+  experiment runner also folds every pool worker's shipped code-store
+  delta, so ``repro cache stats`` reports activity across all
+  processes, not just the parent.
 """
 
 import json
@@ -76,6 +78,8 @@ class DirectoryStore:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
+        # Session counters already folded by fold_session().
+        self._folded = dict.fromkeys(SESSION_KEYS, 0)
 
     # ------------------------------------------------------------------
     def _path(self, key):
@@ -208,6 +212,14 @@ class DirectoryStore:
             "quarantined": self.quarantined,
         }
 
+    def fold_session(self):
+        """Fold this instance's counters since its previous
+        :meth:`fold_session` into the persistent totals; returns them."""
+        current = self.session_stats()
+        delta = {key: current[key] - self._folded[key] for key in SESSION_KEYS}
+        self._folded = current
+        return self.fold_totals(delta)
+
     def _totals_path(self):
         return os.path.join(self.root, TOTALS_FILENAME)
 
@@ -318,7 +330,7 @@ class DirectoryStore:
         }
 
     def clear(self):
-        """Delete every cache entry (and the persistent totals);
+        """Delete every entry (and the persistent totals);
         returns the number of entries removed."""
         removed = 0
         for path in list(self._entry_paths()):

@@ -18,15 +18,17 @@ from repro.core import get_benchmark
 from repro.core.benchmark import Benchmark
 from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner, resolve_benchmark
-from repro.exp import Dataset, DatasetResolver
+from repro.exp import Dataset
 from repro.platform import VEXPRESS
 from repro.sim.spec import DBTSpec, InterpSpec
 
 BENCH = resolve_benchmark("Attrib TLB Bits")
 
 
-def modeled_runner():
-    return ExperimentRunner(harness=Harness(timing=TimingPolicy.MODELED))
+def modeled_runner(dataset=None):
+    return ExperimentRunner(
+        harness=Harness(timing=TimingPolicy.MODELED), dataset=dataset
+    )
 
 
 def priced_axis(n=16, overrides_at=None):
@@ -198,8 +200,7 @@ class TestDatasetReuse:
         # resolves from the dataset.  The warm re-bisect executes 0.
         dataset = Dataset(tmp_path / "ds")
         axis = step_axis(16, bad_from=9)
-        with modeled_runner() as inner:
-            runner = DatasetResolver(inner, dataset)
+        with modeled_runner(dataset) as runner:
             cold = run_bisect(runner, axis)
             warm = run_bisect(runner, axis)
         assert cold.status == warm.status == "found"
@@ -214,12 +215,10 @@ class TestDatasetReuse:
         # "yesterday's probes" case -- still executes nothing.
         dataset_dir = tmp_path / "ds"
         axis = step_axis(16, bad_from=9)
-        with modeled_runner() as inner:
-            run_bisect(DatasetResolver(inner, Dataset(dataset_dir)), axis)
-        with modeled_runner() as inner:
-            warm = run_bisect(
-                DatasetResolver(inner, Dataset(dataset_dir)), axis
-            )
+        with modeled_runner(Dataset(dataset_dir)) as runner:
+            run_bisect(runner, axis)
+        with modeled_runner(Dataset(dataset_dir)) as runner:
+            warm = run_bisect(runner, axis)
         assert warm.status == "found"
         assert warm.executed_cells == 0
 
@@ -255,8 +254,7 @@ class TestFlakyProbes:
     def test_flaky_probe_is_reexecuted_not_misclassified(self, tmp_path):
         _FLAKY["remaining"] = 1
         dataset = Dataset(tmp_path / "ds")
-        with modeled_runner() as inner:
-            runner = DatasetResolver(inner, dataset)
+        with modeled_runner(dataset) as runner:
             result = run_bisect(
                 runner, priced_axis(8), bench=FlakyBenchmark()
             )

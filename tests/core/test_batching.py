@@ -1,4 +1,4 @@
-"""Batched warm-pool execution tests: chunk planning, adaptive sizing,
+"""Batched warm-pool execution tests: chunk planning, chunk sizing,
 compact payloads, pool persistence, and parallel/serial determinism.
 
 Contracts under test:
@@ -6,10 +6,8 @@ Contracts under test:
 - chunk planning shards by engine structural key: a chunk never mixes
   keys, covers every pending index exactly once, and preserves
   submission order (groups in first-seen order, members in order);
-- adaptive chunk sizing: an explicit ``chunk_size`` wins; with a
-  per-job EWMA the size targets ~100ms of worker time per dispatch,
-  clamped to a fair per-worker share; without one it falls back to a
-  few chunks per worker;
+- chunk sizing: an explicit ``chunk_size`` wins; otherwise every run
+  cuts a few chunks per worker, ``ceil(pending / (4 * workers))``;
 - the wire payload is compact: engine specs are interned per chunk and
   shipped as defaults-stripped deltas, benchmarks by registry name
   (ad-hoc objects by value), and shipped bytes feed the
@@ -104,24 +102,12 @@ class TestChunkPlanning:
 
     def test_first_run_falls_back_to_share(self):
         runner = ExperimentRunner(jobs=4)
-        # No wall-time estimate yet: a few chunks per worker.
+        # A few chunks per worker -- on the first run and every later
+        # one (nothing is learned from earlier runs).
         assert runner._auto_chunk_size(144, 4) == 9  # ceil(144 / (4*4))
         assert runner._auto_chunk_size(3, 2) == 1
-
-    def test_ewma_targets_chunk_time(self):
-        runner = ExperimentRunner(jobs=4)
-        runner._ewma_job_ns = 10_000_000  # 10ms/job -> 10 jobs/chunk
-        assert runner._auto_chunk_size(144, 4) == 10
-        runner._ewma_job_ns = 1_000_000_000  # slow jobs -> singletons
-        assert runner._auto_chunk_size(144, 4) == 1
-        runner._ewma_job_ns = 1  # instant jobs -> clamp to fair share
-        assert runner._auto_chunk_size(144, 4) == 36
-
-    def test_ewma_learns_from_runs(self):
-        runner = ExperimentRunner()
-        assert runner._ewma_job_ns is None
         runner.run(_simit_grid())
-        assert runner._ewma_job_ns and runner._ewma_job_ns > 0
+        assert runner._auto_chunk_size(144, 4) == 9
 
 
 class TestCompactPayloads:

@@ -12,7 +12,7 @@ The contracts under test:
   failures (timeouts) are retried with counters in ``last_stats``;
 - deterministic crashes under MODELED timing are *not* retried;
 - error records round-trip losslessly through JSON payloads for every
-  status (the pool/cache transport format).
+  status (the pool/dataset transport format).
 """
 
 import json
@@ -27,7 +27,6 @@ from repro.core import (
     ExperimentRunner,
     Harness,
     JobSpec,
-    ResultCache,
     TimingPolicy,
     get_benchmark,
 )
@@ -42,6 +41,7 @@ from repro.errors import (
     error_from_payload,
     error_to_payload,
 )
+from repro.exp import Dataset
 from repro.platform import VEXPRESS
 
 
@@ -293,7 +293,7 @@ class TestErrorRecordPayloads:
     """Every status's cause survives the JSON payload round-trip."""
 
     def _roundtrip(self, record):
-        # Through actual JSON text, as the cache and any remote
+        # Through actual JSON text, as the dataset and any remote
         # transport would ship it.
         payload = json.loads(json.dumps(record.to_payload()))
         return ExecutionRecord.from_payload(payload)
@@ -373,15 +373,15 @@ class TestErrorRecordPayloads:
         assert "boom" in results[0].error.exc_message
 
 
-class TestCacheQuarantine:
+class TestDatasetQuarantine:
     def test_corrupt_entry_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        dataset = Dataset(tmp_path / "ds")
         spec = JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=10)
-        ExperimentRunner(cache=cache).run([spec])
-        path = cache._path(spec.fingerprint())
+        ExperimentRunner(dataset=dataset).run([spec])
+        path = dataset._path(spec.fingerprint())
         with open(path, "w") as fh:
             fh.write("{not json")
-        fresh = ResultCache(tmp_path / "cache")
+        fresh = Dataset(tmp_path / "ds")
         assert fresh.get(spec.fingerprint()) is None
         # The bad file is gone: the failed parse is paid exactly once.
         assert not os.path.exists(path)
@@ -393,17 +393,17 @@ class TestCacheQuarantine:
         assert fresh.quarantined == 1
 
     def test_missing_entry_is_not_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.get("ab" + "0" * 62) is None
-        assert cache.quarantined == 0
-        assert cache.misses == 1
+        dataset = Dataset(tmp_path / "ds")
+        assert dataset.get("ab" + "0" * 62) is None
+        assert dataset.quarantined == 0
+        assert dataset.misses == 1
 
-    def test_failure_records_are_never_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        runner = ExperimentRunner(cache=cache)
+    def test_failure_records_are_never_stored(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        runner = ExperimentRunner(dataset=dataset)
         runner.run(_grid(CrashingBenchmark()))
-        assert cache.stores == 0
-        assert cache.stats()["entries"] == 0
+        assert dataset.stores == 0
+        assert dataset.stats()["entries"] == 0
 
 
 class TestSweepKeepGoing:

@@ -8,7 +8,7 @@ Contracts under test:
   snapshot (sorted, JSON-safe) and merge deterministically; the phase
   timer is a shared no-op when disabled;
 - the runner emits one observability row per submitted job (source =
-  executed/cache/static/dedup) and merges worker metrics snapshots and
+  executed/dataset/static/dedup) and merges worker metrics snapshots and
   code-store deltas back into the parent under ``jobs=N``;
 - store accounting survives the process boundary: ``_totals.json``
   accumulates across instances/processes and ``repro cache stats``
@@ -37,11 +37,11 @@ from repro.core import (
     ExperimentRunner,
     Harness,
     JobSpec,
-    ResultCache,
     TimingPolicy,
     get_benchmark,
 )
 from repro.core.benchmark import Benchmark
+from repro.exp import Dataset
 from repro.obs.export import (
     breakdown,
     jsonl_lines,
@@ -274,6 +274,8 @@ class TestExport:
         assert first["jobs"] == 2
         assert first["executed"] == 1
         assert first["dedup"] == 1
+        assert first["dataset"] == 0
+        assert "cache" not in first
         assert first["failed"] == 0
         assert first["wall_ns"] == 1_000_000
         assert second["failed"] == 1
@@ -294,36 +296,44 @@ class TestExport:
 class TestStoreTotals:
     def test_fold_accumulates_across_instances(self, tmp_path):
         delta = {"hits": 2, "misses": 1, "stores": 1, "quarantined": 0}
-        first = ResultCache(tmp_path / "cache")
+        first = Dataset(tmp_path / "ds")
         first.fold_totals(delta)
-        second = ResultCache(tmp_path / "cache")  # a "new process"
+        second = Dataset(tmp_path / "ds")  # a "new process"
         second.fold_totals(delta)
         assert second.totals() == {
             "hits": 4, "misses": 2, "stores": 2, "quarantined": 0,
         }
 
     def test_totals_file_is_not_an_entry(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
-        assert cache.stats()["entries"] == 0
+        dataset = Dataset(tmp_path / "ds")
+        dataset.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
+        assert dataset.stats()["entries"] == 0
 
     def test_zero_delta_writes_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.fold_totals({"hits": 0, "misses": 0, "stores": 0, "quarantined": 0})
-        assert not (tmp_path / "cache").exists()
+        dataset = Dataset(tmp_path / "ds")
+        dataset.fold_totals({"hits": 0, "misses": 0, "stores": 0, "quarantined": 0})
+        assert not (tmp_path / "ds").exists()
 
     def test_clear_removes_totals(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
-        cache.clear()
-        assert cache.totals() == {
+        dataset = Dataset(tmp_path / "ds")
+        dataset.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
+        dataset.clear()
+        assert dataset.totals() == {
             "hits": 0, "misses": 0, "stores": 0, "quarantined": 0,
         }
 
     def test_store_traffic_mirrors_into_metrics(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.get("ab" + "0" * 62)
-        assert METRICS.counters["resultcache.misses"].value == 1
+        dataset = Dataset(tmp_path / "ds")
+        dataset.get("ab" + "0" * 62)
+        assert METRICS.counters["dataset.misses"].value == 1
+
+    def test_fold_session_folds_each_event_once(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        dataset.get("ab" + "0" * 62)
+        dataset.fold_session()
+        dataset.fold_session()  # nothing new since the last fold
+        dataset.get("cd" + "0" * 62)
+        assert dataset.fold_session()["misses"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +358,13 @@ class TestJobRows:
         assert rows[1]["wall_ns"] == 0
         assert rows[2]["status"] == "unsupported"
 
-    def test_cache_hits_become_cache_rows(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    def test_dataset_hits_become_dataset_rows(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
         specs = lambda: _grid(get_benchmark("System Call"))  # noqa: E731
-        ExperimentRunner(cache=cache).run(specs())
-        warm = ExperimentRunner(cache=cache)
+        ExperimentRunner(dataset=dataset).run(specs())
+        warm = ExperimentRunner(dataset=dataset)
         warm.run(specs())
-        assert [row["source"] for row in warm.last_jobs] == ["cache"]
+        assert [row["source"] for row in warm.last_jobs] == ["dataset"]
 
     def test_jobs_log_accumulates_across_runs(self):
         runner = ExperimentRunner()
@@ -438,17 +448,17 @@ class TestWorkerMetricsMerge:
         assert totals["stores"] > 0
         assert totals["misses"] > 0
 
-    def test_parent_resultcache_folds_totals(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    def test_parent_dataset_folds_totals(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
         specs = lambda: _grid(get_benchmark("System Call"))  # noqa: E731
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(dataset=dataset)
         runner.run(specs())
-        assert cache.totals()["stores"] == 1
+        assert dataset.totals()["stores"] == 1
         runner.run(specs())
-        assert cache.totals()["hits"] == 1
+        assert dataset.totals()["hits"] == 1
         # Folds are incremental: the first run's counters were not
         # double-counted by the second fold.
-        assert cache.totals()["stores"] == 1
+        assert dataset.totals()["stores"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Experiment-runner and result-cache tests.
+"""Experiment-runner and result-dataset tests.
 
 The contracts under test:
 
@@ -6,9 +6,9 @@ The contracts under test:
   reproduces exactly what naive serial execution would have produced;
 - ``jobs=N`` fan-out never changes results (merge is deterministic, in
   submission order);
-- a warm cache reproduces a cold run exactly while executing zero
+- a warm dataset reproduces a cold run exactly while executing zero
   guest instructions;
-- the cache key tracks everything the stored delta depends on
+- the dataset key tracks everything the stored delta depends on
   (iterations, structural config, counter schema) and nothing it does
   not (cost overrides).
 """
@@ -23,7 +23,6 @@ from repro.core import (
     ExperimentRunner,
     Harness,
     JobSpec,
-    ResultCache,
     TimingPolicy,
     get_benchmark,
     job_fingerprint,
@@ -31,6 +30,7 @@ from repro.core import (
 )
 from repro.core import resultcache
 from repro.errors import UnsupportedFeatureError
+from repro.exp import Dataset
 from repro.platform import VEXPRESS
 from repro.sim.dbt.config import DBTConfig
 from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
@@ -161,8 +161,9 @@ class TestDeduplication:
             "jobs": 20,
             "unique": 2,
             "static": 0,
-            "cache_hits": 0,
+            "from_dataset": 0,
             "executed": 2,
+            "dataset_appended": 0,
             "crashed": 0,
             "timeout": 0,
             "errors": 0,
@@ -230,85 +231,85 @@ class TestParallelDeterminism:
         assert "unsupported" in {res.status for res in parallel}
 
 
-class TestResultCache:
+class TestDatasetStore:
     def test_warm_run_is_exact_and_executes_nothing(self, tmp_path, monkeypatch):
-        cache_dir = tmp_path / "cache"
-        cold_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+        dataset_dir = tmp_path / "ds"
+        cold_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         cold = cold_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
-        assert cold_runner.last_stats["cache_hits"] == 0
+        assert cold_runner.last_stats["from_dataset"] == 0
         assert cold_runner.last_stats["executed"] == len(cold)
 
         # A warm run must never instantiate an engine.
         def _forbidden(*args, **kwargs):
-            raise AssertionError("guest execution attempted on a warm cache")
+            raise AssertionError("guest execution attempted on a warm dataset")
 
         monkeypatch.setattr("repro.sim.spec.EngineSpec.build", _forbidden)
-        warm_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+        warm_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         warm = warm_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
-        assert warm_runner.last_stats["cache_hits"] == len(cold)
+        assert warm_runner.last_stats["from_dataset"] == len(cold)
         assert warm_runner.last_stats["executed"] == 0
         # Exact reproduction, wall-clock fields included (they come from
-        # the cached record).
+        # the stored record).
         assert _dicts(warm) == _dicts(cold)
 
     def test_version_sweep_warms_from_structural_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        sweep = VersionSweep(ARM, VEXPRESS, runner=ExperimentRunner(cache=cache))
+        dataset = Dataset(tmp_path / "ds")
+        sweep = VersionSweep(ARM, VEXPRESS, runner=ExperimentRunner(dataset=dataset))
         benchmark = get_benchmark("TLB Flush")
         cold = sweep.run(benchmark, iterations=20)
-        assert cache.stores == 2  # one per structural group
+        assert dataset.stores == 2  # one per structural group
         warm_sweep = VersionSweep(
-            ARM, VEXPRESS, runner=ExperimentRunner(cache=ResultCache(tmp_path / "cache"))
+            ARM, VEXPRESS, runner=ExperimentRunner(dataset=Dataset(tmp_path / "ds"))
         )
         warm = warm_sweep.run(benchmark, iterations=20)
         assert warm.seconds == cold.seconds
         assert warm_sweep.runner.last_stats["executed"] == 0
 
-    def test_wallclock_timing_bypasses_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    def test_wallclock_timing_bypasses_dataset(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
         harness = Harness(timing=TimingPolicy.WALLCLOCK)
-        runner = ExperimentRunner(harness=harness, cache=cache)
+        runner = ExperimentRunner(harness=harness, dataset=dataset)
         runner.run([JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=10)])
-        assert cache.stores == 0
-        assert cache.stats()["entries"] == 0
+        assert dataset.stores == 0
+        assert dataset.stats()["entries"] == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        dataset = Dataset(tmp_path / "ds")
         spec = JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=10)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(dataset=dataset)
         runner.run([spec])
-        path = cache._path(spec.fingerprint())
+        path = dataset._path(spec.fingerprint())
         with open(path, "w") as fh:
             fh.write("{not json")
-        fresh = ResultCache(tmp_path / "cache")
+        fresh = Dataset(tmp_path / "ds")
         assert fresh.get(spec.fingerprint()) is None
         # And a re-run repairs the entry.
-        rerun = ExperimentRunner(cache=fresh)
+        rerun = ExperimentRunner(dataset=fresh)
         results = rerun.run([spec])
         assert results[0].ok
         assert fresh.get(spec.fingerprint()) is not None
 
     def test_stats_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        runner = ExperimentRunner(cache=cache)
+        dataset = Dataset(tmp_path / "ds")
+        runner = ExperimentRunner(dataset=dataset)
         runner.run(
             [
                 JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=10),
                 JobSpec("TLB Flush", "simit", ARM, VEXPRESS, iterations=10),
             ]
         )
-        stats = cache.stats()
+        stats = dataset.stats()
         assert stats["entries"] == 2
         assert stats["bytes"] > 0
-        assert cache.clear() == 2
-        assert cache.stats()["entries"] == 0
+        assert dataset.clear() == 2
+        assert dataset.stats()["entries"] == 0
 
     def test_counter_schema_change_is_clean_miss(self, tmp_path, monkeypatch):
         # A change to the counter vocabulary moves every fingerprint
-        # (via the schema tag), so old entries become clean misses and
+        # (via the schema tag), so old rows become clean misses and
         # are re-executed -- never read back into a KeyError.
-        cache_dir = tmp_path / "cache"
-        cold_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+        dataset_dir = tmp_path / "ds"
+        cold_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         cold = cold_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
         assert cold_runner.last_stats["executed"] == len(cold)
         monkeypatch.setattr(
@@ -316,9 +317,9 @@ class TestResultCache:
             "COUNTER_NAMES",
             tuple(resultcache.COUNTER_NAMES) + ("speculative_fizzles",),
         )
-        warm_runner = ExperimentRunner(cache=ResultCache(cache_dir))
+        warm_runner = ExperimentRunner(dataset=Dataset(dataset_dir))
         warm = warm_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
-        assert warm_runner.last_stats["cache_hits"] == 0
+        assert warm_runner.last_stats["from_dataset"] == 0
         assert warm_runner.last_stats["executed"] == len(warm)
         assert _dicts(warm, with_wall=False) == _dicts(cold, with_wall=False)
 
@@ -334,12 +335,13 @@ class TestResultCache:
         assert clone.kernel_delta == record.kernel_delta
 
     def test_unsupported_record_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        dataset = Dataset(tmp_path / "ds")
+        spec = JobSpec("System Call", "gem5", ARM, VEXPRESS, iterations=10)
         record = ExecutionRecord(
             status="unsupported", error=UnsupportedFeatureError("gem5", "testctl")
         )
-        cache.put("ab" + "0" * 62, record)
-        loaded = cache.get("ab" + "0" * 62)
+        assert dataset.store_records([(spec, record)]) == 1
+        loaded = dataset.record(spec.fingerprint())
         assert loaded.status == "unsupported"
         assert isinstance(loaded.error, UnsupportedFeatureError)
         assert loaded.error.simulator == "gem5"

@@ -7,7 +7,8 @@ import pytest
 
 from repro.arch import ARM
 from repro.core.harness import Harness, TimingPolicy
-from repro.core.runner import JobSpec
+from repro.core.resultcache import schema_tag
+from repro.core.runner import ExperimentRunner, JobSpec
 from repro.core import get_benchmark
 from repro.exp.dataset import DATASET_SCHEMA, Dataset, make_row
 from repro.exp.provenance import capture
@@ -81,8 +82,8 @@ class TestDataset:
         assert dataset.remove(row["cell"]) is False
 
     def test_corrupt_row_quarantined_on_scan(self, executed, tmp_path):
-        """Parity with the result cache: corrupt entries are skipped,
-        unlinked and counted -- never fatal, never silently ignored."""
+        """Corrupt entries are skipped, unlinked and counted -- never
+        fatal, never silently ignored."""
         dataset = Dataset(tmp_path / "ds")
         dataset.append(row_for(executed))
         bad = tmp_path / "ds" / "ab" / ("ab" + "0" * 62 + ".json")
@@ -107,6 +108,38 @@ class TestDataset:
         dataset.fold_totals()
         fresh = Dataset(tmp_path / "ds")
         assert fresh.stats()["totals"]["quarantined"] == 1
+
+    def test_foreign_entries_are_quarantined_and_reexecuted(self, tmp_path):
+        """A row of another schema and a leftover result-cache entry
+        (``{"schema", "record", "meta"}``) are never read as hits: each
+        probe counts one miss and one quarantine, and the cell
+        re-executes and is appended afresh."""
+        specs = [
+            JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=4),
+            JobSpec("TLB Flush", "simit", ARM, VEXPRESS, iterations=4),
+        ]
+        seeded = Dataset(tmp_path / "ds")
+        with ExperimentRunner(dataset=seeded) as runner:
+            runner.run(specs)
+        stale, leftover = (spec.fingerprint() for spec in specs)
+        old_row = dict(seeded.get(stale), schema=0)
+        seeded.put(stale, old_row)
+        seeded.put(
+            leftover,
+            {
+                "schema": schema_tag(),
+                "record": seeded.get(leftover)["record"],
+                "meta": {"benchmark": "TLB Flush", "simulator": "simit"},
+            },
+        )
+
+        dataset = Dataset(tmp_path / "ds")
+        with ExperimentRunner(dataset=dataset) as runner:
+            runner.run(specs)
+            stats = runner.last_stats
+        assert (dataset.hits, dataset.misses, dataset.quarantined) == (0, 2, 2)
+        assert (stats["executed"], stats["dataset_appended"]) == (2, 2)
+        assert [row["schema"] for row in dataset.rows()] == [DATASET_SCHEMA] * 2
 
     def test_rows_sorted_by_cell(self, executed, tmp_path):
         dataset = Dataset(tmp_path / "ds")

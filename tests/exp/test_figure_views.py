@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import figures
 from repro.core.runner import ExperimentRunner
-from repro.exp import Dataset, DatasetResolver, run_manifest
+from repro.exp import Dataset, run_manifest
 
 SCALE = 0.02
 
@@ -54,11 +54,10 @@ class TestFigureManifests:
 class TestFigureViews:
     def test_figure2_identical_with_zero_executions(self, warm):
         imperative = figures.figure2(scale=SCALE)
-        with ExperimentRunner() as runner:
-            resolver = DatasetResolver(runner, warm)
-            view = figures.figure2(scale=SCALE, runner=resolver)
+        with ExperimentRunner(dataset=warm) as runner:
+            view = figures.figure2(scale=SCALE, runner=runner)
             executed = [
-                row for row in resolver.jobs_log if row["source"] == "executed"
+                row for row in runner.jobs_log if row["source"] == "executed"
             ]
         assert executed == []
         assert deep_equal(imperative, view)
@@ -71,11 +70,10 @@ class TestFigureViews:
         # Only figure7's non-executing (static) cells miss the dataset;
         # nothing was executed to regenerate the table.
         fresh = Dataset(warm.root)
-        with ExperimentRunner() as runner:
-            resolver = DatasetResolver(runner, fresh)
-            figures.figure7(scale=SCALE, runner=resolver)
+        with ExperimentRunner(dataset=fresh) as runner:
+            figures.figure7(scale=SCALE, runner=runner)
             assert not [
-                row for row in resolver.jobs_log if row["source"] == "executed"
+                row for row in runner.jobs_log if row["source"] == "executed"
             ]
 
     def test_figure8_from_figure2_panels(self, warm):

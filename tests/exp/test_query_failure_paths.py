@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner
-from repro.exp import Dataset, DatasetResolver, parse_query
+from repro.exp import Dataset, parse_query
 from repro.exp.query import QueryError
 
 
@@ -23,9 +23,8 @@ def _seed_dataset(tmp_path):
     from repro.sim.spec import spec_for
 
     with ExperimentRunner(
-        harness=Harness(timing=TimingPolicy.MODELED)
-    ) as inner:
-        runner = DatasetResolver(inner, dataset)
+        harness=Harness(timing=TimingPolicy.MODELED), dataset=dataset
+    ) as runner:
         runner.run(
             [
                 JobSpec(

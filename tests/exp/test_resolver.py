@@ -1,12 +1,16 @@
-"""Resumable-execution tests: the dataset-backed runner facade."""
+"""Resumable-execution tests: the experiment runner's dataset probe.
+
+Also pins the runner and dataset surface the frozen benchmark harness
+(``perfbench/passes.py``, ``perfbench/layers.py``) drives, since those
+files cannot change together with the program.
+"""
 
 import math
 
-import pytest
-
 from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner
-from repro.exp import Dataset, DatasetResolver, Manifest, parse_query, run_manifest
+from repro.exp import Dataset, Manifest, parse_query, run_manifest
+from repro.exp.resolver import DatasetResolver
 
 
 def tiny_manifest(**grid_overrides):
@@ -108,7 +112,7 @@ class TestRunManifest:
         assert result.stats["executed"] == 6
 
 
-class TestResolver:
+class TestDatasetResolution:
     def test_pricing_variants_share_one_row(self, tmp_path):
         """Specs differing only in META/PRICING fields share a cell:
         the dataset stores one record, and each spec prices it under
@@ -134,13 +138,12 @@ class TestResolver:
         dataset = Dataset(tmp_path / "ds")
         manifest = tiny_manifest(benchmarks=["tlb-flush"])
         harness = Harness(timing=TimingPolicy.WALLCLOCK)
-        with ExperimentRunner(harness=harness) as runner:
-            resolver = DatasetResolver(runner, dataset)
-            resolver.run(manifest.jobs())
-            assert resolver.last_stats["from_dataset"] == 0
+        with ExperimentRunner(harness=harness, dataset=dataset) as runner:
+            runner.run(manifest.jobs())
+            assert runner.last_stats["from_dataset"] == 0
             assert dataset.rows() == []
-            resolver.run(manifest.jobs())
-            assert resolver.last_stats["executed"] == 2
+            runner.run(manifest.jobs())
+            assert runner.last_stats["executed"] == 2
 
     def test_failures_not_appended_and_retry(self, tmp_path):
         """Failure rows never enter the dataset, so failed cells
@@ -149,9 +152,8 @@ class TestResolver:
         manifest = tiny_manifest(
             engines=["gem5"], benchmarks=["nonprivileged-access"]
         )
-        with ExperimentRunner(deadline=1e-12, retries=0) as runner:
-            resolver = DatasetResolver(runner, dataset)
-            results = resolver.run(manifest.jobs())
+        with ExperimentRunner(deadline=1e-12, retries=0, dataset=dataset) as runner:
+            results = runner.run(manifest.jobs())
         if any(not r.ok for r in results):
             failed_cells = {
                 spec.fingerprint()
@@ -161,22 +163,17 @@ class TestResolver:
             for cell in failed_cells:
                 assert not dataset.contains(cell)
 
-    def test_duck_types_runner_surface(self, tmp_path):
+    def test_run_suite_resolves_from_dataset(self, tmp_path):
         from repro.arch import ARM
         from repro.platform import VEXPRESS
 
         dataset = Dataset(tmp_path / "ds")
-        with ExperimentRunner() as runner:
-            resolver = DatasetResolver(runner, dataset)
-            assert resolver.harness is runner.harness
-            assert resolver.failures is runner.failures
-            suite_result = resolver.run_suite(
-                "simit", ARM, VEXPRESS, scale=0.02
-            )
+        with ExperimentRunner(dataset=dataset) as runner:
+            suite_result = runner.run_suite("simit", ARM, VEXPRESS, scale=0.02)
             assert len(list(suite_result)) == 18
-            assert resolver.last_stats["jobs"] == 18
-            again = resolver.run_suite("simit", ARM, VEXPRESS, scale=0.02)
-            assert resolver.last_stats["executed"] == 0
+            assert runner.last_stats["jobs"] == 18
+            again = runner.run_suite("simit", ARM, VEXPRESS, scale=0.02)
+            assert runner.last_stats["executed"] == 0
             assert table(list(again)) == table(list(suite_result))
 
     def test_telemetry_rows_join_dataset_rows(self, tmp_path):
@@ -209,11 +206,114 @@ class TestResolver:
         dataset = Dataset(tmp_path / "ds")
         manifest = tiny_manifest(engines=["simit"], benchmarks=["tlb-flush"])
         specs = manifest.jobs() * 3
-        with ExperimentRunner() as runner:
-            resolver = DatasetResolver(runner, dataset)
-            results = resolver.run(specs)
+        with ExperimentRunner(dataset=dataset) as runner:
+            results = runner.run(specs)
+            assert runner.last_stats["unique"] == 1
+            assert [row["source"] for row in runner.last_jobs] == [
+                "executed", "dedup", "dedup",
+            ]
         assert len(results) == 3
         assert len({id(r) for r in results}) == 3  # distinct result objects
         assert len(dataset.rows()) == 1
         values = {r.kernel_ns for r in results}
         assert len(values) == 1 and not any(math.isnan(v) for v in values)
+
+    def test_one_probe_per_unique_key_and_one_row_file(self, tmp_path, monkeypatch):
+        """The probe sits in the dedup loop: pricing variants and
+        repeats cost one ``Dataset.get`` per unique key, and an
+        executed cell leaves exactly one entry file."""
+        probes = []
+        get = Dataset.get
+
+        def counted_get(self, key):
+            probes.append(key)
+            return get(self, key)
+
+        monkeypatch.setattr(Dataset, "get", counted_get)
+        manifest = tiny_manifest(
+            engines=[{"sweep": "qemu-versions"}], benchmarks=["system-call"]
+        )
+        dataset = Dataset(tmp_path / "ds")
+        with ExperimentRunner(dataset=dataset) as runner:
+            runner.run(manifest.jobs() * 2)
+            unique = runner.last_stats["unique"]
+        assert len(probes) == len(set(probes)) == unique
+        entries = [p for p in (tmp_path / "ds").rglob("*.json") if p.parent.name != "ds"]
+        assert len(entries) == unique
+
+    def test_shared_dataset_totals_fold_once(self, tmp_path):
+        """Runners sharing one Dataset instance fold each session event
+        into ``_totals.json`` exactly once."""
+        dataset = Dataset(tmp_path / "ds")
+        manifest = tiny_manifest()
+        for _ in range(3):
+            with ExperimentRunner() as runner:
+                run_manifest(manifest, runner, dataset=dataset)
+        assert dataset.totals() == {
+            "hits": 12, "misses": 6, "stores": 6, "quarantined": 0,
+        }
+
+
+class TestFrozenBenchmarkSurface:
+    """Exactly what ``perfbench/passes.py`` and ``perfbench/layers.py``
+    use, on a two-cell grid over a two-worker pool."""
+
+    def test_resolver_adapter_and_traced_layers(self, tmp_path, monkeypatch):
+        calls = {"run": 0, "get": [], "append": []}
+        run, get, append = ExperimentRunner.run, Dataset.get, Dataset.append
+
+        def traced_run(self, specs):
+            calls["run"] += 1
+            return run(self, specs)
+
+        def spied_get(self, key):
+            calls["get"].append(key)
+            return get(self, key)
+
+        def spied_append(self, row):
+            calls["append"].append(row["cell"])
+            return append(self, row)
+
+        monkeypatch.setattr(ExperimentRunner, "run", traced_run)
+        monkeypatch.setattr(Dataset, "get", spied_get)
+        monkeypatch.setattr(Dataset, "append", spied_append)
+
+        manifest = tiny_manifest(
+            engines=["simit"], benchmarks=["tlb-flush", "system-call"]
+        )
+        specs = manifest.jobs()
+        cells = sorted(spec.fingerprint() for spec in specs)
+        dataset = Dataset(tmp_path / "ds")
+        runner = ExperimentRunner(jobs=2)
+        resolver = DatasetResolver(runner, dataset, manifest=manifest)
+        results = resolver.run(specs)
+
+        assert calls["run"] == 1
+        assert sorted(calls["get"]) == cells
+        assert sorted(calls["append"]) == cells
+        assert [r.ok for r in results] == [True, True]
+        stats = resolver.last_stats
+        assert (stats["jobs"], stats["unique"]) == (2, 2)
+        assert stats["chunks"] >= 1 and stats["payload_bytes"] > 0
+        executed = [row for row in resolver.last_jobs if row["source"] == "executed"]
+        assert len(executed) == 2
+        assert all(row["wall_ns"] > 0 for row in executed)
+        assert all(row["queue_wait_ns"] >= 0 for row in executed)
+        assert sum(r.total_instructions for r in runner.last_records.values()) > 0
+        assert runner._pool is not None
+        runner._pool.shutdown(wait=True)
+        runner.close()
+        totals = dataset.totals()
+        assert (totals["misses"], totals["stores"]) == (2, 2)
+        assert {row["manifest"] for row in dataset.rows()} == {
+            manifest.manifest_id()
+        }
+
+        # A second adapter on the same runner: every cell from the
+        # dataset, nothing new stored.
+        warm = DatasetResolver(runner, dataset, manifest=manifest).run(specs)
+        assert table(warm) == table(results)
+        assert resolver.last_stats["from_dataset"] == 2
+        assert calls["run"] == 2 and sorted(calls["append"]) == cells
+        assert dataset.totals()["stores"] == 2
+

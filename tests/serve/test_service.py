@@ -160,7 +160,7 @@ class TestScheduling:
         def explode(_specs):
             raise RuntimeError("slice exploded")
 
-        service._resolvers[job_id].run = explode
+        service.runner.run = explode
         run_all(service)
         job = service._jobs[job_id]
         assert job.state == "failed"

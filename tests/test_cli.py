@@ -119,15 +119,19 @@ class TestSuiteCommand:
 
 
 class TestRunnerOptions:
-    def test_suite_parallel_with_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        args = ["suite", "--sim", "simit", "--scale", "0.05", "--cache-dir", cache_dir]
+    def test_suite_parallel_with_dataset(self, tmp_path, capsys):
+        dataset_dir = tmp_path / "ds"
+        args = ["suite", "--sim", "simit", "--scale", "0.05",
+                "--dataset-dir", str(dataset_dir)]
         assert main(args + ["--jobs", "2"]) == 0
         cold = capsys.readouterr().out
         assert main(args) == 0
         captured = capsys.readouterr()
         assert captured.out == cold  # warm run reproduces the cold run
-        assert "cache hits" in captured.err
+        assert "18 from dataset, 0 executed" in captured.err
+        # Each cell is stored once: one entry file per cell.
+        entries = [p for p in dataset_dir.rglob("*.json") if p.parent != dataset_dir]
+        assert len(entries) == 18
 
     def test_fault_knobs_accepted_on_clean_run(self, capsys):
         # --deadline/--retries/--keep-going parse and a clean grid
@@ -139,16 +143,16 @@ class TestRunnerOptions:
         assert "cell(s) failed" not in captured.err
 
     def test_cache_stats_and_clear(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
+        dataset_dir = str(tmp_path / "ds")
         assert main(["suite", "--sim", "simit", "--scale", "0.05",
-                     "--cache-dir", cache_dir]) == 0
+                     "--dataset-dir", dataset_dir]) == 0
         capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert main(["cache", "stats", "--dataset-dir", dataset_dir]) == 0
         out = capsys.readouterr().out
         assert "entries: 18" in out
-        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        assert main(["cache", "clear", "--dataset-dir", dataset_dir]) == 0
         assert "removed 18" in capsys.readouterr().out
-        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert main(["cache", "stats", "--dataset-dir", dataset_dir]) == 0
         assert "entries: 0" in capsys.readouterr().out
 
 
@@ -243,8 +247,7 @@ class TestQueryCommand:
         assert "dataset %s" % dataset_dir in out
         assert "entries: 2" in out
         assert "quarantined" in out
-        assert main(["cache", "clear", "--cache-dir", str(tmp_path / "nope"),
-                     "--dataset-dir", dataset_dir]) == 0
+        assert main(["cache", "clear", "--dataset-dir", dataset_dir]) == 0
         assert "removed 2 dataset rows" in capsys.readouterr().out
 
     def test_suite_with_dataset_dir(self, tmp_path, capsys):
