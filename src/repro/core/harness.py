@@ -251,9 +251,10 @@ class Harness:
             )
         finally:
             # An engine and its board form reference cycles; dropping
-            # the engine's state lets reference counting free the
-            # 64 MiB board now instead of whenever the cyclic collector
-            # next runs, which keeps peak memory to one board per job.
+            # the engine's state lets reference counting unmap the
+            # board's RAM (and release the pages the guest touched) now
+            # instead of whenever the cyclic collector next runs, which
+            # keeps peak memory to one board per job.
             if sim is not None:
                 vars(sim).clear()
         if run.exit_reason is not ExitReason.HALT:

@@ -2,18 +2,29 @@
 
 The physical address space is a set of non-overlapping RAM regions plus
 memory-mapped device regions.  Engines perform the vast majority of
-accesses against RAM; the fast path exposes the backing ``bytearray``
-and a base offset so translated code can index it directly (this is how
-the DBT engine's softmmu avoids a bus lookup per access).
+accesses against RAM; the fast path exposes the backing buffer and a
+base offset so translated code can index it directly (this is how the
+DBT engine's softmmu avoids a bus lookup per access).
+
+RAM is a private anonymous ``mmap``: the host kernel supplies zero pages
+on first touch, so a board costs only the pages its guest uses.
 """
 
 import bisect
+import mmap
 
 from repro.errors import BusError, MachineError
 
 
 class RamRegion:
-    """A contiguous RAM region backed by a ``bytearray``."""
+    """A contiguous RAM region backed by a private anonymous ``mmap``.
+
+    ``data`` supports ``len``, indexing, slice reads (which return
+    ``bytes``) and same-length slice writes; it cannot be resized, so a
+    slice write past the end raises instead of growing the region.
+    ``MAP_PRIVATE`` keeps the pages copy-on-write across ``fork``: a
+    forked worker's stores never reach its parent's board.
+    """
 
     __slots__ = ("base", "size", "data")
 
@@ -22,7 +33,7 @@ class RamRegion:
             raise MachineError("RAM regions must be page aligned")
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     @property
     def end(self):
@@ -163,4 +174,4 @@ class PhysicalMemory:
         if region is None:
             raise BusError(paddr, "bulk read")
         off = paddr - region.base
-        return bytes(region.data[off : off + size])
+        return region.data[off : off + size]

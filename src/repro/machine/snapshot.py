@@ -56,7 +56,7 @@ _CP15_FIELDS = ("sctlr", "ttbr", "dacr", "fsr", "far", "vbar", "asid", "devid", 
 def snapshot(board):
     """Capture the full guest-visible state of ``board``."""
     ram = [
-        (region.base, zlib.compress(bytes(region.data), level=1))
+        (region.base, zlib.compress(region.data, level=1))
         for region in board.memory.ram_regions
     ]
     cpu = board.cpu

@@ -1,10 +1,16 @@
 """Physical memory and bus tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import BusError, MachineError
+from repro.machine import Board
 from repro.machine.devices import SafeDevice
 from repro.machine.memory import PhysicalMemory
+from repro.platform import VEXPRESS
 
 
 @pytest.fixture
@@ -87,3 +93,64 @@ class TestDeviceRouting:
         memory.on_ram_write = pages.append
         memory.write32(0x2010, 1)
         assert pages == [0x2]
+
+
+class TestRamBacking:
+    """RAM is a private anonymous mapping, zero-filled on first touch."""
+
+    def test_fresh_ram_reads_zero_at_both_ends(self):
+        board = Board(VEXPRESS)
+        (region,) = board.memory.ram_regions
+        assert board.memory.read8(region.base) == 0
+        assert board.memory.read8(region.end - 1) == 0
+
+    def test_backing_length_is_region_size(self):
+        (region,) = Board(VEXPRESS).memory.ram_regions
+        assert len(region.data) == region.size
+
+    def test_slice_write_past_end_raises_instead_of_growing(self, memory):
+        region = memory.find_ram(0x0)
+        with pytest.raises(IndexError):
+            region.data[region.size - 2 : region.size + 2] = b"abcd"
+        assert len(region.data) == region.size
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_private(self):
+        # Pool workers are forked; a shared mapping would leak a
+        # worker's guest stores into the parent's board.
+        board = Board(VEXPRESS)
+        addr = VEXPRESS.ram_base + 0x1000
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                board.memory.write32(addr, 0xDEADBEEF)
+                ok = board.memory.read32(addr) == 0xDEADBEEF
+            finally:
+                os._exit(0 if ok else 1)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert board.memory.read32(addr) == 0
+
+    def test_boards_commit_only_touched_pages(self):
+        # A fresh interpreter, so an earlier test's peak cannot hide
+        # the growth; the boards stay alive until the second sample.
+        script = (
+            "import resource\n"
+            "from repro.machine import Board\n"
+            "from repro.platform import VEXPRESS\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "boards = [Board(VEXPRESS) for _ in range(8)]\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        grown_kib = int(out)
+        assert grown_kib < VEXPRESS.ram_size // 1024

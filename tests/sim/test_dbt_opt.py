@@ -19,6 +19,7 @@ from repro.isa.assembler import assemble
 from repro.isa.decoder import decode
 from repro.isa.encoding import Cond, Op, encode
 from repro.machine import Board
+from repro.machine.memory import PhysicalMemory
 from repro.platform import VEXPRESS
 from repro.sim.dbt import DBTConfig
 from repro.sim.dbt import codestore
@@ -30,7 +31,12 @@ from repro.sim.dbt.passes import (
     fuse_pairs,
 )
 from repro.sim.dbt.translator import TRANSLATION_MEMO, Translator
-from tests.sim.util import assert_pipeline_neutral, bare_program, reference_lowering
+from tests.sim.util import (
+    assert_pipeline_neutral,
+    bare_program,
+    ram_equal,
+    reference_lowering,
+)
 
 
 def lift(words, vaddr=0x8000):
@@ -335,6 +341,18 @@ done:
 
 
 class TestPipelineNeutrality:
+    @pytest.mark.parametrize("size", [VEXPRESS.ram_size, 0x11000])
+    def test_ram_compare_flags_one_byte_at_the_last_address(self, size):
+        # The final slice is the one a short or off-by-one chunked
+        # compare would skip; 0x11000 also ends mid-chunk.
+        left, right = PhysicalMemory(), PhysicalMemory()
+        left_ram, right_ram = left.add_ram(0, size), right.add_ram(0, size)
+        assert ram_equal(left_ram, right_ram)
+        right.write8(size - 1, 1)
+        assert not ram_equal(left_ram, right_ram)
+        left.write8(size - 1, 1)
+        assert ram_equal(left_ram, right_ram)
+
     def test_smc_loop(self):
         assert_pipeline_neutral(bare_program(_SMC_LOOP_BODY))
 
