@@ -3,10 +3,11 @@
 Unlike the figure benches (which use deterministic modeled time),
 these measure how fast the *engines themselves* execute guest code on
 this host -- the genuinely structural comparison: the DBT engine runs
-compiled Python per block, the fast interpreter dispatches per
-instruction (or replays predecoded blocks), and the detailed
-interpreter does an order of magnitude more bookkeeping per
-instruction.
+compiled Python per block, the fast interpreter and the native and
+qemu-kvm models replay predecoded blocks, and the detailed interpreter
+steps one instruction at a time with an order of magnitude more
+bookkeeping per instruction.  Each matrix cell reports the median, min
+and max of :data:`MATRIX_RUNS` runs.
 
 Three guest kernels stress the three hot paths:
 
@@ -17,14 +18,15 @@ Three guest kernels stress the three hot paths:
   (exception entry/return, which predecoded blocks must not break).
 
 Besides the per-engine matrix, two tracked speedups gate the fast-path
-work: the fast interpreter with predecoded blocks vs the same engine
-with them disabled (floor: 2x on ``hot-loop``), and a warm vs cold DBT
+work: the fast interpreter replaying predecoded blocks vs the same
+engine forced to step per instruction by a no-op ``_pre_execute`` hook
+(floor: 2x on ``hot-loop``), and a warm vs cold DBT
 sweep through the persistent code cache (floor: 3x).  A third tracked
 split runs ``hot-loop`` with the observability layer disabled vs
 enabled (ceiling: 5% overhead enabled, guest counters bit-identical).
 The standalone entry point emits ``BENCH_engines.json`` at the repo
 root (same shape as ``BENCH_runner.json``); all runs assert counters
-are bit-identical across the toggles.
+are bit-identical across each split.
 
 Runnable standalone::
 
@@ -34,6 +36,7 @@ Runnable standalone::
 import json
 import os
 import pathlib
+import statistics
 import tempfile
 import time
 
@@ -45,7 +48,13 @@ from repro.isa.assembler import assemble
 from repro.machine import Board
 from repro.platform import VEXPRESS
 from repro.obs.metrics import METRICS
-from repro.sim import DBTSimulator, DetailedInterpreter, FastInterpreter
+from repro.sim import (
+    DBTSimulator,
+    DetailedInterpreter,
+    FastInterpreter,
+    NativeMachine,
+    VirtSimulator,
+)
 from repro.sim.dbt import codestore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
 
@@ -55,6 +64,8 @@ HOT_LOOP_ITERS = 20_000
 MEM_LOOP_OUTER = 300
 EXC_LOOP_ITERS = 8_000
 UNROLLED_INSNS = 6_000
+#: Runs per engine-matrix cell (median, min and max are reported).
+MATRIX_RUNS = 5
 
 HOT_LOOP = """
 .org 0x8000
@@ -152,13 +163,20 @@ _ENGINES = {
     "qemu-dbt": DBTSimulator,
     "simit": FastInterpreter,
     "gem5": DetailedInterpreter,
+    "qemu-kvm": VirtSimulator,
+    "native": NativeMachine,
 }
 
 
-def _run_engine(engine_cls, program, max_insns=2_000_000, **kwargs):
+def _run_engine(engine_cls, program, max_insns=2_000_000, step=False):
+    """Run ``program`` once; ``step`` attaches a no-op ``_pre_execute``
+    hook (as the Tracer does), which makes a functional-core engine
+    step one instruction at a time instead of replaying blocks."""
     board = Board(VEXPRESS)
     board.load(program)
-    engine = engine_cls(board, arch=ARM, **kwargs)
+    engine = engine_cls(board, arch=ARM)
+    if step:
+        engine._pre_execute = lambda insn, pc: None
     t0 = time.perf_counter()
     result = engine.run(max_insns=max_insns)
     seconds = time.perf_counter() - t0
@@ -167,32 +185,37 @@ def _run_engine(engine_cls, program, max_insns=2_000_000, **kwargs):
 
 
 def run_engine_matrix(scale=1):
-    """Wall-clock seconds for every engine on every kernel."""
+    """Wall-clock seconds for every engine on every kernel: the median,
+    min and max of :data:`MATRIX_RUNS` runs per cell (MIPS from the median)."""
     matrix = {}
     for kernel_name, source in kernels(scale).items():
         program = assemble(source)
         row = {}
         for engine_name, engine_cls in _ENGINES.items():
-            engine, seconds = _run_engine(engine_cls, program)
+            timings = []
+            for _ in range(MATRIX_RUNS):
+                engine, seconds = _run_engine(engine_cls, program)
+                timings.append(seconds)
+            median = statistics.median(timings)
             row[engine_name] = {
-                "seconds": seconds,
+                "seconds": median,
+                "min_seconds": min(timings),
+                "max_seconds": max(timings),
+                "runs": MATRIX_RUNS,
                 "instructions": engine.counters.instructions,
-                "mips": engine.counters.instructions / seconds / 1e6,
+                "mips": engine.counters.instructions / median / 1e6,
             }
         matrix[kernel_name] = row
     return matrix
 
 
 def run_interp_block_split(scale=1):
-    """Fast interpreter with predecoded blocks vs without, on the hot
-    loop; counters must be bit-identical, wallclock must not be."""
+    """Fast interpreter replaying predecoded blocks vs stepping one
+    instruction at a time, on the hot loop; counters must be
+    bit-identical, wallclock must not be."""
     program = assemble(kernels(scale)["hot-loop"])
-    base_engine, base_seconds = _run_engine(
-        FastInterpreter, program, use_block_cache=False
-    )
-    fast_engine, fast_seconds = _run_engine(
-        FastInterpreter, program, use_block_cache=True
-    )
+    base_engine, base_seconds = _run_engine(FastInterpreter, program, step=True)
+    fast_engine, fast_seconds = _run_engine(FastInterpreter, program)
     assert (
         base_engine.counters.snapshot() == fast_engine.counters.snapshot()
     ), "predecoded blocks changed guest-visible counters"

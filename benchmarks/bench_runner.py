@@ -3,12 +3,11 @@
 Regenerates Figure 7 several ways -- cold (executing and filling a
 fresh result dataset), warm (re-pricing stored counter deltas without
 running any guest code), serial (no dataset; the parallel baseline),
-parallel (``jobs=4`` over the batched warm worker pool, default chunk
-size) and warm-pool (a second grid on the same persistent pool, what
-repeat sweeps actually see) -- checks every variant produces an
-identical table, measures chunk-dispatch overhead and shipped payload
-bytes, sweeps explicit chunk sizes, and emits ``BENCH_runner.json`` at
-the repo root.
+parallel (``jobs=4`` over the batched warm worker pool) and warm-pool
+(a second grid on the same persistent pool, what repeat sweeps
+actually see) -- checks every variant produces an identical table,
+measures chunk-dispatch overhead and shipped payload bytes, and emits
+``BENCH_runner.json`` at the repo root.
 
 Gates: the warm-dataset run must be at least 5x faster than cold, and on
 hosts with >= 2 cores ``parallel_speedup`` must be >= 1.0 (on a
@@ -32,9 +31,6 @@ from repro.obs.metrics import METRICS
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCALE = 0.5
 JOBS = 4
-#: Explicit chunk sizes swept for the sensitivity table (the default
-#: size is reported under "auto").
-CHUNK_SIZES = (1, 4)
 
 
 def _timed_figure7(runner, scale):
@@ -56,7 +52,7 @@ def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
     serial_runner = ExperimentRunner()
     serial, serial_seconds = _timed_figure7(serial_runner, scale)
 
-    # Batched pool run (default chunks), dispatch instruments captured
+    # Batched pool run, dispatch instruments captured
     # from a clean registry; then a second grid on the SAME pool -- the
     # workers stay warm, which is what repeat sweeps see.
     METRICS.reset()
@@ -66,17 +62,6 @@ def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
         snapshot = METRICS.snapshot()
         warm_pool, warm_pool_seconds = _timed_figure7(parallel_runner, scale)
     METRICS.reset()
-
-    # Explicit chunk-size sensitivity (fresh pool per size).
-    sensitivity = {}
-    for chunk_size in CHUNK_SIZES:
-        with ExperimentRunner(jobs=jobs, chunk_size=chunk_size) as sized:
-            sized_table, sized_seconds = _timed_figure7(sized, scale)
-        assert sized_table == cold, (
-            "chunk_size=%d changed the Figure 7 table" % chunk_size
-        )
-        sensitivity[str(chunk_size)] = sized_seconds
-    sensitivity["auto"] = parallel_seconds
 
     assert warm == cold, "warm dataset changed the Figure 7 table"
     assert serial == cold, "serial re-run changed the Figure 7 table"
@@ -107,7 +92,6 @@ def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
         "payload_bytes": parallel_stats.get("payload_bytes", 0),
         "dispatch_total_ns": dispatch["total_ns"],
         "dispatch_overhead_ns": dispatch["total_ns"] // max(1, dispatch["count"]),
-        "chunk_size_sensitivity_seconds": sensitivity,
         "parallel_gate": (
             "enforced"
             if cpu_count >= 2

@@ -53,7 +53,7 @@ def main():
     speedup = serial_seconds / parallel_seconds
     print(
         "parallel smoke: serial %.2fs, jobs=%d %.2fs -> %.2fx "
-        "(%d chunks, chunk_size=%d, %d payload bytes, %d cores)"
+        "(%d chunks of up to %d jobs, %d payload bytes, %d cores)"
         % (
             serial_seconds,
             JOBS,

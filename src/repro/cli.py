@@ -190,15 +190,6 @@ def _add_runner_options(parser):
         help="fan unique executions over N worker processes (default: serial)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="jobs per pool dispatch under --jobs (default: 0 = about "
-        "four chunks per worker); larger chunks amortise dispatch "
-        "overhead, smaller ones load-balance better",
-    )
-    parser.add_argument(
         "--code-cache-dir",
         default=None,
         help="persistent DBT code-cache directory; warm runs reuse "
@@ -285,7 +276,6 @@ def _runner_for(args, harness=None):
         deadline=getattr(args, "deadline", None),
         retries=getattr(args, "retries", 1),
         code_cache_dir=getattr(args, "code_cache_dir", None),
-        chunk_size=getattr(args, "chunk_size", 0),
     )
 
 
@@ -1018,7 +1008,6 @@ def _cmd_serve(args):
             jobs=args.jobs or 1,
             deadline=args.deadline,
             retries=args.retries,
-            chunk_size=args.chunk_size,
             slice_size=args.slice_size,
             weights=weights,
         )

@@ -419,7 +419,7 @@ def _worker_benchmark(ref):
 
 
 def _worker_spec(payload):
-    """Rebuild (and memoize) an :class:`EngineSpec` from its compact
+    """Rebuild (and cache) an :class:`EngineSpec` from its compact
     delta payload; validation runs once per distinct spec per worker."""
     key = json.dumps(payload, sort_keys=True)
     spec = _WORKER_SPECS.get(key)
@@ -509,13 +509,11 @@ class ExperimentRunner:
         The pool is *persistent*: created lazily on the first parallel
         run and kept warm across :meth:`run` calls until :meth:`close`
         (or garbage collection), so repeat grids reuse built programs,
-        translation memos and the open code store.
-    chunk_size:
-        Jobs per pool dispatch.  ``None``/``0`` (the default) means a
-        few chunks per worker: ``ceil(pending / (4 * workers))``.
-        Chunks never mix engine structural keys -- each chunk is
-        homogeneous, for DBT-memoization and code-store locality
-        inside the worker.
+        translation memos and the open code store.  Every run ships
+        work in a few chunks per worker, ``ceil(pending / (4 *
+        workers))`` jobs each; chunks never mix engine structural keys
+        -- each chunk is homogeneous, for DBT-memoization and
+        code-store locality inside the worker.
     dataset:
         Optional :class:`~repro.exp.dataset.Dataset` to resolve cells
         from and append executed cells to (MODELED timing only).  A
@@ -558,11 +556,9 @@ class ExperimentRunner:
         retries=1,
         retry_backoff=0.05,
         code_cache_dir=None,
-        chunk_size=None,
     ):
         self.harness = harness if harness is not None else Harness(timing=TimingPolicy.MODELED)
         self.jobs = max(1, int(jobs))
-        self.chunk_size = max(0, int(chunk_size)) if chunk_size else 0
         self.dataset = dataset
         self.manifest = None
         self.deadline = float(deadline) if deadline else None
@@ -874,13 +870,11 @@ class ExperimentRunner:
             self._worker_codestore = {}
 
     # -- chunk planning ------------------------------------------------
-    def _auto_chunk_size(self, pending_count, workers):
-        """Jobs per chunk for this run: an explicit ``chunk_size``, else
-        a few chunks per worker for load balance,
-        ``ceil(pending / (4 * workers))`` -- never more than an even
-        share of the grid, so every worker gets work."""
-        if self.chunk_size:
-            return self.chunk_size
+    @staticmethod
+    def _chunk_size(pending_count, workers):
+        """Jobs per chunk for this run: a few chunks per worker for load
+        balance, ``ceil(pending / (4 * workers))`` -- never more than an
+        even share of the grid, so every worker gets work."""
         return max(1, -(-pending_count // (workers * 4)))
 
     def _plan_chunks(self, specs):
@@ -894,7 +888,7 @@ class ExperimentRunner:
         across groups, and the parent harvests in submission order, so
         the merge stays deterministic."""
         workers = min(self.jobs, len(specs))
-        size = self._auto_chunk_size(len(specs), workers)
+        size = self._chunk_size(len(specs), workers)
         self._pool_stats["chunk_size"] = size
         groups = {}
         order = []

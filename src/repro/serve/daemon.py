@@ -149,7 +149,7 @@ class ExperimentService:
     """The daemon: one warm runner, one dataset, many tenants.
 
     Parameters mirror the CLI runner knobs (``jobs``, ``deadline``,
-    ``retries``, ``chunk_size``, ``code_cache_dir``, ``dataset_dir``)
+    ``retries``, ``code_cache_dir``, ``dataset_dir``)
     plus the service's own: ``socket_path``, ``slice_size`` and
     ``weights`` (tenant -> fair-share weight).
 
@@ -168,7 +168,6 @@ class ExperimentService:
         jobs=1,
         deadline=None,
         retries=1,
-        chunk_size=None,
         slice_size=DEFAULT_SLICE_SIZE,
         weights=None,
     ):
@@ -181,7 +180,6 @@ class ExperimentService:
             deadline=deadline,
             retries=retries,
             code_cache_dir=code_cache_dir,
-            chunk_size=chunk_size,
         )
         self.queue = FairQueue()
         for tenant, weight in (weights or {}).items():

@@ -37,13 +37,12 @@ class DBTConfig:
         Tag softmmu TLB slots with the guest ASID so address-space
         switches retag instead of flushing (off by default, matching
         QEMU's historical flush-on-context-switch behaviour).
-    memoize:
-        Host-only knob: reuse lowered source and compiled code objects
-        for byte-identical blocks through the process-wide
-        :data:`~repro.sim.dbt.translator.TRANSLATION_MEMO`.  Guest-visible
-        behaviour and counters are unaffected -- translation still
-        *happens* (and is accounted) per engine, only the host-side
-        lowering and ``compile()`` are skipped.
+
+    Lowered source and compiled code objects for byte-identical blocks
+    are always reused through the process-wide
+    :data:`~repro.sim.dbt.translator.TRANSLATION_MEMO`: translation
+    still *happens* (and is accounted) per engine, only the host-side
+    lowering and ``compile()`` are skipped.
     """
 
     def __init__(
@@ -56,7 +55,6 @@ class DBTConfig:
         cost_overrides=None,
         version=None,
         asid_tagged=False,
-        memoize=True,
     ):
         if max_block_insns < 1:
             raise ValueError("max_block_insns must be positive")
@@ -70,7 +68,6 @@ class DBTConfig:
         self.cost_overrides = dict(cost_overrides or {})
         self.version = version
         self.asid_tagged = asid_tagged
-        self.memoize = memoize
 
     def translation_key(self):
         """The knobs generated code depends on.
@@ -100,7 +97,6 @@ class DBTConfig:
             "cost_overrides": dict(self.cost_overrides),
             "version": self.version,
             "asid_tagged": self.asid_tagged,
-            "memoize": self.memoize,
         }
         fields.update(kwargs)
         return DBTConfig(**fields)

@@ -6,8 +6,8 @@ reason about the block before anything is emitted:
 
 - every :class:`IRNode` mirrors one decoded instruction (op, operand
   fields, absolute ``pc``, ``idx`` within the block)
-  and precomputes its **def/use register sets**, whether it **reads or
-  writes the NZCV flags**, whether it has a **side effect** (calls an
+  and precomputes its **def/use register sets**, whether it **writes
+  the NZCV flags**, whether it has a **side effect** (calls an
   engine helper that may fault, count an event, or touch a device --
   the points where the whole guest state becomes observable), and
   whether it is a **terminal** (ends the block);
@@ -79,7 +79,6 @@ class IRNode:
         "uses",
         "rd_def",
         "writes_flags",
-        "reads_flags",
         "side_effect",
         "terminal",
         # pass annotations
@@ -108,7 +107,6 @@ class IRNode:
         self.defs, self.uses = _def_use(self.op, self.rd, self.rn, self.rm)
         self.rd_def = next(iter(self.defs)) if self.defs else None
         self.writes_flags = self.op in FLAG_WRITE_OPS
-        self.reads_flags = self.op in (Op.B, Op.BL) and self.cond != 0
         self.side_effect = self.op in SIDE_EFFECT_OPS or self.op is None
         self.terminal = self.op is None or self.op in BLOCK_END_OPS
         self.dead = False

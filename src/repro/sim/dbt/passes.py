@@ -1,6 +1,6 @@
 """The DBT peephole pass pipeline.
 
-Four conservative peephole passes over the IR of one block
+Three conservative peephole passes over the IR of one block
 (:mod:`repro.sim.dbt.ir`), in a fixed order chosen so each pass feeds
 the next:
 
@@ -9,13 +9,10 @@ the next:
    ``const_value`` (emitted as one literal assignment); nodes with
    some known operands get ``reg_consts`` (operands emitted as
    literals).
-2. :func:`eliminate_dead_flags` -- backward flag liveness; a CMP/CMPI
-   whose flags are overwritten before any conditional use or
-   observation point is dropped.
-3. :func:`eliminate_dead_stores` -- backward register liveness; a pure
+2. :func:`eliminate_dead_stores` -- backward register liveness; a pure
    register def overwritten before any read or observation point is
    dropped (the classic MOVI+MOVT pair collapses to the MOVT literal).
-4. :func:`fuse_pairs` -- adjacent-pair fusion: ADDI/SUBI feeding the
+3. :func:`fuse_pairs` -- adjacent-pair fusion: ADDI/SUBI feeding the
    next instruction's memory base becomes one shared address
    computation, and CMP/CMPI feeding a conditional branch inlines the
    comparison (no ``condition_holds`` dispatch).
@@ -30,8 +27,8 @@ Safety discipline (what keeps guest counters bit-identical):
   derived from node indices; a dead node still occupies its index, so
   the increments the emitter produces are unchanged.
 - **Flags are always architecturally current at observation points.**
-  A fused CMP still emits ``set_flags_sub`` (its flags are live-out
-  through the branch); only provably-overwritten flag writes die.
+  No pass removes a flag write: a fused CMP still emits
+  ``set_flags_sub`` (its flags are live-out through the branch).
 """
 
 from repro.isa.encoding import ALU_IMM_OPS, ALU_REG_OPS, MEM_OPS, Op
@@ -129,26 +126,6 @@ def fold_constants(nodes):
     return folded
 
 
-def eliminate_dead_flags(nodes):
-    """Backward flag liveness; kills CMP/CMPI whose flags are
-    overwritten before any read or observation point.  Returns the
-    number of nodes killed."""
-    elided = 0
-    live = True  # flags escape the block at its end
-    for node in reversed(nodes):
-        if node.dead:
-            continue
-        if node.writes_flags:
-            if not live:
-                node.dead = True
-                elided += 1
-                continue
-            live = False
-        elif node.reads_flags or node.side_effect or node.terminal:
-            live = True
-    return elided
-
-
 def eliminate_dead_stores(nodes):
     """Backward register liveness; kills pure register defs that are
     overwritten before any read or observation point.  Returns the
@@ -215,7 +192,6 @@ def fuse_pairs(nodes):
 #: checked against.
 PIPELINE = (
     ("insns_folded", fold_constants),
-    ("flags_elided", eliminate_dead_flags),
     ("stores_elided", eliminate_dead_stores),
     ("pairs_fused", fuse_pairs),
 )

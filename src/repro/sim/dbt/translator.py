@@ -10,7 +10,7 @@ benchmarks probe.
 Lowering has one path: the decoded block is lifted into the explicit
 IR (:mod:`repro.sim.dbt.ir`), the peephole pipeline
 (:mod:`repro.sim.dbt.passes`) annotates it -- constant folding, dead
-flag/store elimination, adjacent-pair fusion -- and the emitter turns
+store elimination, adjacent-pair fusion -- and the emitter turns
 each node into Python statements.
 
 Generated blocks follow the contract documented on
@@ -148,13 +148,11 @@ class Translator:
         (disk).  Accounting is the caller's and does not change with
         the cache level that served the block.
         """
-        cfg = self.config
-        cfg_key = cfg.translation_key()
+        cfg_key = self.config.translation_key()
         memo_key = (vaddr, cfg_key)
-        if cfg.memoize:
-            entry = TRANSLATION_MEMO.get(memo_key)
-            if entry is not None and self._entry_matches(memory, paddr, entry):
-                return self._bind(entry, vaddr, paddr)
+        entry = TRANSLATION_MEMO.get(memo_key)
+        if entry is not None and self._entry_matches(memory, paddr, entry):
+            return self._bind(entry, vaddr, paddr)
         insns, word_bytes = self._decode_block(memory, paddr)
         entry = None
         store = codestore.active()
@@ -175,8 +173,7 @@ class Translator:
             entry = _MemoEntry(word_bytes, len(insns), source, namespace["make"])
             if key is not None:
                 store.put(key, (word_bytes, entry.insn_count, source, code))
-        if cfg.memoize:
-            TRANSLATION_MEMO.insert(memo_key, entry)
+        TRANSLATION_MEMO.insert(memo_key, entry)
         return self._bind(entry, vaddr, paddr)
 
     @staticmethod
@@ -236,7 +233,7 @@ class Translator:
         block's Python source."""
         nodes = lift_block(insns, vaddr)
         if METRICS.enabled:
-            with METRICS.phase("translate.opt"):
+            with METRICS.phase("translate.passes"):
                 stats = run_pipeline(nodes)
             for name, count in stats.items():
                 if count:

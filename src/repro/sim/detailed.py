@@ -89,10 +89,9 @@ class DetailedInterpreter(FunctionalCore):
             arch=arch,
             dtlb=SetAssociativeTLB(sets=tlb_sets, ways=tlb_ways),
             itlb=SetAssociativeTLB(sets=16, ways=2),
-            # No decode cache, and therefore no predecoded block
-            # replay either (see FunctionalCore.run): every fetch pays
-            # the full decode, and the per-instruction _pre_execute
-            # micro-op model below would be skipped by block replay.
+            # No decode cache: every fetch pays the full decode.  The
+            # _pre_execute micro-op model below also keeps
+            # FunctionalCore.run stepping one instruction at a time.
             use_decode_cache=False,
         )
         self.mode = mode

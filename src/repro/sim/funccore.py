@@ -23,7 +23,7 @@ PAGE_SHIFT = 12
 
 #: Ops that end a predecoded straight-line run.  Everything in the
 #: ISA's block-end set, plus MCR: a coprocessor write can toggle the
-#: MMU or perform TLB maintenance, and the baseline loop re-fetches
+#: MMU or perform TLB maintenance, and stepping re-fetches
 #: through the updated translation regime on the very next instruction.
 #: (MRC is read-only and safe mid-run.)
 _BLOCK_TERMINALS = frozenset(BLOCK_END_OPS) | {Op.MCR}
@@ -50,14 +50,12 @@ class FunctionalCore(Simulator):
     use_decode_cache:
         Cache decoded instructions by physical address (invalidated on
         stores into cached pages, i.e. self-modifying code is handled).
-    use_block_cache:
-        Additionally cache *predecoded straight-line runs* per physical
-        page and replay them with one fetch translation per entry (a
-        host-only fast path: guest-visible counters are bit-identical
-        to per-instruction dispatch).  Requires the decode cache; falls
-        back to the baseline loop whenever a per-instruction
-        ``_pre_execute`` hook (tracer, debugger, detailed model) is
-        attached.
+        With the decode cache on and no per-instruction ``_pre_execute``
+        hook attached (tracer, debugger, detailed model), :meth:`run`
+        also records *predecoded straight-line runs* per physical page
+        and replays them with one fetch check per run; guest-visible
+        counters are bit-identical to stepping one instruction at a
+        time.
     asid_tagged:
         Model an ASID-tagged data TLB: address-space switches retag
         instead of flushing.  Engines without tagging must flush the
@@ -67,8 +65,9 @@ class FunctionalCore(Simulator):
 
     name = "funccore"
     execution_model = "interpreter"
-    #: Per-instruction dispatch means the ``_pre_execute`` hook sees
-    #: every retired instruction -- Tracer/Debugger can attach.
+    #: Attaching a ``_pre_execute`` hook makes :meth:`run` step one
+    #: instruction at a time, so the hook sees every retired
+    #: instruction -- Tracer/Debugger can attach.
     supports_insn_trace = True
 
     def __init__(
@@ -78,7 +77,6 @@ class FunctionalCore(Simulator):
         dtlb=None,
         itlb=None,
         use_decode_cache=True,
-        use_block_cache=False,
         asid_tagged=False,
     ):
         super().__init__(board, arch)
@@ -91,7 +89,6 @@ class FunctionalCore(Simulator):
         self._dtlb = dtlb if dtlb is not None else SoftTLB(capacity=64)
         self._itlb = itlb if itlb is not None else SoftTLB(capacity=32)
         self._use_decode_cache = use_decode_cache
-        self._use_block_cache = use_block_cache and use_decode_cache
         #: Decoded-instruction cache, one dict per physical page
         #: (``ppage -> {paddr: (word, insn)}``) so an SMC invalidation
         #: drops the whole page in O(1) instead of probing every
@@ -126,7 +123,7 @@ class FunctionalCore(Simulator):
         self._block_pages = {}
         #: Bumped on every code-page invalidation; replay/record loops
         #: compare it per instruction so a self-modifying store bails
-        #: out exactly where the baseline loop would start re-decoding.
+        #: out exactly where stepping would start re-decoding.
         self._block_epoch = 0
         self._cp15.tlb_flush_hook = self._on_tlb_flush
         self._cp15.tlb_invalidate_hook = self._on_tlb_invalidate
@@ -773,23 +770,35 @@ class FunctionalCore(Simulator):
     def _pre_execute_hooked(self):
         """True when per-instruction tooling (a tracer/debugger instance
         attribute) or a subclass override needs to see every retired
-        instruction, which rules out block replay."""
+        instruction, which rules out block replay.  A detached tool puts
+        back the bound base method, which counts as unhooked again."""
         return (
-            "_pre_execute" in self.__dict__
-            or type(self)._pre_execute is not FunctionalCore._pre_execute
+            getattr(self._pre_execute, "__func__", None)
+            is not FunctionalCore._pre_execute
         )
 
     def run(self, max_insns=None):
-        if self._use_block_cache and not self._pre_execute_hooked():
-            return self._run_blocks(max_insns)
+        """Run until halt, deadlock or ``max_insns`` more instructions.
+
+        Each iteration either steps one instruction (:meth:`_step`) or,
+        when the decode cache is on and nothing watches each
+        instruction, records or replays a predecoded straight-line run.
+        Replay is *observationally identical* to stepping: every counter
+        bump, fault delivery and interrupt sample happens at the same
+        guest-instruction boundary; it merely replaces fetch/decode/
+        dict-dispatch per instruction with one fetch-state check per
+        run plus a direct ``(handler, insn)`` call.
+        """
         cpu = self.cpu
         counters = self.counters
         intc = self._intc
-        dispatch = self._dispatch
+        cp15 = self._cp15
+        block_pages = self._block_pages
+        replay = self._use_decode_cache and not self._pre_execute_hooked()
         start = counters.instructions
-        limit = start + max_insns if max_insns is not None else None
+        limit = start + max_insns if max_insns is not None else float("inf")
         while not cpu.halted:
-            if limit is not None and counters.instructions >= limit:
+            if counters.instructions >= limit:
                 return RunResult(ExitReason.LIMIT, None, counters.instructions - start)
             # Interrupts are sampled at instruction boundaries.
             if intc.pending & intc.enable:
@@ -801,48 +810,61 @@ class FunctionalCore(Simulator):
             elif cpu.waiting:
                 return RunResult(ExitReason.DEADLOCK, None, counters.instructions - start)
             pc = cpu.pc
-            try:
-                insn = self._fetch(pc)
-            except Fault as fault:
-                counters.prefetch_aborts += 1
-                self._cp15.record_fault(fault)
-                self._deliver(ExceptionVector.PREFETCH_ABORT, pc)
+            if not replay:
+                self._step(pc)
                 continue
-            except DecodeError:
-                # Architecturally-undefined encoding.
+            state = self._fetch_state
+            if (
+                state is None
+                or state[0] != pc >> PAGE_SHIFT
+                or state[1] != (cpu.psr & PSR_MODE_KERNEL)
+                or state[2] != (cp15.sctlr & 1)
+            ):
+                # Cold fetch page: one step re-arms the state (or
+                # delivers the prefetch abort).
+                self._step(pc)
+                continue
+            ppage = state[5]
+            paddr = (ppage << PAGE_SHIFT) | (pc & 0xFFF)
+            page_blocks = block_pages.get(ppage)
+            block = None if page_blocks is None else page_blocks.get(paddr)
+            if block is None:
+                self._record_block(pc, paddr, state, limit)
+                continue
+            # Replay.  Every entry retires as a decode-cache hit -- the
+            # record pass populated the decode page, and any write that
+            # could stale it bumps the epoch, checked between entries.
+            epoch = self._block_epoch
+            i = 0
+            n = len(block)
+            while True:
+                handler, insn = block[i]
+                counters.decode_hits += 1
                 counters.instructions += 1
-                counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
-                continue
-            counters.instructions += 1
-            self._pre_execute(insn, pc)
-            try:
-                dispatch[insn.op](insn, pc)
-            except Fault as fault:
-                counters.data_aborts += 1
-                self._cp15.record_fault(fault)
-                self._deliver(ExceptionVector.DATA_ABORT, pc)
-            except GuestUndef:
-                counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
+                try:
+                    handler(insn, pc)
+                except Fault as fault:
+                    counters.data_aborts += 1
+                    cp15.record_fault(fault)
+                    self._deliver(ExceptionVector.DATA_ABORT, pc)
+                    break
+                except GuestUndef:
+                    counters.undefs += 1
+                    self._deliver(ExceptionVector.UNDEF, pc + 4)
+                    break
+                i += 1
+                if (
+                    i == n
+                    or self._block_epoch != epoch
+                    or counters.instructions >= limit
+                    or (intc.pending & intc.enable and cpu.psr & PSR_IRQ_ENABLE)
+                ):
+                    break
+                pc = cpu.pc
         return RunResult(ExitReason.HALT, cpu.halt_code, counters.instructions - start)
 
-    # ------------------------------------------------------------------
-    # Predecoded-block run loop (host fast path)
-    # ------------------------------------------------------------------
-    # The block runner must be *observationally identical* to the
-    # baseline loop above: every counter bump, fault delivery and
-    # interrupt sample happens at the same guest-instruction boundary.
-    # It merely replaces fetch/decode/dict-dispatch per instruction
-    # with one fetch-state check per straight-line run plus a direct
-    # ``(handler, insn)`` replay.
     def _step(self, pc):
-        """One baseline-loop iteration body (fetch/decode/dispatch).
-
-        Used by the block runner whenever the last-fetch-page state is
-        cold, so slow-path fetches (translation, aborts, pages too close
-        to a region edge to arm) take exactly the baseline route.
-        """
+        """Fetch, decode and execute the one instruction at ``pc``."""
         counters = self.counters
         try:
             insn = self._fetch(pc)
@@ -852,11 +874,13 @@ class FunctionalCore(Simulator):
             self._deliver(ExceptionVector.PREFETCH_ABORT, pc)
             return
         except DecodeError:
+            # Architecturally-undefined encoding.
             counters.instructions += 1
             counters.undefs += 1
             self._deliver(ExceptionVector.UNDEF, pc + 4)
             return
         counters.instructions += 1
+        self._pre_execute(insn, pc)
         try:
             self._dispatch[insn.op](insn, pc)
         except Fault as fault:
@@ -870,10 +894,10 @@ class FunctionalCore(Simulator):
     def _record_block(self, pc, paddr, state, limit):
         """Execute-and-record a straight-line run starting at ``pc``.
 
-        Execution accounting is the baseline's (``_decode_at`` hit/miss
+        Execution accounting is :meth:`_step`'s (``_decode_at`` hit/miss
         bookkeeping, one ``instructions`` bump per retired insn, the
         same delivery points) so the *first* pass over any code is
-        bit-identical to the plain loop; the ``(handler, insn)`` list is
+        bit-identical to stepping; the ``(handler, insn)`` list is
         stored for replay only if nothing invalidated code mid-run.
         """
         cpu = self.cpu
@@ -930,78 +954,6 @@ class FunctionalCore(Simulator):
             if page is None:
                 page = self._block_pages[start_ppage] = {}
             page[start_paddr] = entries
-
-    def _run_blocks(self, max_insns=None):
-        """Baseline-equivalent run loop over predecoded blocks."""
-        cpu = self.cpu
-        counters = self.counters
-        intc = self._intc
-        cp15 = self._cp15
-        block_pages = self._block_pages
-        start = counters.instructions
-        limit = start + max_insns if max_insns is not None else float("inf")
-        while not cpu.halted:
-            if counters.instructions >= limit:
-                return RunResult(ExitReason.LIMIT, None, counters.instructions - start)
-            # Interrupts are sampled at instruction boundaries.
-            if intc.pending & intc.enable:
-                if cpu.waiting or cpu.psr & PSR_IRQ_ENABLE:
-                    cpu.waiting = False
-                    if cpu.psr & PSR_IRQ_ENABLE:
-                        counters.irqs += 1
-                        self._deliver(ExceptionVector.IRQ, cpu.pc)
-            elif cpu.waiting:
-                return RunResult(ExitReason.DEADLOCK, None, counters.instructions - start)
-            pc = cpu.pc
-            state = self._fetch_state
-            if (
-                state is None
-                or state[0] != pc >> PAGE_SHIFT
-                or state[1] != (cpu.psr & PSR_MODE_KERNEL)
-                or state[2] != (cp15.sctlr & 1)
-            ):
-                # Cold fetch page: one baseline step re-arms the state
-                # (or delivers the abort the baseline loop would).
-                self._step(pc)
-                continue
-            ppage = state[5]
-            paddr = (ppage << PAGE_SHIFT) | (pc & 0xFFF)
-            page_blocks = block_pages.get(ppage)
-            block = None if page_blocks is None else page_blocks.get(paddr)
-            if block is None:
-                self._record_block(pc, paddr, state, limit)
-                continue
-            # Replay.  Every entry retires as a decode-cache hit -- the
-            # record pass populated the decode page, and any write that
-            # could stale it bumps the epoch, checked between entries.
-            epoch = self._block_epoch
-            i = 0
-            n = len(block)
-            while True:
-                handler, insn = block[i]
-                counters.decode_hits += 1
-                counters.instructions += 1
-                try:
-                    handler(insn, pc)
-                except Fault as fault:
-                    counters.data_aborts += 1
-                    cp15.record_fault(fault)
-                    self._deliver(ExceptionVector.DATA_ABORT, pc)
-                    break
-                except GuestUndef:
-                    counters.undefs += 1
-                    self._deliver(ExceptionVector.UNDEF, pc + 4)
-                    break
-                i += 1
-                if (
-                    i == n
-                    or self._block_epoch != epoch
-                    or counters.instructions >= limit
-                    or (intc.pending & intc.enable and cpu.psr & PSR_IRQ_ENABLE)
-                ):
-                    break
-                pc = cpu.pc
-        return RunResult(ExitReason.HALT, cpu.halt_code, counters.instructions - start)
 
     def feature_summary(self):
         return {

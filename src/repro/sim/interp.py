@@ -12,7 +12,9 @@ class FastInterpreter(FunctionalCore):
     interpreter with a single-level memory cache and a simple MMU whose
     TLB-miss path is cheap to evaluate.  Because nothing is translated,
     self-modifying code costs almost nothing extra -- the property that
-    makes it win the Code Generation benchmarks in Figure 7.
+    makes it win the Code Generation benchmarks in Figure 7.  On the
+    host it replays predecoded straight-line runs (see
+    :meth:`FunctionalCore.run`) unless a Tracer or Debugger is attached.
     """
 
     name = "simit"
@@ -24,7 +26,6 @@ class FastInterpreter(FunctionalCore):
         arch=None,
         tlb_capacity=64,
         use_decode_cache=True,
-        use_block_cache=True,
         asid_tagged=False,
     ):
         dtlb = (
@@ -38,7 +39,6 @@ class FastInterpreter(FunctionalCore):
             dtlb=dtlb,
             itlb=SoftTLB(capacity=32),
             use_decode_cache=use_decode_cache,
-            use_block_cache=use_block_cache,
             asid_tagged=asid_tagged,
         )
         self.cost_model = interp_cost_model()

@@ -19,12 +19,8 @@ instruction streams, so they may share one execution and one cache
 entry; their pricing fields are applied afterwards ("execute once,
 price many").  A third kind, **meta**, carries labels (the synthetic
 QEMU version name) that affect neither execution nor pricing but must
-survive serialization.  A fourth, **host**, selects host-side fast
-paths (predecoded block replay, translation memoization) that change
-wallclock only -- guest-visible counters are bit-identical either way,
-so host fields are excluded from structural keys and cache
-fingerprints while still reaching the engine constructor and
-surviving serialization.
+survive serialization.  Host-side fast paths (predecoded block replay,
+translation memoization) are not fields at all: they are always on.
 
 Field values are canonicalized on construction: only JSON scalars,
 lists/tuples and string-keyed dicts are accepted.  Arbitrary objects
@@ -102,10 +98,6 @@ class Field:
     STRUCTURAL = "structural"
     PRICING = "pricing"
     META = "meta"
-    #: Host-only fast-path toggles: reach the constructor, never the
-    #: structural key (toggling them must not split dedup or caches --
-    #: the equivalence suite enforces the counters really don't move).
-    HOST = "host"
 
     __slots__ = ("name", "default", "kind")
 
@@ -182,10 +174,6 @@ class EngineSpec:
     def pricing_values(self):
         """The fields that only affect modeled-time pricing."""
         return self._values(Field.PRICING)
-
-    def host_values(self):
-        """The host-only fast-path toggles (wallclock, never counters)."""
-        return self._values(Field.HOST)
 
     # -- keys and serialization -------------------------------------------
     def structural_key(self):
@@ -305,14 +293,8 @@ class EngineSpec:
 
     # -- construction / pricing -------------------------------------------
     def constructor_kwargs(self):
-        """Keyword arguments for :attr:`simulator_class` construction.
-
-        Structural fields plus host fast-path toggles: the latter shape
-        how the engine executes on the host without moving any counter.
-        """
-        kwargs = self.structural_values()
-        kwargs.update(self.host_values())
-        return kwargs
+        """Keyword arguments for :attr:`simulator_class` construction."""
+        return self.structural_values()
 
     def build(self, board, arch=None):
         """Instantiate the configured simulator on ``board``."""
@@ -372,7 +354,6 @@ class EngineSpec:
             "supports_block_trace": self.supports_block_trace,
             "structural": self.structural_values(),
             "pricing": self.pricing_values(),
-            "host": self.host_values(),
         }
 
     def __repr__(self):
@@ -401,7 +382,6 @@ class DBTSpec(EngineSpec):
         Field("asid_tagged", False),
         Field("cost_overrides", {}, Field.PRICING),
         Field("version", None, Field.META),
-        Field("memoize", True, Field.HOST),
     )
     #: Toggle pairs for single-feature attribution.  ``tlb_bits``
     #: mirrors the simulated QEMU history's one structural change
@@ -431,7 +411,6 @@ class DBTSpec(EngineSpec):
             cost_overrides=dict(self.cost_overrides),
             version=self.version,
             asid_tagged=self.asid_tagged,
-            memoize=self.memoize,
         )
 
     @classmethod
@@ -446,7 +425,6 @@ class DBTSpec(EngineSpec):
             asid_tagged=config.asid_tagged,
             cost_overrides=dict(config.cost_overrides),
             version=config.version,
-            memoize=config.memoize,
         )
 
     @classmethod
@@ -486,7 +464,6 @@ class InterpSpec(EngineSpec):
         Field("tlb_capacity", 64),
         Field("use_decode_cache", True),
         Field("asid_tagged", False),
-        Field("use_block_cache", True, Field.HOST),
     )
     ablations = {
         "tlb_capacity": (64, 256),

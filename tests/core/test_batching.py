@@ -6,8 +6,8 @@ Contracts under test:
 - chunk planning shards by engine structural key: a chunk never mixes
   keys, covers every pending index exactly once, and preserves
   submission order (groups in first-seen order, members in order);
-- chunk sizing: an explicit ``chunk_size`` wins; otherwise every run
-  cuts a few chunks per worker, ``ceil(pending / (4 * workers))``;
+- chunk sizing: every run cuts a few chunks per worker,
+  ``ceil(pending / (4 * workers))``;
 - the wire payload is compact: engine specs are interned per chunk and
   shipped as defaults-stripped deltas, benchmarks by registry name
   (ad-hoc objects by value), and shipped bytes feed the
@@ -15,7 +15,7 @@ Contracts under test:
 - the pool is persistent across :meth:`ExperimentRunner.run` calls and
   shuts down on :meth:`close` / context-manager exit;
 - chunked parallel execution is bit-for-bit equal to serial on a mixed
-  multi-engine grid, whatever the chunk size;
+  multi-engine grid, at every worker count;
 - dispatch observability: ``runner.dispatch``/``runner.chunk`` phase
   timers and the ``runner.chunk_size`` histogram are recorded, and the
   pool-path extras (``chunks``/``chunk_splits``/``payload_bytes``)
@@ -75,8 +75,8 @@ def _simit_grid(iterations=10):
 
 class TestChunkPlanning:
     def test_chunks_never_mix_structural_keys(self):
-        runner = ExperimentRunner(jobs=2, chunk_size=2)
-        specs = _mixed_grid()
+        runner = ExperimentRunner(jobs=2)
+        specs = _mixed_grid()  # 9 jobs over 2 workers: ceil(9 / 8) = 2 per chunk
         chunks = runner._plan_chunks(specs)
         for chunk in chunks:
             keys = {specs[index].structural_key() for index in chunk}
@@ -87,7 +87,8 @@ class TestChunkPlanning:
     def test_chunks_preserve_submission_order(self):
         # Interleaved keys A,B,A,B,A,B regroup to A-chunks then
         # B-chunks (first-seen order), members in submission order.
-        runner = ExperimentRunner(jobs=2, chunk_size=2)
+        # One worker: ceil(6 / 4) = 2 jobs per chunk.
+        runner = ExperimentRunner(jobs=1)
         benchmarks = _ok_benchmarks()
         specs = []
         for benchmark in benchmarks:
@@ -96,18 +97,14 @@ class TestChunkPlanning:
         chunks = runner._plan_chunks(specs)
         assert chunks == [[0, 2], [4], [1, 3], [5]]
 
-    def test_explicit_chunk_size_wins(self):
-        runner = ExperimentRunner(jobs=4, chunk_size=7)
-        assert runner._auto_chunk_size(100, 4) == 7
-
     def test_first_run_falls_back_to_share(self):
         runner = ExperimentRunner(jobs=4)
         # A few chunks per worker -- on the first run and every later
         # one (nothing is learned from earlier runs).
-        assert runner._auto_chunk_size(144, 4) == 9  # ceil(144 / (4*4))
-        assert runner._auto_chunk_size(3, 2) == 1
+        assert runner._chunk_size(144, 4) == 9  # ceil(144 / (4*4))
+        assert runner._chunk_size(3, 2) == 1
         runner.run(_simit_grid())
-        assert runner._auto_chunk_size(144, 4) == 9
+        assert runner._chunk_size(144, 4) == 9
 
 
 class TestCompactPayloads:
@@ -144,7 +141,7 @@ class TestCompactPayloads:
         serial = ExperimentRunner(jobs=1).run(
             [JobSpec(LocalOnlyBenchmark(), "simit", ARM, VEXPRESS, 10)]
         )
-        with ExperimentRunner(jobs=2, chunk_size=1) as runner:
+        with ExperimentRunner(jobs=2) as runner:
             parallel = runner.run(
                 [
                     JobSpec(LocalOnlyBenchmark(), "simit", ARM, VEXPRESS, 10),
@@ -183,8 +180,9 @@ class TestChunkedDeterminism:
     def test_mixed_grid_matches_serial_at_every_chunk_size(self):
         specs = _mixed_grid
         serial = ExperimentRunner(jobs=1).run(specs())
-        for chunk_size in (None, 1, 4):
-            with ExperimentRunner(jobs=3, chunk_size=chunk_size) as runner:
+        # 9 jobs: chunks of 2 at jobs=2, singletons at jobs=3 and 4.
+        for jobs in (2, 3, 4):
+            with ExperimentRunner(jobs=jobs) as runner:
                 parallel = runner.run(specs())
                 assert _comparable(parallel) == _comparable(serial)
 
@@ -192,7 +190,7 @@ class TestChunkedDeterminism:
         # Structural repeats dedup to one execution before chunking;
         # the merge still prices every submitted spec.
         specs = _simit_grid() + _simit_grid()
-        with ExperimentRunner(jobs=2, chunk_size=2) as runner:
+        with ExperimentRunner(jobs=2) as runner:
             results = runner.run(specs)
             assert len(results) == len(specs)
             assert runner.last_stats["unique"] == len(specs) // 2
@@ -204,7 +202,7 @@ class TestChunkedDeterminism:
 class TestDispatchObservability:
     def test_dispatch_instruments_recorded(self):
         METRICS.enable()
-        with ExperimentRunner(jobs=2, chunk_size=2) as runner:
+        with ExperimentRunner(jobs=2) as runner:
             runner.run(_mixed_grid())
             snap = METRICS.snapshot()
             assert snap["phases"]["runner.dispatch"]["count"] == runner.last_stats["chunks"]
@@ -224,7 +222,7 @@ class TestDispatchObservability:
             assert key not in runner.last_stats
 
     def test_pool_run_reports_chunk_stats(self):
-        with ExperimentRunner(jobs=2, chunk_size=2) as runner:
+        with ExperimentRunner(jobs=2) as runner:
             runner.run(_mixed_grid())
             assert runner.last_stats["chunks"] >= 3
             assert runner.last_stats["chunk_size"] == 2

@@ -117,6 +117,16 @@ def _grid(*benchmarks, engine="simit", iterations=10):
     ]
 
 
+def _chunk_mates(first):
+    """``first`` followed by nine cheap jobs: ten pending jobs over two
+    workers make chunks of ``ceil(10 / 8) = 2``, so ``first`` shares
+    its chunk with a healthy neighbour."""
+    return _grid(first) + [
+        JobSpec(get_benchmark("System Call"), "simit", ARM, VEXPRESS, iterations)
+        for iterations in range(10, 19)
+    ]
+
+
 def _ok_benchmarks():
     return [get_benchmark("System Call"), get_benchmark("TLB Flush"),
             get_benchmark("Hot Memory Access")]
@@ -203,15 +213,15 @@ class TestWorkerDeathFallback:
 
 
 class TestChunkedFaults:
-    """The PR 3 guarantees under *batched* dispatch: forcing the whole
-    grid into one multi-job chunk must not widen any failure's blast
-    radius beyond the offending job."""
+    """Fault isolation under *batched* dispatch: a failing job that
+    shares a multi-job chunk (:func:`_chunk_mates`) must not widen its
+    blast radius beyond itself."""
 
     def test_crash_inside_chunk_quarantines_one_job(self):
-        benchmarks = [CrashingBenchmark()] + _ok_benchmarks()
-        with ExperimentRunner(jobs=2, chunk_size=len(benchmarks)) as runner:
-            results = runner.run(_grid(*benchmarks))
-            assert [res.status for res in results] == ["crashed", "ok", "ok", "ok"]
+        with ExperimentRunner(jobs=2) as runner:
+            results = runner.run(_chunk_mates(CrashingBenchmark()))
+            assert runner.last_stats["chunk_size"] == 2
+            assert [res.status for res in results] == ["crashed"] + ["ok"] * 9
             # The crash was contained inside the worker: the chunk came
             # back whole and nothing fell through to the parent.
             assert runner.last_stats["worker_lost"] == 0
@@ -219,30 +229,28 @@ class TestChunkedFaults:
             assert runner.last_stats["chunk_splits"] == 0
 
     def test_timeout_inside_chunk_quarantines_one_job(self):
-        with ExperimentRunner(
-            jobs=2, deadline=0.15, retries=0, chunk_size=2
-        ) as runner:
-            results = runner.run(
-                _grid(SleepyBenchmark(), get_benchmark("System Call"))
-            )
-            # Both jobs share one chunk; the worker-side watchdog turns
-            # the sleeper into a timeout row without losing its chunk
-            # neighbour (the deadline stays per-job under chunking).
-            assert [res.status for res in results] == ["timeout", "ok"]
+        with ExperimentRunner(jobs=2, deadline=0.15, retries=0) as runner:
+            results = runner.run(_chunk_mates(SleepyBenchmark()))
+            # The sleeper shares a chunk; the worker-side watchdog turns
+            # it into a timeout row without losing its chunk neighbour
+            # (the deadline stays per-job under chunking).
+            assert runner.last_stats["chunk_size"] == 2
+            assert [res.status for res in results] == ["timeout"] + ["ok"] * 9
             assert runner.last_stats["worker_lost"] == 0
 
     def test_worker_death_in_chunk_splits_and_recovers(self):
-        benchmarks = [WorkerKillerBenchmark()] + _ok_benchmarks()
-        serial = ExperimentRunner(jobs=1).run(_grid(*benchmarks))
-        with ExperimentRunner(jobs=2, chunk_size=len(benchmarks)) as runner:
-            parallel = runner.run(_grid(*benchmarks))
+        specs = _chunk_mates(WorkerKillerBenchmark())
+        serial = ExperimentRunner(jobs=1).run(specs)
+        with ExperimentRunner(jobs=2) as runner:
+            parallel = runner.run(specs)
             # The dying worker takes its whole chunk down; the split
             # round resubmits the lost jobs as singleton chunks, so
             # only the killer cell (plus whatever died with it) falls
             # through to the parent -- and the merged grid is still
             # bit-for-bit the serial one, in submission order.
+            assert runner.last_stats["chunk_size"] == 2
             assert [res.benchmark for res in parallel] == [
-                b.name for b in benchmarks
+                spec.benchmark.name for spec in specs
             ]
             assert all(res.ok for res in parallel)
             assert _comparable(parallel) == _comparable(serial)

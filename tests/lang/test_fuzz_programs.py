@@ -10,7 +10,8 @@ just its inputs.
 Also checks that the constant-immediate peephole changes instruction
 counts but never results, and that the DBT's peephole pass pipeline
 changes nothing guest-visible -- full counter snapshot included -- on
-the same random programs.
+the same random programs, and neither does the functional core's
+predecoded-block replay.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from repro.lang import compile_minic
 from repro.lang.parser import parse
 from tests.lang.oracle import Oracle
 from tests.lang.util import minic_image, run_minic
-from tests.sim.util import assert_pipeline_neutral
+from tests.sim.util import assert_pipeline_neutral, assert_replay_neutral
 
 _VARS = ("a", "b", "c")
 _BINOPS = ("+", "-", "*", "&", "|", "^", "<<", ">>", "/", "%")
@@ -138,6 +139,13 @@ class TestDBTPassPipeline:
     @given(source=minic_program(), seed=st.integers(min_value=0, max_value=0xFFFF))
     def test_passes_are_guest_invisible(self, source, seed):
         assert_pipeline_neutral(minic_image(source, (seed,)), max_insns=2_000_000)
+
+
+class TestBlockReplay:
+    @settings(max_examples=10, deadline=None)
+    @given(source=minic_program(), seed=st.integers(min_value=0, max_value=0xFFFF))
+    def test_replay_is_guest_invisible(self, source, seed):
+        assert_replay_neutral(minic_image(source, (seed,)), max_insns=2_000_000)
 
 
 class TestPeepholeEffect:

@@ -25,7 +25,6 @@ from repro.sim.dbt import DBTConfig
 from repro.sim.dbt import codestore
 from repro.sim.dbt.ir import lift_block
 from repro.sim.dbt.passes import (
-    eliminate_dead_flags,
     eliminate_dead_stores,
     fold_constants,
     fuse_pairs,
@@ -95,42 +94,6 @@ class TestFoldConstants:
         fold_constants(nodes)
         assert nodes[1].const_value == 2
         assert nodes[3].const_value == 0
-
-
-class TestDeadFlagElimination:
-    def test_overwritten_cmp_dies(self):
-        nodes = lift(
-            [
-                encode(Op.CMP, rn=0, rm=1),
-                encode(Op.CMPI, rn=2, imm=0),
-                encode(Op.B, imm=2, cond=Cond.EQ),
-            ]
-        )
-        assert eliminate_dead_flags(nodes) == 1
-        assert nodes[0].dead
-        assert not nodes[1].dead
-
-    def test_read_flags_must_not_die(self):
-        nodes = lift(
-            [
-                encode(Op.CMP, rn=0, rm=1),
-                encode(Op.B, imm=2, cond=Cond.NE),
-            ]
-        )
-        assert eliminate_dead_flags(nodes) == 0
-
-    def test_observation_point_keeps_flags_live(self):
-        # The store may fault; the fault handler observes the flags the
-        # first CMP wrote, so it must survive the overwrite after it.
-        nodes = lift(
-            [
-                encode(Op.CMP, rn=0, rm=1),
-                encode(Op.STR, rd=2, rn=3),
-                encode(Op.CMPI, rn=2, imm=0),
-                encode(Op.B, imm=2, cond=Cond.EQ),
-            ]
-        )
-        assert eliminate_dead_flags(nodes) == 0
 
 
 class TestDeadStoreElimination:
@@ -288,7 +251,6 @@ class TestKeyCompleteness:
         "cost_overrides": {"instructions": 123.0},
         "version": "v9.9.9",
         "asid_tagged": True,
-        "memoize": False,
     }
 
     def test_variant_table_covers_every_field(self):

@@ -173,3 +173,12 @@ class TestInspection:
         debugger.cont(max_insns=2)
         assert engine._pre_execute == original_pre
         assert engine._mem_write == original_write
+
+    def test_detach_reenables_block_replay(self, debugger):
+        # The hooks live on the engine only while the debugger runs it;
+        # afterwards a plain engine.run replays predecoded blocks.
+        engine = debugger.engine
+        debugger.cont(max_insns=2)
+        assert not engine._pre_execute_hooked()
+        assert engine.run(max_insns=10_000).halted_ok
+        assert engine._block_pages

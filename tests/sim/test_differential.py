@@ -7,7 +7,9 @@ engine produces the same final register file, memory contents and UART
 output.  A DBT arm also runs every program with the peephole pass
 pipeline on and emptied, and asserts the full counter snapshot matches
 too: random shapes hit constant folding and pair fusion far harder
-than the fixed benchmarks do.
+than the fixed benchmarks do.  A replay arm runs every program on the
+replaying functional-core engines with predecoded-block replay and with
+per-instruction stepping, and asserts the same.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,11 @@ from repro.arch import ARM
 from repro.isa.assembler import assemble
 from repro.machine import Board
 from repro.platform import VEXPRESS
-from tests.sim.util import ALL_ENGINES, assert_pipeline_neutral
+from tests.sim.util import (
+    ALL_ENGINES,
+    assert_pipeline_neutral,
+    assert_replay_neutral,
+)
 
 _WORK_REGS = ("r1", "r2", "r3", "r4", "r5")
 
@@ -138,9 +144,12 @@ def _assert_agreement(outcomes):
 
 
 def _check(source):
-    """Every engine agrees, and the DBT's passes change nothing."""
+    """Every engine agrees, the DBT's passes change nothing, and
+    neither does predecoded-block replay."""
     _assert_agreement(_run_everywhere(source))
-    assert_pipeline_neutral(assemble(source))
+    program = assemble(source)
+    assert_pipeline_neutral(program)
+    assert_replay_neutral(program)
 
 
 class TestStraightLine:

@@ -1,25 +1,36 @@
-"""Bit-identical guest behaviour with every host fast path toggled.
+"""Bit-identical guest behaviour on every host fast path.
 
-The fast-path subsystem (predecoded block interpretation in the
-interpreters, translation memoization and the peephole pass pipeline
-in the DBT engine, the persistent cross-run code cache) buys host
-wallclock only: guest-visible counter deltas and modeled results must
-be bit-for-bit identical with each layer on vs off, across the full
-18-benchmark suite on both arch profiles.  Self-modifying code must invalidate
+The fast-path subsystem (predecoded block replay in the functional
+core, translation memoization and the peephole pass pipeline in the
+DBT engine, the persistent cross-run code cache) buys host wallclock
+only: guest-visible counter deltas and modeled results must be
+bit-for-bit identical to the slow path it replaces, across the full
+18-benchmark suite on both arch profiles.  None of them is an engine
+option: replay is compared with per-instruction stepping forced by a
+no-op ``_pre_execute`` hook, the memo with a cleared memo, the passes
+with an emptied pipeline.  Self-modifying code must invalidate
 predecoded block lists exactly as it invalidates the decode cache.
 """
 
 import pytest
 
-from repro.arch import get_arch
+from repro.arch import ARM, get_arch
 from repro.core import SUITE, Harness
+from repro.exp.manifest import Manifest
+from repro.machine import Board
 from repro.obs.metrics import METRICS
-from repro.platform import get_platform
-from repro.sim import DBTSimulator, FastInterpreter
+from repro.platform import VEXPRESS, get_platform
+from repro.sim import DBTSimulator, DetailedInterpreter, FastInterpreter, NativeMachine
 from repro.sim.dbt import codestore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
 from repro.sim.spec import spec_for
-from tests.sim.util import reference_lowering, run_asm
+from tests.sim.util import (
+    REPLAY_ENGINES,
+    bare_program,
+    reference_lowering,
+    run_asm,
+    stepping_engines,
+)
 
 ITERATIONS = 2
 _PLATFORM = {"arm": "vexpress", "x86": "pcplat"}
@@ -85,20 +96,21 @@ def _observe(harness, bench, arch_name, spec):
 @pytest.mark.parametrize("bench", SUITE, ids=BENCH_IDS)
 class TestToggleEquivalence:
     def test_interp_block_cache(self, harness, bench, arch_name):
-        on = _observe(
-            harness, bench, arch_name, spec_for("simit", use_block_cache=True)
-        )
-        off = _observe(
-            harness, bench, arch_name, spec_for("simit", use_block_cache=False)
-        )
-        assert on == off
+        # Predecoded-block replay against per-instruction stepping on
+        # every engine that replays.
+        for sim in ("simit", "native", "qemu-kvm"):
+            spec = spec_for(sim)
+            replayed = _observe(harness, bench, arch_name, spec)
+            with stepping_engines():
+                stepped = _observe(harness, bench, arch_name, spec)
+            assert replayed == stepped, sim
 
     def test_dbt_memoization(self, harness, bench, arch_name):
+        spec = spec_for("qemu-dbt")
         TRANSLATION_MEMO.clear()
-        on = _observe(harness, bench, arch_name, spec_for("qemu-dbt", memoize=True))
-        TRANSLATION_MEMO.clear()
-        off = _observe(harness, bench, arch_name, spec_for("qemu-dbt", memoize=False))
-        assert on == off
+        cold = _observe(harness, bench, arch_name, spec)
+        warm = _observe(harness, bench, arch_name, spec)  # memo hits
+        assert warm == cold
 
     def test_dbt_pass_pipeline(self, pipeline_sweep, bench, arch_name):
         # The peephole passes rearrange host code only: every
@@ -126,12 +138,16 @@ class TestToggleEquivalence:
             assert on == off
 
     def test_dbt_persistent_store(self, harness, bench, arch_name, tmp_path):
-        # memoize off forces every translate through the disk store.
-        spec = spec_for("qemu-dbt", memoize=False)
+        # Clearing the memo before each pass sends every first
+        # translate of a block through the disk store.
+        spec = spec_for("qemu-dbt")
+        TRANSLATION_MEMO.clear()
         baseline = _observe(harness, bench, arch_name, spec)
         try:
             codestore.configure(str(tmp_path / "code"))
+            TRANSLATION_MEMO.clear()
             cold = _observe(harness, bench, arch_name, spec)  # fills the store
+            TRANSLATION_MEMO.clear()
             warm = _observe(harness, bench, arch_name, spec)  # loads from it
         finally:
             codestore.configure(None)
@@ -139,22 +155,28 @@ class TestToggleEquivalence:
         assert warm == baseline
 
 
-class TestHostFieldNeutrality:
-    """Host-only knobs must not move structural identity: toggling
-    them cannot change cache keys or dedup groups."""
+class TestNoHostKnobs:
+    """The host fast paths are not engine options: naming one is the
+    same unknown-option error as any other misspelt field."""
 
-    def test_interp_block_cache_is_host_only(self):
-        on = spec_for("simit", use_block_cache=True)
-        off = spec_for("simit", use_block_cache=False)
-        assert on.structural_key() == off.structural_key()
-        assert on.cache_key_payload() == off.cache_key_payload()
-        assert on != off  # identity still distinguishes them
+    @pytest.mark.parametrize(
+        "engine, option",
+        [("simit", "use_block_cache"), ("qemu-dbt", "memoize")],
+    )
+    def test_spec_rejects_removed_option(self, engine, option):
+        with pytest.raises(ValueError, match="unknown engine option"):
+            spec_for(engine, **{option: False})
 
-    def test_dbt_memoize_is_host_only(self):
-        on = spec_for("qemu-dbt", memoize=True)
-        off = spec_for("qemu-dbt", memoize=False)
-        assert on.structural_key() == off.structural_key()
-        assert on.cache_key_payload() == off.cache_key_payload()
+    def test_manifest_rejects_removed_option(self, tmp_path):
+        path = tmp_path / "memo-off.toml"
+        path.write_text(
+            "[manifest]\nschema = 1\nname = \"memo-off\"\n\n"
+            "[[grid]]\narch = \"arm\"\n"
+            "engines = [{ engine = \"qemu-dbt\", fields = { memoize = false } }]\n"
+            "benchmarks = [\"system-call\"]\n"
+        )
+        with pytest.raises(ValueError, match="unknown engine option"):
+            Manifest.load(path)
 
 
 class TestPassCensus:
@@ -197,29 +219,81 @@ f:
 """
 
 
+@pytest.mark.parametrize(
+    "engine_cls", [FastInterpreter, NativeMachine], ids=["simit", "native"]
+)
 class TestPredecodedBlockInvalidation:
-    def test_smc_counters_identical_with_blocks(self):
+    def test_smc_counters_identical_with_blocks(self, engine_cls):
         runs = {}
-        for flag in (False, True):
-            engine, board, res = run_asm(
-                FastInterpreter, SMC_BODY, use_block_cache=flag
-            )
+        for step in (False, True):
+            engine, board, res = run_asm(engine_cls, SMC_BODY, step=step)
             assert res.halted_ok
             assert board.cpu.regs[4] == 20
-            runs[flag] = engine.counters.snapshot()
-        assert runs[True] == runs[False]
-        assert runs[True]["smc_invalidations"] >= 19
+            runs[step] = engine.counters.snapshot()
+        assert runs[False] == runs[True]
+        assert runs[False]["smc_invalidations"] >= 19
 
-    def test_modified_code_takes_effect_in_replay(self):
+    def test_modified_code_takes_effect_in_replay(self, engine_cls):
         # The store to `f` must drop the predecoded block so the
         # second call replays the *patched* instruction.
-        for flag in (False, True):
-            engine, board, res = run_asm(
-                FastInterpreter, PATCH_BODY, use_block_cache=flag
-            )
+        for step in (False, True):
+            engine, board, res = run_asm(engine_cls, PATCH_BODY, step=step)
             assert res.halted_ok
             assert board.cpu.regs[6] == 1
             assert board.cpu.regs[4] == 2
+
+
+LOOP_BODY = """
+    movi r1, 10
+loop:
+    addi r2, r2, 1
+    subi r1, r1, 1
+    cmpi r1, 0
+    bne loop
+    halt #0
+"""
+
+
+class TestReplayCondition:
+    """Replay runs exactly when the decode cache is on and nothing
+    watches each instruction; there is no option to turn it off."""
+
+    @pytest.mark.parametrize(
+        "engine_cls", REPLAY_ENGINES, ids=[cls.name for cls in REPLAY_ENGINES]
+    )
+    def test_replays_unless_hooked(self, engine_cls):
+        replayed, board, res = run_asm(engine_cls, LOOP_BODY)
+        assert res.halted_ok and board.cpu.regs[2] == 10
+        assert replayed._block_pages  # the loop body was recorded
+        stepped, board, res = run_asm(engine_cls, LOOP_BODY, step=True)
+        assert res.halted_ok and board.cpu.regs[2] == 10
+        assert not stepped._block_pages
+        assert stepped.counters.snapshot() == replayed.counters.snapshot()
+
+    def test_gem5_steps(self):
+        # No decode cache and a subclass _pre_execute: never replays.
+        engine, board, res = run_asm(DetailedInterpreter, LOOP_BODY)
+        assert res.halted_ok and board.cpu.regs[2] == 10
+        assert engine._pre_execute_hooked()
+        assert not engine._block_pages
+
+    def test_hook_sees_each_instruction_after_the_bump(self):
+        # _step calls the hook between the instructions bump and
+        # dispatch: the count already includes the instruction, and
+        # the pc has not moved on yet.
+        board = Board(VEXPRESS)
+        board.load(bare_program(LOOP_BODY))
+        engine = FastInterpreter(board, arch=ARM)
+        seen = []
+        engine._pre_execute = lambda insn, pc: seen.append(
+            (engine.counters.instructions, pc, engine.cpu.pc)
+        )
+        res = engine.run(max_insns=10_000)
+        assert res.halted_ok and board.cpu.regs[2] == 10
+        assert [count for count, _, _ in seen] == list(
+            range(1, engine.counters.instructions + 1)
+        )
+        assert all(pc == cpu_pc for _, pc, cpu_pc in seen)
 
 
 class TestRetranslationCounter:

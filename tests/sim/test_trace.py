@@ -63,6 +63,16 @@ class TestTracer:
         tracer.detach()
         assert engine._pre_execute == original
 
+    def test_detach_reenables_block_replay(self):
+        # An attached hook makes the engine step; after detach it must
+        # count as unhooked again and replay predecoded blocks.
+        engine = _engine(FastInterpreter)
+        with Tracer(engine):
+            assert engine._pre_execute_hooked()
+        assert not engine._pre_execute_hooked()
+        assert engine.run(max_insns=1000).halted_ok
+        assert engine._block_pages
+
     def test_double_attach_rejected(self):
         engine = _engine(FastInterpreter)
         tracer = Tracer(engine).attach()
