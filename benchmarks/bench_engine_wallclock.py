@@ -12,8 +12,9 @@ and max of :data:`MATRIX_RUNS` runs.
 Three guest kernels stress the three hot paths:
 
 - ``hot-loop``  -- ALU-bound straight-line loop (dispatch cost);
-- ``mem-loop``  -- load/store-bound loop walking a buffer (the
-  ``_mem_read``/``_mem_write`` fast path);
+- ``mem-loop``  -- load/store-bound loop walking a buffer with the MMU
+  on, booted as every benchmark program is (the DBT's inline softmmu
+  hit, the functional cores' ``_mem_read``/``_mem_write`` fast path);
 - ``exc-loop``  -- SWI-per-iteration loop through a real vector table
   (exception entry/return, which predecoded blocks must not break).
 
@@ -43,7 +44,9 @@ import time
 import pytest
 
 from repro.arch import ARM
+from repro.arch.base import AsmWriter
 from repro.core import Harness, get_benchmark
+from repro.core.program import ProgramBuilder
 from repro.isa.assembler import assemble
 from repro.machine import Board
 from repro.platform import VEXPRESS
@@ -84,8 +87,8 @@ loop:
 MEM_LOOP = """
 .org 0x8000
 _start:
-    li sp, 0x100000
-    li r1, %d
+%(boot)s
+    li r1, %(outer)d
 outer:
     li r3, 0x20000
     li r5, 64
@@ -132,12 +135,22 @@ other_handler:
 """
 
 
+def mmu_boot():
+    """The reset path of a benchmark program built with
+    ``enable_mmu=True``: stack, VBAR, page tables for the default
+    regions, then SCTLR bit 0."""
+    w = AsmWriter()
+    regions = ProgramBuilder(ARM, VEXPRESS).default_regions()
+    ARM.emit_boot(w, VEXPRESS, regions, enable_mmu=True)
+    return w.text
+
+
 def kernels(scale=1):
     """The three guest kernels at 1/scale of their full iteration
     counts (quick mode uses scale=4)."""
     return {
         "hot-loop": HOT_LOOP % max(HOT_LOOP_ITERS // scale, 1000),
-        "mem-loop": MEM_LOOP % max(MEM_LOOP_OUTER // scale, 20),
+        "mem-loop": MEM_LOOP % {"boot": mmu_boot(), "outer": max(MEM_LOOP_OUTER // scale, 20)},
         "exc-loop": EXC_LOOP % max(EXC_LOOP_ITERS // scale, 500),
     }
 

@@ -11,8 +11,9 @@ within a run.
 
 Keys are content addresses: SHA-256 over the CPython bytecode magic
 (marshalled code objects are only loadable by the interpreter version
-that produced them), :meth:`DBTConfig.translation_key`, the virtual
-start address and the block's instruction bytes.  Any of those
+that produced them), :data:`CODEGEN_VERSION`,
+:meth:`DBTConfig.translation_key`, the virtual start address and the
+block's instruction bytes.  Any of those
 changing produces a different key, so stale entries are never
 *loaded* -- at worst they sit unused until ``repro cache clear``.
 
@@ -66,10 +67,20 @@ class CodeStore(DirectoryStore):
             fh.write(marshal.dumps(payload))
 
 
+#: Version of the code the translator emits.  Bump it whenever the
+#: emitted source changes for the same inputs -- a new inline path, a
+#: renamed engine helper -- so entries lowered by an older emitter are
+#: never loaded.
+#:
+#: 2: LDR/STR/LDRB/STRB probe the softmmu TLB slot inline.
+CODEGEN_VERSION = 2
+
+
 def block_key(translation_key, vaddr, word_bytes):
     """Content address for one compiled block."""
     digest = hashlib.sha256()
     digest.update(importlib.util.MAGIC_NUMBER)
+    digest.update(CODEGEN_VERSION.to_bytes(4, "little"))
     digest.update(repr(translation_key).encode("utf-8"))
     digest.update(vaddr.to_bytes(4, "little"))
     digest.update(word_bytes)

@@ -16,6 +16,20 @@ PAGE_SHIFT = 12
 FTLB_CAPACITY = 4096
 
 
+def _perm_mask(entry):
+    """The softmmu slot's permission mask for a data mapping: bit
+    ``access << 1 | kernel`` is set when ``entry`` allows that access
+    (``AccessType.READ``/``WRITE``) in that mode (``kernel`` is the
+    PSR mode bit), so translated code tests one bit instead of calling
+    :meth:`TranslationResult.allows`."""
+    mask = 0
+    for access in (AccessType.READ, AccessType.WRITE):
+        for kernel in (0, 1):
+            if entry.allows(access, kernel):
+                mask |= 1 << (access << 1 | kernel)
+    return mask
+
+
 class GuestUndef(Exception):
     """Raised by helpers when the current instruction must UNDEF."""
 
@@ -56,6 +70,14 @@ class DBTSimulator(Simulator):
         self._code_pages = self._tcache.pages
         self._exec_pages = set()
         tlb_size = 1 << self.config.tlb_bits
+        #: Direct-mapped softmmu slots, ``None`` or ``(key, hit_mask,
+        #: data, offset, ppn, perms)``: ``key`` is the vpage plus ASID
+        #: tag, ``perms`` the :func:`_perm_mask` of the mapping and
+        #: ``ppn`` its physical page number.  RAM pages carry the
+        #: region's buffer and the page's offset in it, and
+        #: ``hit_mask == perms``; device pages carry ``None`` and a
+        #: ``hit_mask`` of 0, so translated code's inline hit path
+        #: (which tests ``hit_mask``) always falls back to a helper.
         self._tlb = [None] * tlb_size
         self._tlb_mask = tlb_size - 1
         #: Per-ASID softmmu arrays (QEMU keeps per-MMU-mode TLBs; we
@@ -132,11 +154,15 @@ class DBTSimulator(Simulator):
         self.counters.ptw_levels += result.levels
         entry = result.narrow(vaddr)
         key = (vaddr >> PAGE_SHIFT) | self._asid_tag
+        perms = _perm_mask(entry)
+        ppn = entry.ppage >> PAGE_SHIFT
         region = self._memory.find_ram(entry.ppage, 1)
         if region is not None:
-            slot = (key, entry, region.data, entry.ppage - region.base)
+            slot = (key, perms, region.data, entry.ppage - region.base, ppn, perms)
         else:
-            slot = (key, entry, None, 0)
+            # Device page: an inline mask of 0 sends every translated
+            # access to the helper, which performs the MMIO.
+            slot = (key, 0, None, 0, ppn, perms)
         index = (vaddr >> PAGE_SHIFT) & self._tlb_mask
         old = self._tlb[index]
         if old is not None and old[0] != slot[0]:
@@ -150,7 +176,7 @@ class DBTSimulator(Simulator):
             self.counters.tlb_hits += 1
         else:
             slot = self._fill_tlb(vaddr, access, kernel)
-        if not slot[1].allows(access, kernel):
+        if not slot[5] >> (access << 1 | kernel) & 1:
             raise Fault(FaultType.PERMISSION, vaddr, access)
         return slot
 
@@ -177,7 +203,7 @@ class DBTSimulator(Simulator):
             if data is not None:
                 off = slot[3] + (vaddr & 0xFFF)
                 return int.from_bytes(data[off : off + size], "little")
-            return self._device_read(slot[1].ppage | (vaddr & 0xFFF), size, vaddr)
+            return self._device_read(slot[4] << PAGE_SHIFT | (vaddr & 0xFFF), size, vaddr)
         # MMU off: physical access.
         region = self._memory.find_ram(vaddr, size)
         if region is not None:
@@ -194,13 +220,13 @@ class DBTSimulator(Simulator):
                 data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
                     size, "little"
                 )
-                ppage = (slot[1].ppage | (vaddr & 0xFFF)) >> PAGE_SHIFT
+                ppage = slot[4]
                 if ppage in self._exec_pages:
                     self.counters.code_writes += 1
                 if ppage in self._code_pages:
                     self._invalidate_code_page(ppage)
                 return
-            self._device_write(slot[1].ppage | (vaddr & 0xFFF), value, size, vaddr)
+            self._device_write(slot[4] << PAGE_SHIFT | (vaddr & 0xFFF), value, size, vaddr)
             return
         region = self._memory.find_ram(vaddr, size)
         if region is not None:

@@ -50,6 +50,11 @@ _COND_EXPR = {
 }
 
 
+#: Accesses whose softmmu TLB hit is emitted inline; the unprivileged
+#: LDRT/STRT always call their helpers.
+_SOFTMMU_INLINE = frozenset((Op.LDR, Op.STR, Op.LDRB, Op.STRB))
+
+
 class _MemoEntry:
     """Reusable product of one lowering: everything except the block
     object itself, which carries per-engine chain state and must stay
@@ -318,19 +323,12 @@ class Translator:
             return
         if op in MEM_OPS:
             self._emit_account(ctx, body, node.idx + 1)
+            if op in _SOFTMMU_INLINE:
+                self._emit_softmmu(body, node)
+                return
             body.append("s.fault_state = (%d, %d)" % (node.pc, node.idx))
             addr = self._addr_expr(node)
-            if op == Op.LDR:
-                body.append("r[%d] = s.mem_read32(%s)" % (rd, addr))
-            elif op == Op.STR:
-                body.append("s.mem_write32(%s, %s)" % (addr, self._rx(node, rd)))
-            elif op == Op.LDRB:
-                body.append("r[%d] = s.mem_read8(%s)" % (rd, addr))
-            elif op == Op.STRB:
-                value = node.sub(rd)
-                data = "r[%d] & 255" % rd if value is None else str(value & 255)
-                body.append("s.mem_write8(%s, %s)" % (addr, data))
-            elif op == Op.LDRT:
+            if op == Op.LDRT:
                 body.append("r[%d] = s.mem_read32_user(%s)" % (rd, addr))
             else:  # STRT
                 body.append("s.mem_write32_user(%s, %s)" % (addr, self._rx(node, rd)))
@@ -423,6 +421,56 @@ class Translator:
             body.append("s.cop_write(%d, %d, %s)" % (rn, imm & 0xFF, self._rx(node, rd)))
         else:  # pragma: no cover - terminals handled elsewhere
             raise AssertionError("unexpected op in straight-line emitter: %r" % op)
+
+    def _emit_softmmu(self, body, node):
+        """Emit an LDR/STR/LDRB/STRB whose softmmu hit runs inline.
+
+        The hit path probes the engine's direct-mapped TLB slot and
+        touches the RAM buffer itself, counting exactly what the helper
+        counts on a hit.  Anything else -- a miss, the MMU off, a device
+        page, a permission the slot's mask does not grant, or a store
+        to a page that has held translated code -- calls the helper,
+        which does its own counting, faulting and SMC invalidation.
+        A hit cannot fault, so only the fallback records
+        ``fault_state``.
+        """
+        op, rd = node.op, node.rd
+        store = op in (Op.STR, Op.STRB)
+        body.append("_v = %s" % self._addr_expr(node))
+        body.append("_e = s._tlb[(_v >> 12) & s._tlb_mask]")
+        # Slot mask bit ``access << 1 | kernel`` (see DBTSimulator._tlb).
+        perm = "(2 | cpu.psr & 1)" if store else "(cpu.psr & 1)"
+        hit = (
+            "_e is not None and _e[0] == (_v >> 12) | s._asid_tag"
+            " and _e[1] >> %s & 1 and s._cp15.sctlr & 1" % perm
+        )
+        if store:
+            hit += " and _e[4] not in s._exec_pages"
+        body.append("if %s:" % hit)
+        body.append("    c.%s += 1" % ("stores" if store else "loads"))
+        body.append("    c.tlb_hits += 1")
+        body.append("    _o = _e[3] + (_v & 4095)")
+        value = node.sub(rd)
+        if op == Op.LDR:
+            body.append('    r[%d] = int.from_bytes(_e[2][_o:_o + 4], "little")' % rd)
+            fallback = "r[%d] = s.mem_read32(_v)" % rd
+        elif op == Op.LDRB:
+            body.append("    r[%d] = _e[2][_o]" % rd)
+            fallback = "r[%d] = s.mem_read8(_v)" % rd
+        elif op == Op.STR:
+            if value is None:
+                data = 'r[%d].to_bytes(4, "little")' % rd
+            else:
+                data = repr((value & 0xFFFFFFFF).to_bytes(4, "little"))
+            body.append("    _e[2][_o:_o + 4] = %s" % data)
+            fallback = "s.mem_write32(_v, %s)" % self._rx(node, rd)
+        else:  # STRB
+            data = "r[%d] & 255" % rd if value is None else str(value & 255)
+            body.append("    _e[2][_o] = %s" % data)
+            fallback = "s.mem_write8(_v, %s)" % data
+        body.append("else:")
+        body.append("    s.fault_state = (%d, %d)" % (node.pc, node.idx))
+        body.append("    " + fallback)
 
     # -- terminals ---------------------------------------------------------
     def _chainable(self, from_pc, to_pc):

@@ -55,6 +55,51 @@ class TestRoundtrip:
         assert block_key((False, False, 64), 0x8000, b"\x00\x01") != base
 
 
+class TestCodegenVersion:
+    def test_key_covers_codegen_version(self, monkeypatch):
+        base = block_key((True, False, 64), 0x8000, b"\x00\x01")
+        monkeypatch.setattr(codestore, "CODEGEN_VERSION", codestore.CODEGEN_VERSION - 1)
+        assert block_key((True, False, 64), 0x8000, b"\x00\x01") != base
+
+    def test_previous_version_entry_is_relowered(self, tmp_path, monkeypatch):
+        """A store filled by the previous emitter must not serve its
+        source: every block misses, is lowered afresh, and the run
+        counts exactly what a cold run does."""
+        try:
+            store = codestore.configure(str(tmp_path))
+            with monkeypatch.context() as patch:
+                patch.setattr(codestore, "CODEGEN_VERSION", codestore.CODEGEN_VERSION - 1)
+                TRANSLATION_MEMO.clear()
+                run_asm(DBTSimulator, HOT_BODY)
+            stale = {pathlib.Path(p).name for p in store._entry_paths()}
+            assert stale
+            # Poison the stale entries: loading any of them would halt
+            # the guest with a nonzero code.
+            source = (
+                "def make(blk):\n"
+                "    def block(s):\n"
+                "        s.cpu.halted = True\n"
+                "        s.cpu.halt_code = 99\n"
+                "    return block\n"
+            )
+            poison = compile(source, "<stale block>", "exec")
+            for path in map(pathlib.Path, store._entry_paths()):
+                word_bytes, insn_count, _source, _code = marshal.loads(path.read_bytes())
+                path.write_bytes(marshal.dumps((word_bytes, insn_count, source, poison)))
+            TRANSLATION_MEMO.clear()
+            before = store.stats()
+            engine, _board, res = run_asm(DBTSimulator, HOT_BODY)
+            assert res.halted_ok
+            after = store.stats()
+            assert after["hits"] == before["hits"]
+            assert after["misses"] - before["misses"] == engine.counters.translations
+            fresh = {pathlib.Path(p).name for p in store._entry_paths()} - stale
+            assert len(fresh) == engine.counters.translations
+        finally:
+            codestore.configure(None)
+            TRANSLATION_MEMO.clear()
+
+
 class TestCorruption:
     def _stored(self, tmp_path):
         store = CodeStore(tmp_path)

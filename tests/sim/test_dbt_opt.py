@@ -11,6 +11,7 @@ Three kinds of guarantees live here:
   through self-modifying code and run limits.
 """
 
+import ast
 import inspect
 
 import pytest
@@ -226,11 +227,61 @@ class TestOptimizedEmission:
             reference = _block_sources(_PEEPHOLE_BODY)
         optimized = _block_sources(_PEEPHOLE_BODY)
         assert "_a = (r[4] + 4)" in optimized  # fused address pair
-        assert "_a" not in reference
+        assert "_a = " not in reference
         assert "condition_holds" in reference
         assert "condition_holds" not in optimized  # inlined branch cond
         assert "r[2] = 13" in optimized  # folded constant chain
         assert "r[2] = 13" not in reference
+
+
+#: A block with every inline-softmmu access and the unprivileged pair.
+_SOFTMMU_BODY = """
+    li r1, 0x20000
+    movi r2, 7
+    str r2, [r1]
+    ldr r3, [r1, #4]
+    strb r2, [r1, #8]
+    ldrb r4, [r1, #8]
+    ldrt r5, [r1]
+    strt r5, [r1, #12]
+    halt #0
+"""
+
+
+class TestSoftmmuEmission:
+    HELPERS = {"mem_read32", "mem_write32", "mem_read8", "mem_write8"}
+
+    @staticmethod
+    def _helper_calls(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "s"
+        ]
+
+    def test_helpers_called_only_on_fallback(self):
+        source = _block_sources(_SOFTMMU_BODY)
+        assert source.count("s._tlb[") == 4
+        tree = ast.parse(source)
+        fallback = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and "c.tlb_hits += 1" in ast.unparse(node.body):
+                orelse = ast.Module(node.orelse, [])
+                fallback.update(id(call) for call in self._helper_calls(orelse))
+        calls = [
+            call for call in self._helper_calls(tree) if call.func.attr in self.HELPERS
+        ]
+        assert sorted(call.func.attr for call in calls) == sorted(self.HELPERS)
+        assert all(id(call) in fallback for call in calls)
+        # The unprivileged accesses stay on their helpers, unguarded.
+        assert "s.mem_read32_user(" in source
+        assert "s.mem_write32_user(" in source
+
+    def test_hit_path_never_tests_allows(self):
+        assert "allows" not in _block_sources(_SOFTMMU_BODY)
 
 
 class TestKeyCompleteness:

@@ -20,6 +20,7 @@ from repro.machine.mmu import (
     PageTableWalker,
 )
 from repro.platform import VEXPRESS
+from repro.sim import DBTSimulator
 from tests.sim.util import ALL_ENGINES
 
 TTBR = 0x0100_0000
@@ -102,6 +103,11 @@ def test_engines_agree_under_mmu(mapped, accesses):
         board.load(program)
         engine = engine_cls(board, arch=ARM)
         result = engine.run(max_insns=100_000)
+        if engine_cls is DBTSimulator:
+            # Every access runs with the MMU on, so each one is exactly
+            # one softmmu hit or one miss, inline or in a helper.
+            c = engine.counters
+            assert c.loads + c.stores == c.tlb_hits + c.tlb_misses
         data = board.memory.read_bytes(DATA_BASE, 8 * 0x1000)
         outcomes[engine_cls.name] = (
             result.exit_reason,
