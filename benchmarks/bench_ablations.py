@@ -6,17 +6,19 @@ reproduced results are driven by real mechanisms, not cost tables.
 """
 
 from repro.arch import ARM
-from repro.core import Harness, get_benchmark
+from repro.core import ExperimentRunner, Harness, JobSpec, get_benchmark
 from repro.platform import VEXPRESS
 from repro.sim.dbt import DBTConfig
 
 
-def _run(harness, bench_name, iterations=150, **config_kwargs):
+def _run(runner, bench_name, iterations=150, **config_kwargs):
     config = DBTConfig(**config_kwargs) if config_kwargs else None
-    result = harness.run_benchmark(
-        get_benchmark(bench_name), "qemu-dbt", ARM, VEXPRESS,
-        iterations=iterations, dbt_config=config,
-    )
+    [result] = runner.run([
+        JobSpec(
+            get_benchmark(bench_name), "qemu-dbt", ARM, VEXPRESS,
+            iterations=iterations, dbt_config=config,
+        )
+    ])
     assert result.ok, result.error
     return result
 
@@ -24,11 +26,11 @@ def _run(harness, bench_name, iterations=150, **config_kwargs):
 def test_ablation_block_chaining(benchmark, save_artifact):
     """Chaining on/off on Intra-Page Direct: the chained engine skips
     the dispatcher almost entirely."""
-    harness = Harness()
+    runner = ExperimentRunner()
 
     def run():
-        chained = _run(harness, "Intra-Page Direct", chain_enabled=True)
-        unchained = _run(harness, "Intra-Page Direct", chain_enabled=False)
+        chained = _run(runner, "Intra-Page Direct", chain_enabled=True)
+        unchained = _run(runner, "Intra-Page Direct", chain_enabled=False)
         return chained, unchained
 
     chained, unchained = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -54,11 +56,11 @@ def test_ablation_block_chaining(benchmark, save_artifact):
 
 def test_ablation_softmmu_tlb_size(benchmark, save_artifact):
     """Shrinking the softmmu TLB turns Cold Memory Access pathological."""
-    harness = Harness()
+    runner = ExperimentRunner()
 
     def run():
-        big = _run(harness, "Cold Memory Access", iterations=600, tlb_bits=12)
-        small = _run(harness, "Cold Memory Access", iterations=600, tlb_bits=4)
+        big = _run(runner, "Cold Memory Access", iterations=600, tlb_bits=12)
+        small = _run(runner, "Cold Memory Access", iterations=600, tlb_bits=4)
         return big, small
 
     big, small = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -82,11 +84,11 @@ def test_ablation_softmmu_tlb_size(benchmark, save_artifact):
 def test_ablation_max_block_length(benchmark, save_artifact):
     """Short translation blocks inflate dispatch counts on the Large
     Blocks benchmark."""
-    harness = Harness()
+    runner = ExperimentRunner()
 
     def run():
-        long_blocks = _run(harness, "Large Blocks", iterations=60, max_block_insns=64)
-        short_blocks = _run(harness, "Large Blocks", iterations=60, max_block_insns=8)
+        long_blocks = _run(runner, "Large Blocks", iterations=60, max_block_insns=64)
+        short_blocks = _run(runner, "Large Blocks", iterations=60, max_block_insns=8)
         return long_blocks, short_blocks
 
     long_blocks, short_blocks = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -115,18 +117,16 @@ def test_ablation_asid_tagged_tlb(benchmark, save_artifact):
     switches a retag instead of a conservative flush."""
     from repro.core.benchmarks.extensions import ContextSwitch
 
-    harness = Harness()
     bench = ContextSwitch()
 
     def run():
-        untagged = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=150,
-            dbt_config=DBTConfig(asid_tagged=False),
-        )
-        tagged = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=150,
-            dbt_config=DBTConfig(asid_tagged=True),
-        )
+        untagged, tagged = ExperimentRunner().run([
+            JobSpec(
+                bench, "qemu-dbt", ARM, VEXPRESS, iterations=150,
+                dbt_config=DBTConfig(asid_tagged=asid_tagged),
+            )
+            for asid_tagged in (False, True)
+        ])
         return untagged, tagged
 
     untagged, tagged = benchmark.pedantic(run, rounds=1, iterations=1)

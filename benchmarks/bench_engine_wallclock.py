@@ -45,7 +45,7 @@ import pytest
 
 from repro.arch import ARM
 from repro.arch.base import AsmWriter
-from repro.core import Harness, get_benchmark
+from repro.core import ExperimentRunner, JobSpec, get_benchmark
 from repro.core.program import ProgramBuilder
 from repro.isa.assembler import assemble
 from repro.machine import Board
@@ -352,11 +352,11 @@ def test_engine_kernel_wallclock(benchmark, engine_name, kernel_name):
 def test_engine_smc_workload_wallclock(benchmark, engine_name):
     """Host time for the Small Blocks benchmark: the DBT engine pays
     real retranslation cost here, the interpreter does not."""
-    harness = Harness()
-    bench = get_benchmark("Small Blocks")
+    runner = ExperimentRunner()
+    spec = JobSpec(get_benchmark("Small Blocks"), engine_name, ARM, VEXPRESS, iterations=40)
 
     def run():
-        result = harness.run_benchmark(bench, engine_name, ARM, VEXPRESS, iterations=40)
+        [result] = runner.run([spec])
         assert result.ok
         return result.kernel_wall_ns
 

@@ -7,7 +7,7 @@ to expose.
 """
 
 from repro.arch import ARM
-from repro.core import Harness
+from repro.core import ExperimentRunner
 from repro.core.benchmarks.extensions import EXTENSION_SUITE
 from repro.platform import VEXPRESS
 
@@ -15,18 +15,15 @@ _SIMULATORS = ("qemu-dbt", "simit", "gem5", "qemu-kvm", "native")
 
 
 def test_extension_suite_table(benchmark, save_artifact):
-    harness = Harness()
+    runner = ExperimentRunner()
 
     def run():
-        table = {}
-        for simulator in _SIMULATORS:
-            results = {}
-            for bench in EXTENSION_SUITE:
-                results[bench.name] = harness.run_benchmark(
-                    bench, simulator, ARM, VEXPRESS
-                )
-            table[simulator] = results
-        return table
+        return {
+            simulator: runner.run_suite(
+                simulator, ARM, VEXPRESS, benchmarks=EXTENSION_SUITE
+            ).by_name()
+            for simulator in _SIMULATORS
+        }
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = ["Extension benchmarks (ARM guest, modeled seconds):"]

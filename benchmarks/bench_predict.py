@@ -6,20 +6,20 @@ profiling run and compares against the measured time.
 """
 
 from repro.arch import ARM
-from repro.core import Harness, PerformanceModel
+from repro.core import ExperimentRunner, PerformanceModel
 from repro.core.predict import predict_workloads
 from repro.platform import VEXPRESS
 from repro.workloads import SPEC_PROXIES
 
 
 def test_predict_spec_from_simbench(benchmark, save_artifact):
-    harness = Harness()
+    runner = ExperimentRunner()
 
     def run():
-        suite_result = harness.run_suite("qemu-dbt", ARM, VEXPRESS, scale=0.5)
+        suite_result = runner.run_suite("qemu-dbt", ARM, VEXPRESS, scale=0.5)
         model = PerformanceModel.fit(suite_result, ARM)
         rows = predict_workloads(
-            model, harness, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator="qemu-dbt"
+            model, runner, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator="qemu-dbt"
         )
         return model, rows
 

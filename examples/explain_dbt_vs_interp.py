@@ -15,17 +15,17 @@ counters:
 """
 
 from repro.arch import ARM
-from repro.core import Harness
+from repro.core import ExperimentRunner
 from repro.platform import VEXPRESS
 
 SIMULATORS = ("qemu-dbt", "simit", "gem5")
 
 
 def main():
-    harness = Harness()
+    runner = ExperimentRunner()
     results = {}
     for simulator in SIMULATORS:
-        results[simulator] = harness.run_suite(simulator, ARM, VEXPRESS, scale=0.5).by_name()
+        results[simulator] = runner.run_suite(simulator, ARM, VEXPRESS, scale=0.5).by_name()
 
     print("%-28s %12s %12s %12s" % ("benchmark (modeled ms)", *SIMULATORS))
     for name, dbt in results["qemu-dbt"].items():

@@ -9,7 +9,7 @@ few lines, and then runs the *unmodified* benchmark suite on it.
 """
 
 from repro.arch import ARM
-from repro.core import Harness, SUITE
+from repro.core import ExperimentRunner
 from repro.platform.base import MemoryLayout, PlatformDescription
 
 _MB = 1 << 20
@@ -46,8 +46,7 @@ def main():
           % (RASPI_ISH.uart_base, RASPI_ISH.swirq_line))
     print()
     print("Running the unmodified 18-benchmark suite on the new platform:")
-    harness = Harness()
-    suite_result = harness.run_suite("qemu-dbt", ARM, RASPI_ISH, scale=0.25)
+    suite_result = ExperimentRunner().run_suite("qemu-dbt", ARM, RASPI_ISH, scale=0.25)
     failures = 0
     for result in suite_result:
         print("  %-28s %-6s %10.4f ms  (%d iterations)"

@@ -9,17 +9,17 @@ measured runtimes.
 """
 
 from repro.arch import ARM
-from repro.core import Harness, PerformanceModel
+from repro.core import ExperimentRunner, PerformanceModel
 from repro.core.predict import predict_workloads
 from repro.platform import VEXPRESS
 from repro.workloads import SPEC_PROXIES
 
 
 def main():
-    harness = Harness()
+    runner = ExperimentRunner()
 
     print("Fitting the cost model from one SimBench run on qemu-dbt ...")
-    suite_result = harness.run_suite("qemu-dbt", ARM, VEXPRESS, scale=0.5)
+    suite_result = runner.run_suite("qemu-dbt", ARM, VEXPRESS, scale=0.5)
     model = PerformanceModel.fit(suite_result, ARM)
     print("  base cost: %.1f ns/instruction" % model.base_ns_per_insn)
     print("  per-operation extra costs (top 8):")
@@ -32,7 +32,7 @@ def main():
     print("Predicting the SPEC proxies from their profiles ...")
     for label, m in (("per-benchmark heuristic", model), ("NNLS over the suite", lstsq_model)):
         rows = predict_workloads(
-            m, harness, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator="qemu-dbt"
+            m, runner, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator="qemu-dbt"
         )
         print()
         print("  [%s]" % label)

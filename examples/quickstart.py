@@ -9,20 +9,22 @@ always be reported together).
 """
 
 from repro.arch import ARM
-from repro.core import Harness, get_benchmark
+from repro.core import ExperimentRunner, JobSpec, get_benchmark
 from repro.platform import VEXPRESS
 
 
 def main():
-    harness = Harness()
     benchmark = get_benchmark("System Call")
+    simulators = ("qemu-dbt", "simit")
+    results = ExperimentRunner().run(
+        [JobSpec(benchmark, simulator, ARM, VEXPRESS) for simulator in simulators]
+    )
 
     print("SimBench quickstart: %r on two simulators" % benchmark.name)
     print("paper iteration count: %s" % format(benchmark.paper_iterations, ","))
     print()
 
-    for simulator in ("qemu-dbt", "simit"):
-        result = harness.run_benchmark(benchmark, simulator, ARM, VEXPRESS)
+    for simulator, result in zip(simulators, results):
         print("%-10s  status=%-4s  iterations=%-6d  kernel=%.6f s (modeled)"
               % (simulator, result.status, result.iterations, result.kernel_seconds))
         print("            kernel instructions=%d, syscalls observed=%d"

@@ -11,20 +11,24 @@ access, and (on x86) undefined-instruction hypercalls.
 
 from repro.analysis import figures
 from repro.arch import ARM, X86
-from repro.core import Harness
+from repro.core import ExperimentRunner, JobSpec
 from repro.platform import PCPLAT, VEXPRESS
 from repro.workloads import SPEC_PROXIES
 
 
 def main():
-    harness = Harness()
+    runner = ExperimentRunner()
 
     print("Application view: KVM vs native on the SPEC proxies (ARM guest)")
     print("=" * 64)
     ratios = []
     for workload in SPEC_PROXIES[:6]:
-        kvm = harness.run_benchmark(workload, "qemu-kvm", ARM, VEXPRESS, iterations=2)
-        native = harness.run_benchmark(workload, "native", ARM, VEXPRESS, iterations=2)
+        kvm, native = runner.run(
+            [
+                JobSpec(workload, simulator, ARM, VEXPRESS, iterations=2)
+                for simulator in ("qemu-kvm", "native")
+            ]
+        )
         ratio = kvm.kernel_ns / native.kernel_ns
         ratios.append(ratio)
         print("  %-12s kvm/native = %5.2fx" % (workload.name, ratio))
@@ -33,7 +37,7 @@ def main():
     print()
     print("SimBench view: where virtualization actually pays")
     print("=" * 64)
-    fig7 = figures.figure7(harness=harness, scale=0.5)
+    fig7 = figures.figure7(scale=0.5, runner=runner)
     divergences = figures.explain_virtualization(fig7)
     for arch_name in ("arm", "x86"):
         print()

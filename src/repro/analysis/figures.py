@@ -12,7 +12,6 @@ from repro.analysis.stats import geomean
 from repro.analysis.sweep import VersionSweep
 from repro.arch import ARM, X86
 from repro.core.density import REFERENCE_SIMULATOR, density_table
-from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner, JobSpec
 from repro.core.suite import SUITE, GROUPS, benchmarks_in_group
 from repro.platform import PCPLAT, VEXPRESS
@@ -90,7 +89,6 @@ def render_figure1(data, title="Figure 1: user-mode vs full-system simulation"):
 def figure2(
     arch=ARM,
     platform=None,
-    harness=None,
     scale=1.0,
     runner=None,
     strict=True,
@@ -110,7 +108,7 @@ def figure2(
     """
     if platform is None:
         platform = _default_env(arch)[1]
-    sweep = VersionSweep(arch, platform, harness=harness, runner=runner, dataset=dataset)
+    sweep = VersionSweep(arch, platform, runner=runner, dataset=dataset)
     all_series = {}
     by_scale = {}
     for workload in SPEC_PROXIES:
@@ -143,22 +141,25 @@ def figure2(
 # ---------------------------------------------------------------------------
 
 
-def figure3(arch=ARM, platform=None, harness=None, scale=1.0, workload_scale=1.0):
+def figure3(arch=ARM, platform=None, runner=None, scale=1.0, workload_scale=1.0):
     """Figure 3's rows: iterations and operation density, SimBench vs
     the SPEC proxies (measured on the reference engine)."""
     if platform is None:
         platform = _default_env(arch)[1]
-    if harness is None:
-        harness = Harness(timing=TimingPolicy.MODELED)
-    deltas = []
-    for workload in SPEC_PROXIES:
-        iterations = max(1, int(workload.default_iterations * workload_scale))
-        result = harness.run_benchmark(
-            workload, REFERENCE_SIMULATOR, arch, platform, iterations=iterations
+    if runner is None:
+        runner = ExperimentRunner()
+    specs = [
+        JobSpec(
+            workload,
+            REFERENCE_SIMULATOR,
+            arch,
+            platform,
+            iterations=max(1, int(workload.default_iterations * workload_scale)),
         )
-        if result.ok:
-            deltas.append(result.kernel_delta)
-    return density_table(arch, platform, workload_deltas=deltas, harness=harness, scale=scale)
+        for workload in SPEC_PROXIES
+    ]
+    deltas = [result.kernel_delta for result in runner.run(specs) if result.ok]
+    return density_table(arch, platform, workload_deltas=deltas, runner=runner, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,6 @@ def figure5():
 def figure6(
     arch=ARM,
     platform=None,
-    harness=None,
     scale=1.0,
     runner=None,
     strict=True,
@@ -228,7 +228,7 @@ def figure6(
     """
     if platform is None:
         platform = _default_env(arch)[1]
-    sweep = VersionSweep(arch, platform, harness=harness, runner=runner, dataset=dataset)
+    sweep = VersionSweep(arch, platform, runner=runner, dataset=dataset)
     grid = []
     for group in GROUPS:
         for benchmark in benchmarks_in_group(group):
@@ -257,7 +257,7 @@ def figure6(
 # ---------------------------------------------------------------------------
 
 
-def figure7(harness=None, scale=1.0, runner=None, dataset=None):
+def figure7(scale=1.0, runner=None, dataset=None):
     """The full cross-simulator results table (modeled seconds).
 
     Returns ``{"arm": {sim: {bench: seconds|None}}, "x86": {...}}``
@@ -272,7 +272,7 @@ def figure7(harness=None, scale=1.0, runner=None, dataset=None):
     execute.
     """
     if runner is None:
-        runner = ExperimentRunner(harness=harness)
+        runner = ExperimentRunner()
     if dataset is not None:
         runner.dataset = dataset
     grid = []
@@ -312,7 +312,6 @@ def figure7(harness=None, scale=1.0, runner=None, dataset=None):
 def figure8(
     arch=ARM,
     platform=None,
-    harness=None,
     scale=1.0,
     figure2_data=None,
     figure6_data=None,
@@ -326,7 +325,6 @@ def figure8(
         figure2_data = figure2(
             arch,
             platform,
-            harness=harness,
             scale=scale,
             runner=runner,
             strict=strict,
@@ -336,7 +334,6 @@ def figure8(
         figure6_data = figure6(
             arch,
             platform,
-            harness=harness,
             scale=scale,
             runner=runner,
             strict=strict,

@@ -10,7 +10,7 @@ import datetime
 
 from repro.analysis import figures
 from repro.arch import ARM
-from repro.core import Harness, PerformanceModel, TimingPolicy
+from repro.core import ExperimentRunner, PerformanceModel
 from repro.core.predict import predict_workloads
 from repro.platform import VEXPRESS
 from repro.sim.spec import DBTSpec
@@ -21,10 +21,15 @@ def _block(text):
     return "```\n%s\n```\n" % text.rstrip()
 
 
-def generate_report(scale=0.5, harness=None, timestamp=None):
-    """Run the full evaluation and return the report as markdown text."""
-    if harness is None:
-        harness = Harness(timing=TimingPolicy.MODELED)
+def generate_report(scale=0.5, runner=None, timestamp=None):
+    """Run the full evaluation and return the report as markdown text.
+
+    Every section's cells go through ``runner``; give it a dataset and
+    a section resolves the cells an earlier section (or an earlier
+    report) already ran instead of executing them again.
+    """
+    if runner is None:
+        runner = ExperimentRunner()
     if timestamp is None:
         timestamp = datetime.datetime.now().isoformat(timespec="seconds")
 
@@ -41,7 +46,7 @@ def generate_report(scale=0.5, harness=None, timestamp=None):
     sections.append(_block(figures.render_figure4(figures.figure4())))
 
     sections.append("## Figure 7: cross-simulator results")
-    fig7 = figures.figure7(harness=harness, scale=scale)
+    fig7 = figures.figure7(scale=scale, runner=runner)
     sections.append(_block(figures.render_figure7(fig7)))
 
     sections.append("### Section III-B.1: DBT vs interpretation")
@@ -64,11 +69,11 @@ def generate_report(scale=0.5, harness=None, timestamp=None):
     sections.append(_block("\n".join(lines)))
 
     sections.append("## Figure 2: SPEC proxies across QEMU versions")
-    fig2 = figures.figure2(scale=scale, harness=harness)
+    fig2 = figures.figure2(scale=scale, runner=runner)
     sections.append(_block(figures.render_series(fig2)))
 
     sections.append("## Figure 6: SimBench across QEMU versions (ARM guest)")
-    fig6 = figures.figure6(ARM, VEXPRESS, harness=harness, scale=scale)
+    fig6 = figures.figure6(ARM, VEXPRESS, scale=scale, runner=runner)
     sections.append(_block(figures.render_figure6(fig6, title="")))
 
     sections.append("## Figure 8: geomean SPEC vs SimBench")
@@ -76,15 +81,15 @@ def generate_report(scale=0.5, harness=None, timestamp=None):
     sections.append(_block(figures.render_series(fig8)))
 
     sections.append("## Figure 3: operation densities")
-    fig3 = figures.figure3(harness=harness, scale=scale, workload_scale=1.0)
+    fig3 = figures.figure3(runner=runner, scale=scale, workload_scale=1.0)
     sections.append(_block(figures.render_figure3(fig3, title="")))
 
     sections.append("## Contribution 3: predicting the SPEC proxies")
     profile_spec = DBTSpec()
-    suite_result = harness.run_suite(profile_spec, ARM, VEXPRESS, scale=scale)
+    suite_result = runner.run_suite(profile_spec, ARM, VEXPRESS, scale=scale)
     model = PerformanceModel.fit(suite_result, ARM)
     rows = predict_workloads(
-        model, harness, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator=profile_spec
+        model, runner, SPEC_PROXIES, ARM, VEXPRESS, profile_simulator=profile_spec
     )
     lines = ["%-12s %14s %14s %9s" % ("workload", "predicted(ms)", "measured(ms)", "error")]
     for name, predicted, measured, error in rows:
@@ -96,9 +101,9 @@ def generate_report(scale=0.5, harness=None, timestamp=None):
     return "\n".join(sections) + "\n"
 
 
-def write_report(path, scale=0.5, harness=None):
+def write_report(path, scale=0.5, runner=None):
     """Generate and write the report; returns the path."""
-    text = generate_report(scale=scale, harness=harness)
+    text = generate_report(scale=scale, runner=runner)
     with open(path, "w") as handle:
         handle.write(text)
     return path

@@ -17,7 +17,6 @@ and parallelise the executions.
 
 import math
 
-from repro.core.harness import Harness, TimingPolicy
 from repro.core.runner import ExperimentRunner, JobSpec
 from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
 from repro.sim.spec import DBTSpec
@@ -88,7 +87,6 @@ class VersionSweep:
         arch,
         platform,
         versions=QEMU_VERSIONS,
-        harness=None,
         runner=None,
         dataset=None,
     ):
@@ -96,14 +94,12 @@ class VersionSweep:
         self.platform = platform
         self.versions = tuple(versions)
         if runner is None:
-            harness = harness if harness is not None else Harness(timing=TimingPolicy.MODELED)
-            runner = ExperimentRunner(harness=harness)
+            runner = ExperimentRunner()
         if dataset is not None:
             # Resolve sweep cells from the experiment dataset first;
             # only missing structural groups execute (and get appended).
             runner.dataset = dataset
         self.runner = runner
-        self.harness = runner.harness
         # One engine spec per version, built up front: the whole sweep
         # is described before anything executes.
         self.engine_specs = dict(version_axis(arch.name, self.versions))

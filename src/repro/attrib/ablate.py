@@ -119,7 +119,6 @@ def validate_attribution(
     isolation criteria.  Returns an :class:`AblationReport`;
     ``report.passed`` is the verdict, ``report.failures`` says why not.
     """
-    from repro.core.harness import Harness, TimingPolicy
     from repro.core.runner import ExperimentRunner, JobSpec
 
     kernel = attribution_kernel(engine, field)
@@ -130,7 +129,7 @@ def validate_attribution(
 
     owns_runner = runner is None
     if owns_runner:
-        runner = ExperimentRunner(harness=Harness(timing=TimingPolicy.MODELED))
+        runner = ExperimentRunner()
 
     def measure(spec):
         result = runner.run(

@@ -71,8 +71,8 @@ from repro.core import (
     JobSpec,
     SUITE,
     TimingPolicy,
-    get_benchmark,
 )
+from repro.core.runner import resolve_benchmark
 from repro.exp import (
     Dataset,
     ManifestError,
@@ -112,8 +112,10 @@ class _CliError(Exception):
 
 
 #: Exit status for a grid that *completed* but contained failing cells
-#: (crashed/timeout/error).  Distinct from 1 (single-run failure) and
-#: 2 (usage error); suppressed by ``--keep-going``.
+#: (crashed/timeout/error), a one-cell ``repro run`` included.  Distinct
+#: from 1 (a failed bisect/validate verdict, an empty query, an
+#: unreachable service) and 2 (usage error); suppressed by
+#: ``--keep-going``.
 EXIT_GRID_FAILURES = 3
 
 
@@ -262,15 +264,22 @@ def _metrics_finish(args, runner=None, jobs=None, meta=None):
 def _environment(args):
     arch = get_arch(args.arch)
     platform_name = args.platform or _default_platform(args.arch)
-    platform = get_platform(platform_name)
-    harness = Harness(timing=TimingPolicy(args.timing))
-    return harness, arch, platform
+    return arch, get_platform(platform_name)
 
 
-def _runner_for(args, harness=None):
+def _benchmark(name):
+    """The benchmark or workload called ``name``, in any registry."""
+    try:
+        return resolve_benchmark(name)
+    except KeyError as exc:
+        raise _CliError(exc.args[0]) from None
+
+
+def _runner_for(args):
+    """The one runner a command resolves all of its cells through."""
     dataset_dir = getattr(args, "dataset_dir", None)
     return ExperimentRunner(
-        harness=harness,
+        harness=Harness(timing=TimingPolicy(getattr(args, "timing", "modeled"))),
         jobs=getattr(args, "jobs", 1) or 1,
         dataset=Dataset(dataset_dir) if dataset_dir else None,
         deadline=getattr(args, "deadline", None),
@@ -280,8 +289,10 @@ def _runner_for(args, harness=None):
 
 
 def _report_runner(args, runner):
-    stats = runner.last_stats
-    if stats and (
+    """Print the runner activity of every :meth:`ExperimentRunner.run`
+    the command made (figure 8, ``report`` and ``compare`` make several)."""
+    stats = runner.total_stats
+    if stats["jobs"] and (
         (getattr(args, "jobs", 1) or 1) > 1 or getattr(args, "dataset_dir", None)
     ):
         print(
@@ -295,9 +306,9 @@ def _report_runner(args, runner):
             file=sys.stderr,
         )
     fault_counts = [
-        (name, stats.get(name, 0))
+        (name, stats[name])
         for name in ("crashed", "timeout", "errors", "retried", "worker_lost")
-        if stats.get(name, 0)
+        if stats[name]
     ]
     if fault_counts:
         print(
@@ -422,43 +433,23 @@ def _cmd_engines(args):
 
 
 def _cmd_run(args):
-    import time as _time
-
     _metrics_begin(args)
-    harness, arch, platform = _environment(args)
-    benchmark = get_benchmark(args.benchmark)
-    spec = _engine_spec(args)
-    start = _time.perf_counter_ns()
-    result = harness.run_benchmark(
-        benchmark, spec, arch, platform, iterations=args.iterations
+    arch, platform = _environment(args)
+    benchmark = _benchmark(args.benchmark)
+    runner = _runner_for(args)
+    [result] = runner.run(
+        [JobSpec(benchmark, _engine_spec(args), arch, platform, iterations=args.iterations)]
     )
-    wall_ns = _time.perf_counter_ns() - start
     _print_result(result)
-    _metrics_finish(
-        args,
-        jobs=[
-            {
-                "benchmark": result.benchmark,
-                "engine": result.simulator,
-                "arch": result.arch,
-                "platform": platform.name,
-                "iterations": result.iterations,
-                "status": result.status,
-                "source": "executed",
-                "wall_ns": wall_ns,
-                "queue_wait_ns": 0,
-                "attempts": 1,
-                "where": "inline",
-            }
-        ],
-    )
-    return 0 if result.status in ("ok", "not-applicable", "unsupported") else 1
+    _report_runner(args, runner)
+    _metrics_finish(args, runner)
+    return _failure_summary(args, runner)
 
 
 def _cmd_suite(args):
     _metrics_begin(args)
-    harness, arch, platform = _environment(args)
-    runner = _runner_for(args, harness)
+    arch, platform = _environment(args)
+    runner = _runner_for(args)
     spec = _engine_spec(args)
     suite_result = runner.run_suite(spec, arch, platform, scale=args.scale)
     _report_runner(args, runner)
@@ -471,16 +462,19 @@ def _cmd_suite(args):
 
 
 def _cmd_workloads(args):
-    harness, arch, platform = _environment(args)
+    _metrics_begin(args)
+    arch, platform = _environment(args)
     spec = _engine_spec(args)
+    runner = _runner_for(args)
+    results = runner.run(
+        [JobSpec(workload, spec, arch, platform) for workload in SPEC_PROXIES]
+    )
     print("SPEC proxies on %s (%s guest):" % (spec.engine, arch.name))
-    failures = 0
-    for workload in SPEC_PROXIES:
-        result = harness.run_benchmark(workload, spec, arch, platform)
+    for result in results:
         _print_result(result)
-        if result.status == "error":
-            failures += 1
-    return 1 if failures else 0
+    _report_runner(args, runner)
+    _metrics_finish(args, runner)
+    return _failure_summary(args, runner)
 
 
 def _cmd_figure(args):
@@ -497,7 +491,7 @@ def _cmd_figure(args):
             figures.figure2(scale=scale, runner=runner, strict=False), title="Figure 2"
         ))
     elif n == 3:
-        print(figures.render_figure3(figures.figure3(scale=scale)))
+        print(figures.render_figure3(figures.figure3(scale=scale, runner=runner)))
     elif n == 4:
         print(figures.render_figure4(figures.figure4()))
     elif n == 5:
@@ -525,12 +519,11 @@ def _cmd_figure(args):
 
 def _cmd_sweep(args):
     _metrics_begin(args)
-    harness, arch, platform = _environment(args)
-    runner = _runner_for(args, harness)
+    arch, platform = _environment(args)
+    benchmark = _benchmark(args.benchmark)
+    runner = _runner_for(args)
     sweep = VersionSweep(arch, platform, runner=runner)
-    series = sweep.run(
-        get_benchmark(args.benchmark), iterations=args.iterations, strict=False
-    )
+    series = sweep.run(benchmark, iterations=args.iterations, strict=False)
     failed = {version: status for version, status, _error in series.failures}
     print("%s across the QEMU timeline (%s guest; speedup vs %s):"
           % (series.name, arch.name, series.versions[0]))
@@ -557,8 +550,6 @@ def _cmd_bisect(args):
         ATTRIBUTION_KERNELS,
         attribution_kernel,
     )
-    from repro.core.runner import resolve_benchmark
-
     engine = args.engine
     if args.list_fields:
         for name, spec_class in SPEC_CLASSES.items():
@@ -585,14 +576,13 @@ def _cmd_bisect(args):
 
     arch = get_arch(args.arch)
     platform = get_platform(args.platform or _default_platform(args.arch))
-    harness = Harness(timing=TimingPolicy.MODELED)
     engine = engine or "qemu-dbt"
 
     if args.validate:
         if not args.field:
             raise _CliError("--validate needs --field")
         _metrics_begin(args)
-        runner = _runner_for(args, harness)
+        runner = _runner_for(args)
         try:
             report = validate_attribution(
                 engine,
@@ -621,10 +611,7 @@ def _cmd_bisect(args):
             raise _CliError(str(exc).strip("'\"")) from None
         metric = args.metric or benchmark.cliff_metric
     elif args.benchmark:
-        try:
-            benchmark = resolve_benchmark(args.benchmark)
-        except KeyError as exc:
-            raise _CliError(str(exc).strip("'\"")) from None
+        benchmark = _benchmark(args.benchmark)
         metric = args.metric or "seconds"
     else:
         raise _CliError("bisect needs --benchmark or --field (or --list-fields)")
@@ -645,7 +632,7 @@ def _cmd_bisect(args):
         axis = BisectAxis.qemu_versions(args.arch)
 
     _metrics_begin(args)
-    runner = _runner_for(args, harness)
+    runner = _runner_for(args)
     try:
         bisector = Bisector(
             runner,
@@ -935,14 +922,15 @@ def _cmd_metrics(args):
 
 
 def _cmd_compare(args):
-    harness, arch, platform = _environment(args)
+    arch, platform = _environment(args)
     simulators = args.sims.split(",")
     for name in simulators:
         if name not in SIMULATOR_CLASSES:
-            print("unknown simulator %r" % name, file=sys.stderr)
-            return 2
+            raise _CliError("unknown simulator %r" % name)
+    _metrics_begin(args)
+    runner = _runner_for(args)
     columns = {
-        name: harness.run_suite(name, arch, platform, scale=args.scale).by_name()
+        name: runner.run_suite(name, arch, platform, scale=args.scale).by_name()
         for name in simulators
     }
     print("%-28s" % ("Benchmark (%s guest, s)" % arch.name)
@@ -964,15 +952,21 @@ def _cmd_compare(args):
             a, b = columns[first][bench.name], columns[second][bench.name]
             if a.ok and b.ok and a.kernel_ns:
                 print("  %-28s %8.2fx" % (bench.name, b.kernel_ns / a.kernel_ns))
-    return 0
+    _report_runner(args, runner)
+    _metrics_finish(args, runner)
+    return _failure_summary(args, runner)
 
 
 def _cmd_report(args):
     from repro.analysis.report import write_report
 
-    path = write_report(args.output, scale=args.scale)
+    _metrics_begin(args)
+    runner = _runner_for(args)
+    path = write_report(args.output, scale=args.scale, runner=runner)
     print("wrote %s" % path)
-    return 0
+    _report_runner(args, runner)
+    _metrics_finish(args, runner)
+    return _failure_summary(args, runner)
 
 
 def _cmd_detect(args):
@@ -1213,14 +1207,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one benchmark")
     p_run.add_argument("benchmark")
     p_run.add_argument("--iterations", type=int, default=None)
-    p_run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="enable metrics collection and write a JSONL observability "
-        "export to PATH",
-    )
     _add_env_options(p_run)
+    _add_runner_options(p_run)
 
     p_suite = sub.add_parser("suite", help="run the full suite")
     p_suite.add_argument("--scale", type=float, default=1.0)
@@ -1229,6 +1217,7 @@ def build_parser():
 
     p_wl = sub.add_parser("workloads", help="run the SPEC proxies")
     _add_env_options(p_wl)
+    _add_runner_options(p_wl)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure (2-8)")
     p_fig.add_argument("number", type=int)
@@ -1547,11 +1536,13 @@ def build_parser():
     p_report = sub.add_parser("report", help="write the full evaluation report")
     p_report.add_argument("--output", default="REPORT.md")
     p_report.add_argument("--scale", type=float, default=0.5)
+    _add_runner_options(p_report)
 
     p_compare = sub.add_parser("compare", help="side-by-side suite comparison")
     p_compare.add_argument("--sims", default="qemu-dbt,simit")
     p_compare.add_argument("--scale", type=float, default=0.5)
     _add_env_options(p_compare)
+    _add_runner_options(p_compare)
 
     return parser
 

@@ -9,10 +9,11 @@ This package is the reproduction of the paper's primary contribution:
   records;
 - :mod:`repro.core.benchmarks` -- the 18 micro-benchmarks in 5 groups;
 - :mod:`repro.core.suite` -- the suite registry (Figure 3's inventory);
-- :mod:`repro.core.harness` -- runs benchmarks on simulators and
-  reports per-kernel run times and iteration counts;
-- :mod:`repro.core.runner` -- the experiment runner (structural job
-  dedup, multiprocessing fan-out, deterministic merge);
+- :mod:`repro.core.harness` -- the per-cell primitives: execute one
+  benchmark on one simulator and price its kernel counter delta;
+- :mod:`repro.core.runner` -- the experiment runner, the one path
+  every grid of cells takes (structural job dedup, the result dataset,
+  multiprocessing fan-out, deterministic merge);
 - :mod:`repro.core.resultcache` -- job fingerprints, the keys of the
   experiment dataset ("execute once, price many");
 - :mod:`repro.core.density` -- operation-density measurement;

@@ -10,18 +10,18 @@ Densities are measured on the reference engine (the fast interpreter),
 whose counters observe every operation class.
 """
 
-from repro.core.harness import Harness, TimingPolicy
+from repro.core.runner import ExperimentRunner, JobSpec
 from repro.core.suite import SUITE
 
 REFERENCE_SIMULATOR = "simit"
 
 
-def measure_density(benchmark, arch, platform, harness=None, iterations=None):
+def measure_density(benchmark, arch, platform, runner=None, iterations=None):
     """Measure one benchmark's operation density on the reference engine."""
-    if harness is None:
-        harness = Harness(timing=TimingPolicy.MODELED)
-    result = harness.run_benchmark(
-        benchmark, REFERENCE_SIMULATOR, arch, platform, iterations=iterations
+    if runner is None:
+        runner = ExperimentRunner()
+    [result] = runner.run(
+        [JobSpec(benchmark, REFERENCE_SIMULATOR, arch, platform, iterations=iterations)]
     )
     if not result.ok:
         return result, None
@@ -36,33 +36,41 @@ def workload_density(counter_names, delta):
     return sum(delta.get(name, 0) for name in counter_names) / insns
 
 
-def density_table(arch, platform, workload_deltas=None, harness=None, scale=1.0):
+def density_table(arch, platform, workload_deltas=None, runner=None, scale=1.0):
     """Build Figure 3's rows.
 
     Returns a list of dicts with keys ``group``, ``benchmark``,
     ``paper_iterations``, ``iterations``, ``simbench_density`` and (when
     ``workload_deltas`` -- a list of kernel counter deltas from the
-    SPEC-proxy workloads -- is given) ``spec_density``.
+    SPEC-proxy workloads -- is given) ``spec_density``.  The suite runs
+    as one grid on ``runner``.
     """
-    if harness is None:
-        harness = Harness(timing=TimingPolicy.MODELED)
-    rows = []
+    if runner is None:
+        runner = ExperimentRunner()
     merged = None
     if workload_deltas:
         merged = {}
         for delta in workload_deltas:
             for key, value in delta.items():
                 merged[key] = merged.get(key, 0) + value
-    for benchmark in SUITE:
-        iterations = max(1, int(benchmark.default_iterations * scale))
-        result = harness.run_benchmark(
-            benchmark, REFERENCE_SIMULATOR, arch, platform, iterations=iterations
+    specs = [
+        JobSpec(
+            benchmark,
+            REFERENCE_SIMULATOR,
+            arch,
+            platform,
+            iterations=max(1, int(benchmark.default_iterations * scale)),
         )
+        for benchmark in SUITE
+    ]
+    rows = []
+    for spec, result in zip(specs, runner.run(specs)):
+        benchmark = spec.benchmark
         row = {
             "group": benchmark.group,
             "benchmark": benchmark.name,
             "paper_iterations": benchmark.paper_iterations,
-            "iterations": iterations,
+            "iterations": spec.iterations,
             "simbench_density": result.operation_density if result.ok else None,
             "status": result.status,
         }

@@ -16,7 +16,6 @@ Two timing policies are supported:
 """
 
 import enum
-import statistics
 import time
 
 from repro.errors import (
@@ -29,7 +28,6 @@ from repro.errors import (
 )
 from repro.core.benchmark import BenchmarkResult
 from repro.core.program import PHASE_KERNEL_DONE, PHASE_SETUP_DONE
-from repro.core.suite import SUITE
 from repro.machine import Board
 from repro.obs.metrics import METRICS
 from repro.sim.base import Counters, ExitReason
@@ -177,7 +175,13 @@ class _PhaseRecorder:
 
 
 class Harness:
-    """Builds, runs and times SimBench programs on simulators."""
+    """Builds, runs and times SimBench programs on simulators.
+
+    The harness holds the per-cell primitives -- :meth:`build_program`,
+    :meth:`execute_benchmark` and :meth:`price_record` -- that
+    :class:`~repro.core.runner.ExperimentRunner` composes; grids of
+    cells run through the runner, never through the harness directly.
+    """
 
     def __init__(self, timing=TimingPolicy.MODELED, max_insns=50_000_000):
         self.timing = TimingPolicy(timing)
@@ -333,95 +337,3 @@ class Harness:
         counters = benchmark.operation_counters_for(arch)
         result.operations = sum(delta.get(name, 0) for name in counters)
         return result
-
-    # ------------------------------------------------------------------
-    def run_benchmark(
-        self,
-        benchmark,
-        simulator,
-        arch,
-        platform,
-        iterations=None,
-        dbt_config=None,
-        sim_kwargs=None,
-    ):
-        """Run one benchmark on one simulator and return a
-        :class:`~repro.core.benchmark.BenchmarkResult`.
-
-        ``simulator`` is an :class:`~repro.sim.spec.EngineSpec` or a
-        registry name (see :data:`repro.sim.SIMULATOR_CLASSES`); the
-        legacy ``dbt_config``/``sim_kwargs`` pair is folded into the
-        spec (e.g. ``sim_kwargs={"asid_tagged": True}``).  This is
-        :meth:`execute_benchmark` followed by :meth:`price_record`.
-        """
-        spec = as_engine_spec(simulator, dbt_config, sim_kwargs)
-        record = self.execute_benchmark(
-            benchmark, spec, arch, platform, iterations=iterations
-        )
-        return self.price_record(
-            record, benchmark, spec, arch, platform, iterations=iterations
-        )
-
-    # ------------------------------------------------------------------
-    def run_benchmark_repeated(
-        self,
-        benchmark,
-        simulator,
-        arch,
-        platform,
-        repeats=5,
-        **kwargs,
-    ):
-        """Run a benchmark several times and aggregate the kernel times.
-
-        Under the (deterministic) MODELED policy all repeats agree; the
-        aggregation matters for WALLCLOCK runs, where the paper-style
-        report is "median kernel time over N runs".  Returns
-        ``(results, summary)`` where ``summary`` has ``median_ns``,
-        ``mean_ns``, ``stdev_ns`` and ``repeats``.
-        """
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        results = [
-            self.run_benchmark(benchmark, simulator, arch, platform, **kwargs)
-            for _ in range(repeats)
-        ]
-        ok = [res for res in results if res.ok]
-        if not ok:
-            return results, None
-        times = [res.kernel_ns for res in ok]
-        summary = {
-            "median_ns": statistics.median(times),
-            "mean_ns": statistics.fmean(times),
-            "stdev_ns": statistics.stdev(times) if len(times) > 1 else 0.0,
-            "repeats": len(ok),
-        }
-        return results, summary
-
-    # ------------------------------------------------------------------
-    def run_suite(
-        self,
-        simulator,
-        arch,
-        platform,
-        benchmarks=None,
-        scale=1.0,
-        dbt_config=None,
-    ):
-        """Run the (full or partial) suite on one simulator.
-
-        ``scale`` multiplies every benchmark's default iteration count,
-        letting callers trade run time for measurement stability.
-        """
-        spec = as_engine_spec(simulator, dbt_config)
-        if benchmarks is None:
-            benchmarks = SUITE
-        results = []
-        for benchmark in benchmarks:
-            iterations = max(1, int(benchmark.default_iterations * scale))
-            results.append(
-                self.run_benchmark(
-                    benchmark, spec, arch, platform, iterations=iterations
-                )
-            )
-        return SuiteResult(spec.engine, arch.name, platform.name, results)

@@ -22,6 +22,7 @@ application on any simulator from that simulator's SimBench results
 alone.
 """
 
+from repro.core.runner import JobSpec
 from repro.core.suite import SUITE
 
 #: Benchmark used to calibrate the baseline per-instruction cost.
@@ -121,20 +122,22 @@ class PerformanceModel:
         )
 
 
-def predict_workloads(model, harness, workloads, arch, platform, profile_simulator="simit"):
+def predict_workloads(model, runner, workloads, arch, platform, profile_simulator="simit"):
     """Predict each workload's time on ``model.simulator`` from a single
     profiling run on ``profile_simulator``, and compare with the actual
-    run.  Returns ``[(name, predicted_ns, measured_ns, rel_error)]``.
+    run.  Both runs of every workload go to ``runner`` as one grid.
+    Returns ``[(name, predicted_ns, measured_ns, rel_error)]``.
     """
-    rows = []
+    specs = []
     for workload in workloads:
-        profile = harness.run_benchmark(workload, profile_simulator, arch, platform)
-        if not profile.ok:
-            continue
-        measured = harness.run_benchmark(workload, model.simulator, arch, platform)
-        if not measured.ok:
+        specs.append(JobSpec(workload, profile_simulator, arch, platform))
+        specs.append(JobSpec(workload, model.simulator, arch, platform))
+    results = runner.run(specs)
+    rows = []
+    for profile, measured in zip(results[::2], results[1::2]):
+        if not profile.ok or not measured.ok:
             continue
         predicted = model.predict_ns(profile.kernel_delta)
         error = (predicted - measured.kernel_ns) / measured.kernel_ns
-        rows.append((workload.name, predicted, measured.kernel_ns, error))
+        rows.append((profile.benchmark, predicted, measured.kernel_ns, error))
     return rows

@@ -488,6 +488,14 @@ def _execute_chunk(blob):
     return records, aux
 
 
+#: The :attr:`ExperimentRunner.last_stats` counters that add up across
+#: runs (:attr:`ExperimentRunner.total_stats`).
+SUMMED_STATS = (
+    "jobs", "unique", "static", "from_dataset", "executed", "dataset_appended",
+    "crashed", "timeout", "errors", "retried", "worker_lost",
+)
+
+
 def _fresh_job_info():
     """Per-job observability row skeleton (filled in as the job runs)."""
     return {
@@ -587,6 +595,9 @@ class ExperimentRunner:
         self.jobs_log = []
         #: Failing grid cells accumulated across every :meth:`run` call.
         self.failures = []
+        #: The :data:`SUMMED_STATS` counters of :attr:`last_stats`,
+        #: summed across every :meth:`run` call.
+        self.total_stats = dict.fromkeys(SUMMED_STATS, 0)
         self._exec_stats = self._fresh_exec_stats()
         # Worker code-store deltas shipped back during the current run.
         self._worker_codestore = {}
@@ -776,6 +787,8 @@ class ExperimentRunner:
             # dispatched, so serial runs keep the legacy stats shape.
             self.last_stats.update(self._pool_stats)
         self.last_records = records
+        for name in SUMMED_STATS:
+            self.total_stats[name] += self.last_stats[name]
 
         # Per-job observability rows, in submission order.  The first
         # spec of each execution group carries the group's source and
@@ -1195,7 +1208,12 @@ class ExperimentRunner:
         scale=1.0,
         dbt_config=None,
     ):
-        """Drop-in parallel/stored equivalent of ``Harness.run_suite``."""
+        """Run the (full or partial) suite on one simulator as one grid
+        and return a :class:`~repro.core.harness.SuiteResult`.
+
+        ``scale`` multiplies every benchmark's default iteration count,
+        letting callers trade run time for measurement stability.
+        """
         engine_spec = as_engine_spec(simulator, dbt_config)
         if benchmarks is None:
             benchmarks = SUITE

@@ -38,42 +38,21 @@ class TestReport:
         assert path.read_text().startswith("# SimBench reproduction report")
 
 
-class TestRepeatedRuns:
-    def test_summary_statistics(self):
-        from repro.arch import ARM
-        from repro.core import Harness, get_benchmark
-        from repro.platform import VEXPRESS
+class TestReportFromDataset:
+    def test_warm_report_executes_nothing(self, tmp_path):
+        from repro.core import ExperimentRunner
+        from repro.exp import Dataset
 
-        harness = Harness()
-        results, summary = harness.run_benchmark_repeated(
-            get_benchmark("System Call"), "simit", ARM, VEXPRESS,
-            repeats=3, iterations=20,
-        )
-        assert len(results) == 3
-        assert summary["repeats"] == 3
-        # Modeled timing is deterministic: zero spread.
-        assert summary["stdev_ns"] == 0.0
-        assert summary["median_ns"] == results[0].kernel_ns
-
-    def test_invalid_repeats(self):
-        from repro.arch import ARM
-        from repro.core import Harness, get_benchmark
-        from repro.platform import VEXPRESS
-
-        harness = Harness()
-        with pytest.raises(ValueError):
-            harness.run_benchmark_repeated(
-                get_benchmark("System Call"), "simit", ARM, VEXPRESS, repeats=0
-            )
-
-    def test_failed_runs_summarised_as_none(self):
-        from repro.arch import X86
-        from repro.core import Harness, get_benchmark
-        from repro.platform import PCPLAT
-
-        harness = Harness()
-        results, summary = harness.run_benchmark_repeated(
-            get_benchmark("Nonprivileged Access"), "simit", X86, PCPLAT, repeats=2
-        )
-        assert summary is None
-        assert all(res.status == "not-applicable" for res in results)
+        timestamp = "2026-07-06T00:00:00"
+        reference = generate_report(scale=0.05, timestamp=timestamp)
+        texts = []
+        executed = []
+        for _ in range(2):
+            runner = ExperimentRunner(dataset=Dataset(tmp_path / "ds"))
+            texts.append(generate_report(scale=0.05, timestamp=timestamp, runner=runner))
+            executed.append(runner.total_stats["executed"])
+        assert texts == [reference, reference]
+        # Sections share cells: the cold pass executes each unique cell
+        # once (206 at this scale), the warm pass none.
+        assert executed[0] <= 206
+        assert executed[1] == 0

@@ -4,20 +4,21 @@ operation must be observed at the expected rate."""
 import pytest
 
 from repro.arch import ARM, X86
-from repro.core import Harness, SUITE, get_benchmark
+from repro.core import ExperimentRunner, SUITE, get_benchmark
 from repro.platform import PCPLAT, VEXPRESS
+from tests.runs import run_cell
 
 ITERATIONS = 40
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return Harness()
+def runner():
+    return ExperimentRunner()
 
 
-def run(harness, name, simulator="simit", arch=ARM, platform=VEXPRESS, iterations=ITERATIONS):
-    return harness.run_benchmark(
-        get_benchmark(name), simulator, arch, platform, iterations=iterations
+def run(runner, name, simulator="simit", arch=ARM, platform=VEXPRESS, iterations=ITERATIONS):
+    return run_cell(
+        runner, get_benchmark(name), simulator, arch, platform, iterations=iterations
     )
 
 
@@ -26,8 +27,8 @@ def run(harness, name, simulator="simit", arch=ARM, platform=VEXPRESS, iteration
     "arch,platform", [(ARM, VEXPRESS), (X86, PCPLAT)], ids=["arm", "x86"]
 )
 class TestAllBenchmarksRun:
-    def test_runs_on_reference_engine(self, harness, bench, arch, platform):
-        result = harness.run_benchmark(bench, "simit", arch, platform, iterations=20)
+    def test_runs_on_reference_engine(self, runner, bench, arch, platform):
+        result = run_cell(runner, bench, "simit", arch, platform, iterations=20)
         if not bench.effective(arch):
             assert result.status == "not-applicable"
             return
@@ -35,8 +36,8 @@ class TestAllBenchmarksRun:
         assert result.kernel_instructions > 0
         assert result.operations > 0
 
-    def test_runs_on_dbt(self, harness, bench, arch, platform):
-        result = harness.run_benchmark(bench, "qemu-dbt", arch, platform, iterations=20)
+    def test_runs_on_dbt(self, runner, bench, arch, platform):
+        result = run_cell(runner, bench, "qemu-dbt", arch, platform, iterations=20)
         if not bench.effective(arch):
             assert result.status == "not-applicable"
             return
@@ -66,46 +67,46 @@ class TestOperationRates:
             "TLB Flush",
         ],
     )
-    def test_exact_rate(self, harness, name):
+    def test_exact_rate(self, runner, name):
         bench = get_benchmark(name)
-        result = run(harness, name)
+        result = run(runner, name)
         assert result.ok
         expected = ITERATIONS * bench.ops_per_iteration
         # Allow one iteration of slack for warm-up / final-iteration
         # effects (e.g. the loop's final branch is not taken).
         assert expected - bench.ops_per_iteration <= result.operations <= expected
 
-    def test_code_generation_rates(self, harness):
+    def test_code_generation_rates(self, runner):
         for name in ("Small Blocks", "Large Blocks"):
             bench = get_benchmark(name)
-            result = run(harness, name)
+            result = run(runner, name)
             assert result.ok
             expected = ITERATIONS * bench.ops_per_iteration
             # First-iteration stores happen before the code was ever
             # executed, so they are not counted as code writes.
             assert expected - bench.ops_per_iteration <= result.operations <= expected
 
-    def test_hot_memory_rate(self, harness):
+    def test_hot_memory_rate(self, runner):
         bench = get_benchmark("Hot Memory Access")
-        result = run(harness, "Hot Memory Access")
+        result = run(runner, "Hot Memory Access")
         assert result.operations >= ITERATIONS * bench.ops_per_iteration
 
-    def test_cold_memory_misses_every_iteration(self, harness):
-        result = run(harness, "Cold Memory Access", iterations=100)
+    def test_cold_memory_misses_every_iteration(self, runner):
+        result = run(runner, "Cold Memory Access", iterations=100)
         assert result.ok
         # Every access walks a fresh page: every one misses the 64-entry TLB.
         assert result.operations >= 100
 
-    def test_nonpriv_rate_on_arm(self, harness):
+    def test_nonpriv_rate_on_arm(self, runner):
         bench = get_benchmark("Nonprivileged Access")
-        result = run(harness, "Nonprivileged Access")
+        result = run(runner, "Nonprivileged Access")
         assert result.ok
         assert result.operations == ITERATIONS * bench.ops_per_iteration
 
 
 class TestArchSpecifics:
-    def test_nonpriv_not_applicable_on_x86(self, harness):
-        result = run(harness, "Nonprivileged Access", arch=X86, platform=PCPLAT)
+    def test_nonpriv_not_applicable_on_x86(self, runner):
+        result = run(runner, "Nonprivileged Access", arch=X86, platform=PCPLAT)
         assert result.status == "not-applicable"
 
     def test_coproc_counter_differs_by_arch(self):
@@ -113,45 +114,45 @@ class TestArchSpecifics:
         assert bench.operation_counters_for(ARM) == ("coproc_reads",)
         assert bench.operation_counters_for(X86) == ("coproc_writes",)
 
-    def test_mmio_unsupported_on_gem5(self, harness):
-        result = run(harness, "Memory Mapped Device", simulator="gem5")
+    def test_mmio_unsupported_on_gem5(self, runner):
+        result = run(runner, "Memory Mapped Device", simulator="gem5")
         assert result.status == "unsupported"
 
-    def test_swirq_unsupported_on_gem5(self, harness):
-        result = run(harness, "External Software Interrupt", simulator="gem5", iterations=5)
+    def test_swirq_unsupported_on_gem5(self, runner):
+        result = run(runner, "External Software Interrupt", simulator="gem5", iterations=5)
         assert result.status == "unsupported"
 
 
 class TestStructuralEffects:
-    def test_small_blocks_forces_retranslation(self, harness):
-        result = run(harness, "Small Blocks", simulator="qemu-dbt", iterations=30)
+    def test_small_blocks_forces_retranslation(self, runner):
+        result = run(runner, "Small Blocks", simulator="qemu-dbt", iterations=30)
         assert result.ok
         delta = result.kernel_delta
         assert delta["smc_invalidations"] >= 29
         assert delta["translations"] >= 29
 
-    def test_intra_page_direct_chains_on_dbt(self, harness):
-        result = run(harness, "Intra-Page Direct", simulator="qemu-dbt", iterations=50)
+    def test_intra_page_direct_chains_on_dbt(self, runner):
+        result = run(runner, "Intra-Page Direct", simulator="qemu-dbt", iterations=50)
         assert result.ok
         delta = result.kernel_delta
         assert delta["chain_follows"] > delta["slow_dispatches"]
 
-    def test_inter_page_direct_does_not_chain(self, harness):
-        result = run(harness, "Inter-Page Direct", simulator="qemu-dbt", iterations=50)
+    def test_inter_page_direct_does_not_chain(self, runner):
+        result = run(runner, "Inter-Page Direct", simulator="qemu-dbt", iterations=50)
         assert result.ok
         delta = result.kernel_delta
         # Cross-page direct branches go through the block cache.
         assert delta["slow_dispatches"] >= delta["branches_direct_inter"]
 
-    def test_tlb_flush_refills(self, harness):
-        result = run(harness, "TLB Flush", iterations=50)
+    def test_tlb_flush_refills(self, runner):
+        result = run(runner, "TLB Flush", iterations=50)
         delta = result.kernel_delta
         assert delta["tlb_flushes"] == 50
         # The flushed page must be re-walked every iteration.
         assert delta["tlb_misses"] >= 50
 
-    def test_syscall_benchmark_returns_cleanly(self, harness):
-        result = run(harness, "System Call", iterations=25)
+    def test_syscall_benchmark_returns_cleanly(self, runner):
+        result = run(runner, "System Call", iterations=25)
         delta = result.kernel_delta
         assert delta["syscalls"] == 25
         assert delta["exception_returns"] == 25

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import ARM, X86
-from repro.core import Harness
+from repro.core import ExperimentRunner
 from repro.core.benchmarks.extensions import (
     EXTENSION_SUITE,
     ContextSwitch,
@@ -12,11 +12,12 @@ from repro.core.benchmarks.extensions import (
 from repro.core.suite import SUITE
 from repro.platform import PCPLAT, VEXPRESS
 from repro.sim.dbt import DBTConfig
+from tests.runs import run_cell
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return Harness()
+def runner():
+    return ExperimentRunner()
 
 
 class TestRegistry:
@@ -31,19 +32,19 @@ class TestFPControlSwitch:
     @pytest.mark.parametrize(
         "arch,platform", [(ARM, VEXPRESS), (X86, PCPLAT)], ids=["arm", "x86"]
     )
-    def test_runs_everywhere(self, harness, arch, platform):
+    def test_runs_everywhere(self, runner, arch, platform):
         bench = FPControlSwitch()
         for simulator in ("simit", "qemu-dbt", "native"):
-            result = harness.run_benchmark(bench, simulator, arch, platform, iterations=40)
+            result = run_cell(runner, bench, simulator, arch, platform, iterations=40)
             assert result.status == "ok", (simulator, result.error)
             assert result.operations == 80  # two FPCR writes per iteration
 
-    def test_fpcr_restored_after_run(self, harness):
+    def test_fpcr_restored_after_run(self, runner):
         from repro.machine import Board
         from repro.sim import FastInterpreter
 
         bench = FPControlSwitch()
-        built = harness.build_program(bench, ARM, VEXPRESS)
+        built = runner.harness.build_program(bench, ARM, VEXPRESS)
         board = Board(VEXPRESS)
         board.load(built.program)
         board.set_iterations(10)
@@ -52,13 +53,13 @@ class TestFPControlSwitch:
         assert result.halted_ok
         assert board.cops.cp1.fpcr == 0x037F  # the reset/default value
 
-    def test_expensive_on_x86_kvm(self, harness):
+    def test_expensive_on_x86_kvm(self, runner):
         """FP control writes are coprocessor traps on the x86 KVM model."""
-        kvm = harness.run_benchmark(
-            FPControlSwitch(), "qemu-kvm", X86, PCPLAT, iterations=40
+        kvm = run_cell(
+            runner, FPControlSwitch(), "qemu-kvm", X86, PCPLAT, iterations=40
         )
-        dbt = harness.run_benchmark(
-            FPControlSwitch(), "qemu-dbt", X86, PCPLAT, iterations=40
+        dbt = run_cell(
+            runner, FPControlSwitch(), "qemu-dbt", X86, PCPLAT, iterations=40
         )
         assert kvm.kernel_ns > dbt.kernel_ns
 
@@ -67,27 +68,27 @@ class TestContextSwitch:
     @pytest.mark.parametrize(
         "arch,platform", [(ARM, VEXPRESS), (X86, PCPLAT)], ids=["arm", "x86"]
     )
-    def test_runs_everywhere(self, harness, arch, platform):
+    def test_runs_everywhere(self, runner, arch, platform):
         bench = ContextSwitch()
         for simulator in ("simit", "qemu-dbt", "qemu-kvm", "native"):
-            result = harness.run_benchmark(bench, simulator, arch, platform, iterations=30)
+            result = run_cell(runner, bench, simulator, arch, platform, iterations=30)
             assert result.status == "ok", (simulator, result.error)
             assert result.operations == 60  # 2 switches per iteration
 
-    def test_untagged_interpreter_flushes_per_switch(self, harness):
+    def test_untagged_interpreter_flushes_per_switch(self, runner):
         bench = ContextSwitch()
-        result = harness.run_benchmark(
-            bench, "simit", ARM, VEXPRESS, iterations=100,
+        result = run_cell(
+            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
             sim_kwargs={"asid_tagged": False},
         )
         delta = result.kernel_delta
         # Every access after a switch misses: 2 switches x 4 pages.
         assert delta["tlb_misses"] >= 100 * 2 * ContextSwitch.WORKING_SET_PAGES - 8
 
-    def test_tagged_interpreter_stays_warm(self, harness):
+    def test_tagged_interpreter_stays_warm(self, runner):
         bench = ContextSwitch()
-        result = harness.run_benchmark(
-            bench, "simit", ARM, VEXPRESS, iterations=100,
+        result = run_cell(
+            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
             sim_kwargs={"asid_tagged": True},
         )
         delta = result.kernel_delta
@@ -95,32 +96,32 @@ class TestContextSwitch:
         assert delta["tlb_misses"] <= 2 * ContextSwitch.WORKING_SET_PAGES + 4
         assert delta["context_switches"] == 200
 
-    def test_tagging_is_faster(self, harness):
+    def test_tagging_is_faster(self, runner):
         bench = ContextSwitch()
-        untagged = harness.run_benchmark(
-            bench, "simit", ARM, VEXPRESS, iterations=100,
+        untagged = run_cell(
+            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
             sim_kwargs={"asid_tagged": False},
         )
-        tagged = harness.run_benchmark(
-            bench, "simit", ARM, VEXPRESS, iterations=100,
+        tagged = run_cell(
+            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
             sim_kwargs={"asid_tagged": True},
         )
         assert tagged.kernel_ns < untagged.kernel_ns
 
-    def test_dbt_asid_tagging(self, harness):
+    def test_dbt_asid_tagging(self, runner):
         bench = ContextSwitch()
-        untagged = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
+        untagged = run_cell(
+            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
             dbt_config=DBTConfig(asid_tagged=False),
         )
-        tagged = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
+        tagged = run_cell(
+            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
             dbt_config=DBTConfig(asid_tagged=True),
         )
         assert tagged.kernel_delta["tlb_misses"] < untagged.kernel_delta["tlb_misses"]
         assert tagged.kernel_ns < untagged.kernel_ns
 
-    def test_asid_isolation_correctness(self, harness):
+    def test_asid_isolation_correctness(self, runner):
         """Entries cached under one ASID must not leak stale physical
         mappings into another (the tagged TLB keys must include the
         ASID)."""
@@ -132,7 +133,7 @@ class TestContextSwitch:
         # the engine-level ASID switch path with tagged TLB and verify
         # the dtlb holds distinct per-ASID entries after the benchmark.
         bench = ContextSwitch()
-        built = harness.build_program(bench, ARM, VEXPRESS)
+        built = runner.harness.build_program(bench, ARM, VEXPRESS)
         board = Board(VEXPRESS)
         board.load(built.program)
         board.set_iterations(5)

@@ -1,17 +1,19 @@
-"""Harness tests: timing policies, statuses, suite runs."""
+"""Harness tests: timing policies, statuses, suite runs (through the
+experiment runner, the one path cells run on)."""
 
 import pytest
 
 from repro.arch import ARM
-from repro.core import Harness, SUITE, TimingPolicy, get_benchmark
+from repro.core import ExperimentRunner, Harness, SUITE, TimingPolicy, get_benchmark
 from repro.core.suite import GROUPS, benchmarks_in_group
 from repro.platform import VEXPRESS
 from repro.sim.dbt.versions import dbt_config_for_version
+from tests.runs import run_cell
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return Harness()
+def runner():
+    return ExperimentRunner()
 
 
 class TestSuiteRegistry:
@@ -47,74 +49,75 @@ class TestSuiteRegistry:
 
 
 class TestRunBenchmark:
-    def test_reports_iterations_and_paper_iterations(self, harness):
+    def test_reports_iterations_and_paper_iterations(self, runner):
         bench = get_benchmark("System Call")
-        result = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=12)
+        result = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=12)
         assert result.iterations == 12
         assert result.paper_iterations == bench.paper_iterations
         assert result.kernel_ns > 0
         assert result.kernel_wall_ns > 0
 
-    def test_modeled_timing_is_deterministic(self, harness):
+    def test_modeled_timing_is_deterministic(self, runner):
         bench = get_benchmark("Hot Memory Access")
-        first = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=30)
-        second = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=30)
+        first = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=30)
+        second = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=30)
         assert first.kernel_ns == second.kernel_ns
         assert first.kernel_delta == second.kernel_delta
 
     def test_wallclock_policy(self):
-        harness = Harness(timing=TimingPolicy.WALLCLOCK)
+        runner = ExperimentRunner(harness=Harness(timing=TimingPolicy.WALLCLOCK))
         bench = get_benchmark("Hot Memory Access")
-        result = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=30)
+        result = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=30)
         assert result.kernel_ns == result.kernel_wall_ns
 
-    def test_kernel_scales_with_iterations(self, harness):
+    def test_kernel_scales_with_iterations(self, runner):
         bench = get_benchmark("Undefined Instruction")
-        small = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=10)
-        large = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=100)
+        small = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=10)
+        large = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=100)
         assert large.kernel_ns > 5 * small.kernel_ns
 
-    def test_program_cache_reused(self, harness):
+    def test_program_cache_reused(self):
+        harness = Harness()
         bench = get_benchmark("System Call")
         first = harness.build_program(bench, ARM, VEXPRESS)
         second = harness.build_program(bench, ARM, VEXPRESS)
         assert first is second
 
-    def test_dbt_config_applied(self, harness):
+    def test_dbt_config_applied(self, runner):
         bench = get_benchmark("Data Access Fault")
-        base = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
+        base = run_cell(
+            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
             dbt_config=dbt_config_for_version("v1.7.0"),
         )
-        fast = harness.run_benchmark(
-            bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
+        fast = run_cell(
+            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
             dbt_config=dbt_config_for_version("v2.5.0-rc0"),
         )
         # The data-fault fast path makes this benchmark far faster.
         assert base.kernel_ns > 2 * fast.kernel_ns
 
     def test_error_status_on_runaway_guest(self):
-        harness = Harness(max_insns=2_000)
+        runner = ExperimentRunner(harness=Harness(max_insns=2_000))
         bench = get_benchmark("Cold Memory Access")
-        result = harness.run_benchmark(bench, "simit", ARM, VEXPRESS, iterations=100000)
+        result = run_cell(runner, bench, "simit", ARM, VEXPRESS, iterations=100000)
         assert result.status == "error"
         assert result.error is not None
 
 
 class TestRunSuite:
-    def test_full_suite(self, harness):
-        suite_result = harness.run_suite("simit", ARM, VEXPRESS, scale=0.05)
+    def test_full_suite(self, runner):
+        suite_result = runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
         assert len(suite_result) == 18
         assert all(r.status == "ok" for r in suite_result)
 
-    def test_scale_floors_at_one(self, harness):
-        suite_result = harness.run_suite(
+    def test_scale_floors_at_one(self, runner):
+        suite_result = runner.run_suite(
             "simit", ARM, VEXPRESS, benchmarks=[get_benchmark("System Call")], scale=1e-9
         )
         assert suite_result.results[0].iterations == 1
 
-    def test_by_name(self, harness):
-        suite_result = harness.run_suite(
+    def test_by_name(self, runner):
+        suite_result = runner.run_suite(
             "simit", ARM, VEXPRESS,
             benchmarks=[get_benchmark("System Call"), get_benchmark("TLB Flush")],
             scale=0.05,

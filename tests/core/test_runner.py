@@ -174,18 +174,15 @@ class TestDeduplication:
 
     def test_deduped_results_match_naive_serial(self):
         benchmark = get_benchmark("System Call")
+        # The reference executes and prices every cell on its own: no
+        # dedup, no dataset, no runner.
         naive = Harness(timing=TimingPolicy.MODELED)
-        expected = [
-            naive.run_benchmark(
-                benchmark,
-                "qemu-dbt",
-                ARM,
-                VEXPRESS,
-                iterations=20,
-                dbt_config=dbt_config_for_version(version, "arm"),
-            )
-            for version in QEMU_VERSIONS
-        ]
+        expected = []
+        for version in QEMU_VERSIONS:
+            cell = (benchmark, "qemu-dbt", ARM, VEXPRESS)
+            job = {"iterations": 20, "dbt_config": dbt_config_for_version(version, "arm")}
+            record = naive.execute_benchmark(*cell, **job)
+            expected.append(naive.price_record(record, *cell, **job))
         runner = ExperimentRunner()
         got = runner.run(
             [

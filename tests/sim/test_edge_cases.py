@@ -5,12 +5,13 @@ the full fetch path, privilege interactions, cross arch/platform combos.
 import pytest
 
 from repro.arch import ARM, X86
-from repro.core import Harness, get_benchmark
+from repro.core import ExperimentRunner, get_benchmark
 from repro.isa.assembler import assemble
 from repro.machine import Board
 from repro.machine.mmu import AP_KERNEL_RW, AP_USER_RW, PageTableBuilder
 from repro.platform import PCPLAT, VEXPRESS
 from repro.sim import DBTSimulator, FastInterpreter
+from tests.runs import run_cell
 from tests.sim.util import ALL_ENGINES, run_asm
 
 TTBR = 0x0100_0000
@@ -148,10 +149,10 @@ class TestCrossCombos:
         ids=["arm-on-pcplat", "x86-on-vexpress"],
     )
     def test_cross_combo_suite_sample(self, arch, platform):
-        harness = Harness()
+        runner = ExperimentRunner()
         for name in ("System Call", "Hot Memory Access", "TLB Flush"):
-            result = harness.run_benchmark(
-                get_benchmark(name), "simit", arch, platform, iterations=20
+            result = run_cell(
+                runner, get_benchmark(name), "simit", arch, platform, iterations=20
             )
             assert result.status == "ok", (name, result.error)
 

@@ -15,6 +15,16 @@ class TestParser:
             build_parser().parse_args(["suite", "--sim", "bochs"])
 
 
+def _plant_interpreter_crash(monkeypatch):
+    """Make every fast-interpreter (simit) run raise inside the engine."""
+    from repro.sim.interp import FastInterpreter
+
+    def _blow_up(self, max_insns=0):
+        raise ZeroDivisionError("decoder exploded")
+
+    monkeypatch.setattr(FastInterpreter, "run", _blow_up)
+
+
 class TestListCommand:
     def test_lists_inventory(self, capsys):
         assert main(["list"]) == 0
@@ -100,9 +110,17 @@ class TestRunCommand:
         assert code == 0
         assert "not-applicable" in capsys.readouterr().out
 
-    def test_unknown_benchmark(self):
-        with pytest.raises(KeyError):
-            main(["run", "Bogus Benchmark"])
+    def test_unknown_benchmark(self, capsys):
+        assert main(["run", "Bogus Benchmark"]) == 2
+        assert "unknown benchmark or workload 'Bogus Benchmark'" in capsys.readouterr().err
+
+    def test_failed_cell_exits_3(self, monkeypatch, capsys):
+        _plant_interpreter_crash(monkeypatch)
+        assert main(["run", "System Call", "--sim", "simit"]) == 3
+        captured = capsys.readouterr()
+        assert "crashed" in captured.out
+        assert "1 cell(s) failed" in captured.err
+        assert main(["run", "System Call", "--sim", "simit", "--keep-going"]) == 0
 
     def test_wallclock_timing(self, capsys):
         assert main([
@@ -279,12 +297,52 @@ class TestFigureCommand:
     def test_unknown_figure(self, capsys):
         assert main(["figure", "12"]) == 2
 
+    def test_warm_figure8_reports_every_job(self, tmp_path, capsys):
+        from repro.arch import ARM
+        from repro.core import SUITE
+        from repro.sim.dbt.versions import QEMU_VERSIONS
+        from repro.workloads import SPEC_PROXIES
+
+        # Figure 8 is figure 2's proxies plus figure 6's ARM benchmarks,
+        # each across the version timeline, over several runner calls.
+        cells = len(SPEC_PROXIES) + sum(bench.effective(ARM) for bench in SUITE)
+        jobs = cells * len(QEMU_VERSIONS)
+        args = ["figure", "8", "--scale", "0.05", "--dataset-dir", str(tmp_path / "ds")]
+        assert main(args) == 0
+        cold = capsys.readouterr()
+        assert "runner: %d jobs" % jobs in cold.err
+        assert main(args) == 0
+        warm = capsys.readouterr()
+        assert "runner: %d jobs" % jobs in warm.err
+        assert ", 0 executed" in warm.err
+        assert warm.out == cold.out
+
 
 class TestSweepCommand:
     def test_sweep(self, capsys):
         assert main(["sweep", "System Call", "--iterations", "20"]) == 0
         out = capsys.readouterr().out
         assert "v1.7.0" in out and "v2.5.0-rc2" in out
+
+    def test_unknown_benchmark(self, capsys):
+        assert main(["sweep", "Bogus"]) == 2
+        assert "unknown benchmark or workload 'Bogus'" in capsys.readouterr().err
+
+
+class TestWorkloadsCommand:
+    def test_runs_every_proxy(self, capsys):
+        from repro.workloads import SPEC_PROXIES
+
+        assert main(["workloads", "--sim", "simit"]) == 0
+        out = capsys.readouterr().out
+        for workload in SPEC_PROXIES:
+            assert workload.name in out
+
+    def test_crashed_cells_fail_the_command(self, monkeypatch, capsys):
+        _plant_interpreter_crash(monkeypatch)
+        assert main(["workloads", "--sim", "simit"]) == 3
+        assert "cell(s) failed" in capsys.readouterr().err
+        assert main(["workloads", "--sim", "simit", "--keep-going"]) == 0
 
 
 class TestCompareCommand:
@@ -296,6 +354,26 @@ class TestCompareCommand:
 
     def test_unknown_simulator(self, capsys):
         assert main(["compare", "--sims", "qemu-dbt,bochs", "--scale", "0.05"]) == 2
+
+    def test_crashed_cells_fail_the_command(self, monkeypatch, capsys):
+        _plant_interpreter_crash(monkeypatch)
+        args = ["compare", "--sims", "qemu-dbt,simit", "--scale", "0.05"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert "crashed" in captured.out
+        assert "18 cell(s) failed" in captured.err
+        assert main(args + ["--keep-going"]) == 0
+
+    def test_warm_rerun_executes_nothing(self, tmp_path, capsys):
+        args = ["compare", "--sims", "qemu-dbt,simit", "--scale", "0.05",
+                "--dataset-dir", str(tmp_path / "ds")]
+        assert main(args) == 0
+        cold = capsys.readouterr()
+        assert main(args) == 0
+        warm = capsys.readouterr()
+        assert "runner: 36 jobs" in warm.err
+        assert ", 0 executed" in warm.err
+        assert warm.out == cold.out
 
 
 class TestReportCommand:
