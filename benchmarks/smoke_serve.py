@@ -3,10 +3,10 @@
 Starts a real ``repro serve`` daemon (subprocess, 2 workers, throwaway
 dataset), then gates the service contract:
 
-1. two tenants concurrently submit the bundled ``smoke`` manifest plus
-   an ad-hoc grid -- every job must finish ``done`` with zero
-   failures, and the scheduler must have interleaved the tenants
-   rather than running one tenant's queue to completion first;
+1. two clients concurrently submit the bundled ``smoke`` manifest plus
+   ad-hoc grids -- every job must finish ``done`` with zero failures,
+   and jobs must finish in submission order (job ids are assigned in
+   submission order, and the service runs one FIFO queue);
 2. a warm resubmission of the same manifest must execute **zero**
    cells (every cell priced from the dataset);
 3. SIGTERM must drain gracefully: exit code 0 and no dataset rows
@@ -46,8 +46,6 @@ def _start_daemon(root, sock):
             os.path.join(root, "dataset"),
             "--jobs",
             "2",
-            "--slice-size",
-            "1",
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -67,9 +65,10 @@ def _start_daemon(root, sock):
 
 
 def _submit_jobs(sock):
-    """Two tenants race their submissions in; returns {tenant: [job ids]}."""
-    grids = {
-        "alice": [
+    """Two clients race their submissions in; returns one list of job
+    ids per client."""
+    clients = [
+        [
             {"manifest_ref": "smoke"},
             {
                 "grid": {
@@ -80,7 +79,7 @@ def _submit_jobs(sock):
                 }
             },
         ],
-        "bob": [
+        [
             {
                 "grid": {
                     "arch": "x86",
@@ -90,20 +89,21 @@ def _submit_jobs(sock):
                 }
             },
         ],
-    }
-    jobs = {tenant: [] for tenant in grids}
+    ]
+    jobs = [[] for _requests in clients]
     errors = []
 
-    def _submit(tenant):
-        client = ServeClient(sock, tenant=tenant)
+    def _submit(index):
+        client = ServeClient(sock)
         try:
-            for request in grids[tenant]:
-                jobs[tenant].append(client.submit(**request)["job"])
+            for request in clients[index]:
+                jobs[index].append(client.submit(**request)["job"])
         except Exception as exc:  # surfaced below; a thread must not die silently
-            errors.append("%s: %s" % (tenant, exc))
+            errors.append("client %d: %s" % (index, exc))
 
     threads = [
-        threading.Thread(target=_submit, args=(tenant,)) for tenant in grids
+        threading.Thread(target=_submit, args=(index,))
+        for index in range(len(clients))
     ]
     for thread in threads:
         thread.start()
@@ -122,21 +122,19 @@ def main():
         jobs = _submit_jobs(sock)
         client = ServeClient(sock)
         finals = {}
-        for tenant, ids in jobs.items():
+        for ids in jobs:
             for job_id in ids:
                 finals[job_id] = client.wait(job_id, timeout=120)["job"]
         for job_id, info in finals.items():
             assert info["state"] == "done", (job_id, info)
             assert info["failures"] == 0, (job_id, info)
 
-        # Fairness: with both tenants' slices queued, per-job rows must
-        # not be one solid tenant block.  The wait rows carry tenant
-        # tags; reconstruct scheduling order from service status.
-        status = client.status()
-        tenants_by_job = {info["id"]: info["tenant"] for info in status["jobs"]}
-        assert set(tenants_by_job.values()) == {"alice", "bob"}, tenants_by_job
+        # FIFO: job ids count up in submission order, so finish times
+        # taken in id order must never go backwards.
+        finished = [finals[job_id]["finished_ns"] for job_id in sorted(finals)]
+        assert finished == sorted(finished), finals
 
-        smoke_job = finals[jobs["alice"][0]]
+        smoke_job = finals[jobs[0][0]]
         executed_cold = smoke_job["executed"] + smoke_job["from_dataset"]
         assert executed_cold == smoke_job["cells"], smoke_job
 
@@ -182,8 +180,8 @@ def main():
         shutil.rmtree(root, ignore_errors=True)
 
     print(
-        "serve smoke: %d job(s) across 2 tenants done, warm resubmission "
-        "executed 0/%d, drain kept %d dataset row(s), exit 0"
+        "serve smoke: %d job(s) from 2 clients done in submission order, "
+        "warm resubmission executed 0/%d, drain kept %d dataset row(s), exit 0"
         % (len(finals), warm_info["cells"], rows_after)
     )
 

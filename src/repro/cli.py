@@ -35,14 +35,14 @@ Commands
     ``repro query 'engine=qemu-dbt arch=arm bench=tlb-*'``.
 ``serve``
     Run the long-lived experiment service: one warm worker pool and
-    one dataset serving manifest submissions from many clients over a
-    local socket, with per-tenant fair scheduling.  SIGTERM drains
-    gracefully (finish in-flight work, persist totals, exit 0).
+    one dataset serving manifest submissions over a local socket, in
+    submission order.  SIGTERM drains gracefully (finish in-flight
+    work, persist totals, exit 0).
 ``submit MANIFEST``
     Submit a manifest (bundled name or path) -- or an ad-hoc grid via
     ``--adhoc`` -- to a running service; prints the job id.
 ``status [JOB]``
-    Show the service queue/tenant state, or one job's progress.
+    Show the service queue and jobs, or one job's progress.
 ``wait JOB``
     Block until a job finishes; prints its final summary.
 ``metrics``
@@ -92,7 +92,6 @@ from repro.obs.export import (
 from repro.obs.metrics import METRICS
 from repro.platform import PLATFORMS, get_platform
 from repro.serve import (
-    DEFAULT_SLICE_SIZE,
     DEFAULT_SOCKET,
     ExperimentService,
     ProtocolError,
@@ -984,15 +983,6 @@ def _cmd_detect(args):
 def _cmd_serve(args):
     import signal
 
-    weights = {}
-    for item in args.tenant_weight or []:
-        tenant, sep, raw = item.partition("=")
-        if not sep or not tenant:
-            raise _CliError("--tenant-weight expects TENANT=WEIGHT, got %r" % item)
-        try:
-            weights[tenant.strip()] = int(raw)
-        except ValueError:
-            raise _CliError("--tenant-weight weight must be an int: %r" % item) from None
     _metrics_begin(args)
     try:
         service = ExperimentService(
@@ -1002,8 +992,6 @@ def _cmd_serve(args):
             jobs=args.jobs or 1,
             deadline=args.deadline,
             retries=args.retries,
-            slice_size=args.slice_size,
-            weights=weights,
         )
         service.start()
     except ServiceError as exc:
@@ -1031,7 +1019,7 @@ def _serve_cmd(args, body):
     """Run one client-side service command with uniform error
     rendering: refused requests and missing daemons exit 1, not with a
     traceback."""
-    client = ServeClient(args.socket, tenant=getattr(args, "tenant", None))
+    client = ServeClient(args.socket)
     try:
         return body(client)
     except (ServeError, ProtocolError) as exc:
@@ -1048,13 +1036,12 @@ def _serve_cmd(args, body):
 def _print_job_summary(info, stream=None):
     stream = stream if stream is not None else sys.stdout
     print(
-        "%s [%-8s] %-12s tenant=%s cells=%d slices=%d/%d "
+        "%s [%-8s] %-12s cells=%d slices=%d/%d "
         "executed=%d dataset=%d failures=%d"
         % (
             info["id"],
             info["state"],
             info["name"],
-            info["tenant"],
             info["cells"],
             info["slices_done"],
             info["slices"],
@@ -1081,7 +1068,6 @@ def _cmd_submit(args):
 
 
 def _do_submit(args, client):
-    fields = {"priority": args.priority}
     if args.adhoc:
         grid = {
             "arch": args.arch,
@@ -1094,7 +1080,7 @@ def _do_submit(args, client):
             grid["platform"] = args.platform
         if args.iterations:
             grid["iterations"] = args.iterations
-        response = client.submit(grid=grid, name="adhoc", **fields)
+        response = client.submit(grid=grid, name="adhoc")
     else:
         if not args.manifest:
             raise _CliError("submit needs a manifest reference (or --adhoc)")
@@ -1104,9 +1090,9 @@ def _do_submit(args, client):
         # daemon-side.
         if os.path.exists(ref):
             manifest = _resolve_manifest_arg(ref)
-            response = client.submit(manifest=manifest.to_payload(), **fields)
+            response = client.submit(manifest=manifest.to_payload())
         else:
-            response = client.submit(manifest_ref=ref, **fields)
+            response = client.submit(manifest_ref=ref)
     print(
         "submitted %s: %d cell(s) in %d slice(s) (manifest %s)"
         % (
@@ -1140,11 +1126,10 @@ def _do_status(args, client):
         return 0
     response = client.status()
     print(
-        "serve on %s: queue depth %d, %d active tenant(s)%s"
+        "serve on %s: queue depth %d%s"
         % (
             args.socket,
             response["queue_depth"],
-            len(response["tenants"]),
             " [draining]" if response["draining"] else "",
         )
     )
@@ -1387,25 +1372,9 @@ def build_parser():
     p_serve = sub.add_parser(
         "serve",
         help="run the long-lived experiment service (warm pool + "
-        "dataset behind a local socket)",
+        "dataset behind a local socket; jobs run in submission order)",
     )
     _add_socket_option(p_serve)
-    p_serve.add_argument(
-        "--slice-size",
-        type=int,
-        default=DEFAULT_SLICE_SIZE,
-        metavar="N",
-        help="cells per fair-scheduling slice (default: %d); smaller "
-        "slices interleave tenants finer" % DEFAULT_SLICE_SIZE,
-    )
-    p_serve.add_argument(
-        "--tenant-weight",
-        action="append",
-        default=None,
-        metavar="TENANT=WEIGHT",
-        help="fair-share weight for a tenant (repeatable; default 1 "
-        "each): weight 3 gets three slices per round-robin cycle",
-    )
     _add_runner_options(p_serve)
     # The service exists to keep a dataset warm; default it on.
     p_serve.set_defaults(dataset_dir=".repro-dataset")
@@ -1441,18 +1410,6 @@ def build_parser():
     )
     p_submit.add_argument("--iterations", type=int, default=None)
     p_submit.add_argument(
-        "--tenant",
-        default=None,
-        help="client id for fair sharing (default: 'default')",
-    )
-    p_submit.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="ordering within this tenant's share (higher first; "
-        "default 0)",
-    )
-    p_submit.add_argument(
         "--wait",
         action="store_true",
         help="block until the job finishes and exit by its outcome",
@@ -1472,10 +1429,9 @@ def build_parser():
     _add_socket_option(p_submit)
 
     p_status = sub.add_parser(
-        "status", help="show service state, or one job's progress"
+        "status", help="show the service queue and jobs, or one job's progress"
     )
     p_status.add_argument("job", nargs="?", default=None)
-    p_status.add_argument("--tenant", default=None)
     p_status.add_argument(
         "--drain",
         action="store_true",
@@ -1485,7 +1441,6 @@ def build_parser():
 
     p_wait = sub.add_parser("wait", help="block until a job finishes")
     p_wait.add_argument("job")
-    p_wait.add_argument("--tenant", default=None)
     p_wait.add_argument(
         "--timeout",
         type=float,

@@ -3,23 +3,19 @@
 One daemon process owns one persistent warm worker pool and one result
 dataset; ``repro submit``/``status``/``wait`` clients talk to it over
 a local Unix socket.  See :mod:`repro.serve.daemon` for the execution
-model, :mod:`repro.serve.queue` for the per-tenant fair scheduler and
-:mod:`repro.serve.protocol` for the wire format.
+model (one FIFO queue of work slices) and :mod:`repro.serve.protocol`
+for the wire format.
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import DEFAULT_SLICE_SIZE, ExperimentService, ServiceError
+from repro.serve.daemon import ExperimentService, ServiceError
 from repro.serve.protocol import DEFAULT_SOCKET, PROTOCOL_VERSION, ProtocolError
-from repro.serve.queue import FairQueue, QueueClosed
 
 __all__ = [
-    "DEFAULT_SLICE_SIZE",
     "DEFAULT_SOCKET",
     "ExperimentService",
-    "FairQueue",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "QueueClosed",
     "ServeClient",
     "ServeError",
     "ServiceError",

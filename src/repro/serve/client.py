@@ -31,9 +31,8 @@ class ServeError(Exception):
 class ServeClient:
     """One daemon endpoint, addressed by socket path."""
 
-    def __init__(self, socket_path=DEFAULT_SOCKET, tenant=None, timeout=10.0):
+    def __init__(self, socket_path=DEFAULT_SOCKET, timeout=10.0):
         self.socket_path = socket_path
-        self.tenant = tenant
         #: Per-request socket timeout for everything except ``wait``,
         #: which blocks daemon-side for as long as the job takes.
         self.timeout = timeout
@@ -45,10 +44,7 @@ class ServeClient:
         ``socket_timeout`` bounds the transport; a payload ``timeout``
         field (``wait``) bounds the daemon-side wait instead.
         """
-        payload = {"op": op}
-        if self.tenant is not None:
-            payload.setdefault("tenant", self.tenant)
-        payload.update(fields)
+        payload = dict(fields, op=op)
         with connect(self.socket_path, timeout=socket_timeout) as stream:
             stream.send(payload)
             response = stream.recv()
@@ -64,11 +60,9 @@ class ServeClient:
         check_protocol(response, "daemon at %s" % self.socket_path)
         return response
 
-    def submit(
-        self, manifest=None, manifest_ref=None, grid=None, priority=0, name=None
-    ):
+    def submit(self, manifest=None, manifest_ref=None, grid=None, name=None):
         """Submit one experiment; returns ``{"job", "cells", ...}``."""
-        fields = {"priority": int(priority)}
+        fields = {}
         if manifest is not None:
             fields["manifest"] = manifest
         if manifest_ref is not None:

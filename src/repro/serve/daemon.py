@@ -2,14 +2,13 @@
 
 One process owns one persistent warm worker pool (an
 :class:`~repro.core.runner.ExperimentRunner`) and one result dataset,
-and serves experiment submissions from many clients over a local Unix
-socket (:mod:`repro.serve.protocol`).  This is ROADMAP item 1's
-production-scale step: instead of every sweep paying pool warm-up,
-registry imports and dataset probing per invocation, clients submit
-manifests (or ad-hoc grids) to a process whose workers stay warm --
-built programs, translation memos, open code store -- across
-submissions, and whose dataset makes repeated submissions of the same
-cells free.
+and serves experiment submissions from local clients over a Unix
+socket (:mod:`repro.serve.protocol`).  Instead of every sweep paying
+pool warm-up, registry imports and dataset probing per invocation,
+clients submit manifests (or ad-hoc grids) to a process whose workers
+stay warm -- built programs, translation memos, open code store --
+across submissions, and whose dataset makes repeated submissions of
+the same cells free.
 
 Execution model:
 
@@ -17,13 +16,10 @@ Execution model:
   ad-hoc grid table) expands to its exact :class:`JobSpec` cell set at
   submit time -- malformed grids are refused in the submit response,
   never mid-run;
-- cells are cut into **slices** (``slice_size`` cells each) which are
-  the fair-scheduling unit: slices enqueue into a
-  :class:`~repro.serve.queue.FairQueue` under the submitting tenant,
-  so concurrent tenants' work interleaves slice-by-slice (weighted
-  round-robin, ``--priority`` ordering within a tenant) instead of
-  queueing whole submissions behind each other;
-- the **scheduler thread** drains the queue one slice at a time
+- cells are cut into **slices** of :data:`SLICE_SIZE` cells, and every
+  slice of a job enters one FIFO queue at submit time, so jobs run in
+  submission order;
+- the **scheduler thread** runs the queue one slice at a time
   through the shared dataset-backed runner, stamped with the slice's
   manifest: cells already in the dataset are priced warm (zero guest
   cost), the rest ride the existing dedup / chunked warm-pool
@@ -32,9 +28,9 @@ Execution model:
   deadlines stay enforced: pool workers arm SIGALRM in their own
   chunk loop, and the scheduler thread's serial fallback degrades to
   the wall-clock check;
-- every slice's telemetry rows (the PR 5 JSONL job rows) accumulate on
-  the job, so ``wait``/``status`` stream per-cell outcomes and warm/
-  cold provenance back to the client.
+- every slice's telemetry rows accumulate on the job, so ``wait``/
+  ``status`` stream per-cell outcomes and warm/cold provenance back
+  to the client.
 
 Graceful drain: on SIGTERM (or ``drain``), the service stops accepting
 submissions, cancels queued slices (their jobs finish ``drained`` with
@@ -42,13 +38,14 @@ partial stats -- completed slices' dataset rows are already
 persisted), lets the in-flight slice finish, folds every store's
 ``_totals.json``, closes the socket, and exits 0.
 
-Service observability rides the PR 5 registry: ``serve.queue_depth`` /
-``serve.tenants`` / ``serve.inflight_slices`` gauges,
+Service observability rides the metrics registry:
+``serve.queue_depth`` / ``serve.inflight_slices`` gauges,
 ``serve.submissions`` / ``serve.slices`` / ``serve.cells`` /
 ``serve.drained_slices`` counters, and a ``serve.slice`` phase timer.
 """
 
 import os
+import queue
 import socket
 import threading
 import time
@@ -63,13 +60,11 @@ from repro.serve.protocol import (
     ProtocolError,
     error_response,
 )
-from repro.serve.queue import FairQueue, QueueClosed
 
-#: Cells per scheduling slice: small enough that tenants interleave at
-#: interactive granularity, large enough that the chunked dispatch
-#: below still amortises (a slice is the unit the fair queue orders;
-#: the runner re-chunks it for the pool).
-DEFAULT_SLICE_SIZE = 8
+#: Cells per slice.  A drain waits for at most one in-flight slice, and
+#: progress is reported in slices (``slices_done/slices``); the runner
+#: re-chunks each slice for the pool.
+SLICE_SIZE = 8
 
 #: Job lifecycle states; ``drained``/``failed``/``done`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "drained")
@@ -94,16 +89,14 @@ class Job:
         "worker_lost",
     )
 
-    def __init__(self, job_id, tenant, priority, manifest, cells):
+    def __init__(self, job_id, manifest, cells, slices):
         self.id = job_id
-        self.tenant = tenant
-        self.priority = priority
         self.name = manifest.name
         self.manifest = manifest
         self.manifest_id = manifest.manifest_id()
         self.cells = cells
         self.state = "queued"
-        self.slices_total = 0
+        self.slices_total = slices
         self.slices_done = 0
         self.stats = dict.fromkeys(self._STAT_KEYS, 0)
         self.failures = []
@@ -128,8 +121,6 @@ class Job:
     def summary(self):
         info = {
             "id": self.id,
-            "tenant": self.tenant,
-            "priority": self.priority,
             "name": self.name,
             "manifest": self.manifest_id[:12] if self.manifest_id else None,
             "state": self.state,
@@ -146,12 +137,11 @@ class Job:
 
 
 class ExperimentService:
-    """The daemon: one warm runner, one dataset, many tenants.
+    """The daemon: one warm runner, one dataset, one FIFO of slices.
 
     Parameters mirror the CLI runner knobs (``jobs``, ``deadline``,
-    ``retries``, ``code_cache_dir``, ``dataset_dir``)
-    plus the service's own: ``socket_path``, ``slice_size`` and
-    ``weights`` (tenant -> fair-share weight).
+    ``retries``, ``code_cache_dir``, ``dataset_dir``) plus the
+    rendezvous ``socket_path``.
 
     The scheduler and listener run on daemon threads after
     :meth:`start`; :meth:`serve_forever` parks the calling (main)
@@ -168,11 +158,8 @@ class ExperimentService:
         jobs=1,
         deadline=None,
         retries=1,
-        slice_size=DEFAULT_SLICE_SIZE,
-        weights=None,
     ):
         self.socket_path = os.fspath(socket_path)
-        self.slice_size = max(1, int(slice_size))
         self.dataset = Dataset(dataset_dir) if dataset_dir else None
         self.runner = ExperimentRunner(
             jobs=jobs,
@@ -181,21 +168,19 @@ class ExperimentService:
             retries=retries,
             code_cache_dir=code_cache_dir,
         )
-        self.queue = FairQueue()
-        for tenant, weight in (weights or {}).items():
-            self.queue.set_weight(tenant, weight)
+        #: ``(job_id, slice_specs)`` in submission order.  Puts happen
+        #: only under ``_jobs_lock`` with ``_draining`` clear, and
+        #: :meth:`drain` empties it under the same lock, so nothing is
+        #: enqueued after a drain.
+        self.queue = queue.Queue()
         self._jobs = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
-        #: Completed (job_id, tenant) pairs in scheduling order -- the
-        #: observable fairness record (and the smoke test's evidence).
-        self.slice_log = []
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._listener = None
         self._scheduler = None
         self._server_sock = None
-        self._conn_threads = []
 
     # -- submission --------------------------------------------------------
     def _load_manifest(self, request):
@@ -223,34 +208,25 @@ class ExperimentService:
     def submit(self, request):
         """Expand and enqueue one submission; returns the submit
         response payload (``job`` id + expanded ``cells``)."""
-        if self._draining.is_set():
-            raise ServiceError("service is draining; submission refused")
         try:
             manifest = self._load_manifest(request)
         except ManifestError as exc:
             raise ServiceError("bad manifest: %s" % exc) from None
-        tenant = str(request.get("tenant") or "default")
-        priority = int(request.get("priority") or 0)
         specs = manifest.jobs()
         if not specs:
             raise ServiceError("submission expands to zero cells")
+        slices = [
+            specs[start : start + SLICE_SIZE]
+            for start in range(0, len(specs), SLICE_SIZE)
+        ]
         with self._jobs_lock:
+            if self._draining.is_set():
+                raise ServiceError("service is draining; submission refused")
             self._job_counter += 1
-            job = Job(
-                "j%04d" % self._job_counter, tenant, priority, manifest, len(specs)
-            )
+            job = Job("j%04d" % self._job_counter, manifest, len(specs), len(slices))
             self._jobs[job.id] = job
-            slices = [
-                specs[start : start + self.slice_size]
-                for start in range(0, len(specs), self.slice_size)
-            ]
-            job.slices_total = len(slices)
-        try:
             for slice_specs in slices:
-                self.queue.push(tenant, (job.id, slice_specs), priority=priority)
-        except QueueClosed:
-            job.finish("drained")
-            raise ServiceError("service is draining; submission refused") from None
+                self.queue.put((job.id, slice_specs))
         METRICS.inc("serve.submissions")
         METRICS.inc("serve.cells", len(specs))
         self._update_gauges()
@@ -268,10 +244,10 @@ class ExperimentService:
         The scheduler thread loops this; tests call it directly for
         deterministic, single-stepped scheduling.
         """
-        entry = self.queue.pop(timeout=timeout)
-        if entry is None:
+        try:
+            job_id, slice_specs = self.queue.get(timeout=timeout)
+        except queue.Empty:
             return False
-        job_id, slice_specs = entry
         job = self._jobs[job_id]
         if job.done.is_set():
             # The job already reached a terminal state (an earlier
@@ -287,10 +263,7 @@ class ExperimentService:
             with METRICS.phase("serve.slice"):
                 self.runner.manifest = job.manifest
                 self.runner.run(slice_specs)
-            rows = [
-                dict(row, job=job_id, tenant=job.tenant)
-                for row in self.runner.last_jobs
-            ]
+            rows = [dict(row, job=job_id) for row in self.runner.last_jobs]
             job.fold_slice(self.runner.last_stats, rows)
         except Exception as exc:  # a slice failure fails its job only
             job.finish("failed", error="%s: %s" % (type(exc).__name__, exc))
@@ -302,18 +275,18 @@ class ExperimentService:
             self._update_gauges()
         if job.slices_done >= job.slices_total:
             job.finish("done")
-        self.slice_log.append((job_id, job.tenant))
         return True
 
     def _scheduler_loop(self):
         while True:
             ran = self.run_next_slice(timeout=0.2)
-            if not ran and self.queue.closed and not self.queue.depth():
+            # A drain empties the queue and no put follows it, so an
+            # empty get while draining means the queue is done for good.
+            if not ran and self._draining.is_set():
                 return
 
     def _update_gauges(self):
-        METRICS.set_gauge("serve.queue_depth", self.queue.depth())
-        METRICS.set_gauge("serve.tenants", len(self.queue.tenants()))
+        METRICS.set_gauge("serve.queue_depth", self.queue.qsize())
 
     # -- request handling --------------------------------------------------
     def handle_request(self, request):
@@ -368,8 +341,7 @@ class ExperimentService:
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
-            "queue_depth": self.queue.depth(),
-            "tenants": self.queue.tenants(),
+            "queue_depth": self.queue.qsize(),
             "draining": self._draining.is_set(),
             "states": states,
             "jobs": jobs,
@@ -378,7 +350,7 @@ class ExperimentService:
     def _wait_response(self, request):
         job = self._job_for(request)
         timeout = request.get("timeout")
-        if not job.done.wait(float(timeout) if timeout else None):
+        if not job.done.wait(None if timeout is None else float(timeout)):
             raise ServiceError("timed out waiting for %s" % job.id)
         return {"ok": True, "job": job.summary(), "rows": list(job.rows)}
 
@@ -413,11 +385,9 @@ class ExperimentService:
                 continue
             except OSError:
                 return
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._conn_threads.append(thread)
+            ).start()
 
     def _serve_connection(self, conn):
         stream = MessageStream(conn)
@@ -454,14 +424,19 @@ class ExperimentService:
         """Begin graceful shutdown (idempotent, signal-safe): refuse
         new work, cancel queued slices, let the in-flight slice finish."""
         if self._draining.is_set():
+            # Also keeps a repeated signal off the lock _shutdown holds.
             return
-        self._draining.set()
-        self.queue.close()
-        for job_id, _slice_specs in self.queue.cancel_pending():
-            METRICS.inc("serve.drained_slices")
-            job = self._jobs.get(job_id)
-            if job is not None and not job.done.is_set():
-                job.finish("drained")
+        with self._jobs_lock:
+            self._draining.set()
+            while True:
+                try:
+                    job_id, _slice_specs = self.queue.get_nowait()
+                except queue.Empty:
+                    break
+                METRICS.inc("serve.drained_slices")
+                job = self._jobs[job_id]
+                if not job.done.is_set():
+                    job.finish("drained")
 
     def serve_forever(self):
         """Park until a drain completes; returns 0 (the drain exit

@@ -6,28 +6,28 @@ one line, requests carry an ``op`` field, responses carry ``ok``
 (``True`` with op-specific payload keys, or ``False`` with an
 ``error`` string).  The framing is deliberately trivial -- any
 language that can open a Unix socket and read lines can drive the
-service -- and versioned: both sides exchange ``protocol`` in
-``ping``/``hello`` payloads and refuse mismatches loudly rather than
-mis-parsing each other.
+service -- and versioned: the daemon reports ``protocol`` in its
+``ping`` and service ``status`` answers, and the client's ``ping``
+refuses a mismatch loudly rather than mis-parsing the daemon.
 
-Operations (all requests may add ``tenant``; see
-:mod:`repro.serve.daemon` for semantics):
+Operations (see :mod:`repro.serve.daemon` for semantics):
 
 ``ping``
-    Liveness + identity: ``{"ok": true, "protocol": 1, "pid": ...}``.
+    Liveness + identity: ``{"ok": true, "protocol": 2, "pid": ...}``.
 ``submit``
     A manifest payload (``manifest``), a bundled/path reference
     resolved daemon-side (``manifest_ref``) or an ad-hoc grid table
-    (``grid``), plus ``tenant``/``priority``; answers the assigned
-    ``job`` id and expanded ``cells`` count.
+    (``grid``, optionally ``name``d); answers the assigned ``job`` id
+    and expanded ``cells`` and ``slices`` counts.
 ``status``
-    One job (``job``) or the whole service (queue depth, tenants,
-    per-job summaries).
+    One job (``job``, plus its telemetry ``rows`` if ``rows`` is set)
+    or the whole service (queue depth, draining flag, per-state
+    counts, per-job summaries).
 ``wait``
     Block until a job reaches a terminal state (optional ``timeout``
-    seconds); answers the final job summary plus its per-cell
-    telemetry ``rows`` (the PR 5 JSONL job rows, ``source`` included,
-    so a client can tell warm ``dataset`` cells from executed ones).
+    seconds; ``0`` answers at once); answers the final job summary
+    plus its per-cell telemetry ``rows`` (``source`` included, so a
+    client can tell warm ``dataset`` cells from executed ones).
 ``drain``
     Begin graceful shutdown: finish in-flight work, cancel the queue,
     persist dataset rows and store totals, exit 0.
@@ -38,7 +38,7 @@ import os
 import socket
 
 #: Bump when the message vocabulary changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default rendezvous path, alongside the default dataset directory.
 DEFAULT_SOCKET = ".repro-serve.sock"

@@ -463,20 +463,37 @@ class TestServeCommands:
         assert main(["submit", "--socket", sock]) == 2
         assert "manifest" in capsys.readouterr().err
 
-    def test_bad_tenant_weight_exits_2(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--socket",
-                    str(tmp_path / "s.sock"),
-                    "--tenant-weight",
-                    "broken",
-                ]
-            )
-            == 2
-        )
-        assert "TENANT=WEIGHT" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--slice-size", "4"],
+            ["serve", "--tenant-weight", "a=2"],
+            ["submit", "smoke", "--tenant", "a"],
+            ["submit", "smoke", "--priority", "1"],
+        ],
+        ids=["slice-size", "tenant-weight", "tenant", "priority"],
+    )
+    def test_removed_scheduling_options_are_refused(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--socket", str(tmp_path / "s.sock")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_wait_timeout_zero_returns_at_once(self, tmp_path, capsys, monkeypatch):
+        import time
+
+        from repro.serve import ExperimentService
+
+        sock = str(tmp_path / "serve.sock")
+        svc = ExperimentService(socket_path=sock)
+        # Keep the job queued: the scheduler never runs a slice.
+        monkeypatch.setattr(svc, "run_next_slice", lambda timeout: time.sleep(timeout))
+        with svc.start():
+            grid = {"arch": "arm", "engines": ["simit"], "benchmarks": ["system-call"]}
+            job_id = svc.submit({"grid": grid})["job"]
+            assert main(["wait", job_id, "--timeout", "0", "--socket", sock]) == 1
+            assert "timed out" in capsys.readouterr().err
+            assert svc._jobs[job_id].state == "queued"
 
     def test_submit_and_wait_against_a_live_service(self, tmp_path, capsys):
         from repro.serve import ExperimentService
