@@ -109,30 +109,29 @@ def figure2(
     if platform is None:
         platform = _default_env(arch)[1]
     sweep = VersionSweep(arch, platform, runner=runner, dataset=dataset)
-    all_series = {}
-    by_scale = {}
-    for workload in SPEC_PROXIES:
-        iterations = max(1, int(workload.default_iterations * scale))
-        by_scale.setdefault(iterations, []).append(workload)
-    for iterations, workloads in by_scale.items():
-        all_series.update(sweep.run_many(workloads, iterations=iterations, strict=strict))
-    versions = list(QEMU_VERSIONS)
-    overall = []
-    for index in range(len(versions)):
-        overall.append(
-            geomean(
-                (series.speedups()[index] for series in all_series.values()),
-                strict=strict,
-            )
-        )
+    cells = [
+        (workload, max(1, int(workload.default_iterations * scale)))
+        for workload in SPEC_PROXIES
+    ]
+    # The overall geomean sums its logs in this order -- proxies
+    # grouped by iteration count, first-seen count first -- and float
+    # addition is order-dependent, so the order is part of its value.
+    counts = list(dict.fromkeys(iterations for _workload, iterations in cells))
+    cells.sort(key=lambda cell: counts.index(cell[1]))
+    all_series = sweep.run_many(cells, strict=strict)
+    speedups = {name: series.speedups() for name, series in all_series.items()}
+    overall = [
+        geomean((series[index] for series in speedups.values()), strict=strict)
+        for index in range(len(QEMU_VERSIONS))
+    ]
     return {
-        "versions": versions,
+        "versions": list(QEMU_VERSIONS),
         "series": {
-            "sjeng": list(all_series["sjeng"].speedups()),
-            "mcf": list(all_series["mcf"].speedups()),
+            "sjeng": list(speedups["sjeng"]),
+            "mcf": list(speedups["mcf"]),
             "SPEC (overall)": overall,
         },
-        "all_series": {name: list(s.speedups()) for name, s in all_series.items()},
+        "all_series": {name: list(values) for name, values in speedups.items()},
     }
 
 
@@ -229,25 +228,23 @@ def figure6(
     if platform is None:
         platform = _default_env(arch)[1]
     sweep = VersionSweep(arch, platform, runner=runner, dataset=dataset)
-    grid = []
-    for group in GROUPS:
-        for benchmark in benchmarks_in_group(group):
-            if not benchmark.effective(arch):
-                continue
-            iterations = max(1, int(benchmark.default_iterations * scale))
-            grid.append((group, benchmark, iterations))
-    by_iterations = {}
-    for group, benchmark, iterations in grid:
-        by_iterations.setdefault(iterations, []).append(benchmark)
-    series_by_name = {}
-    for iterations, benchmarks in by_iterations.items():
-        series_by_name.update(
-            sweep.run_many(benchmarks, iterations=iterations, strict=strict)
-        )
+    grid = [
+        (group, benchmark)
+        for group in GROUPS
+        for benchmark in benchmarks_in_group(group)
+        if benchmark.effective(arch)
+    ]
+    series = sweep.run_many(
+        (
+            (benchmark, max(1, int(benchmark.default_iterations * scale)))
+            for _group, benchmark in grid
+        ),
+        strict=strict,
+    )
     panels = {}
-    for group, benchmark, _iterations in grid:
+    for group, benchmark in grid:
         panels.setdefault(group, {})[benchmark.name] = list(
-            series_by_name[benchmark.name].speedups()
+            series[benchmark.name].speedups()
         )
     return {"versions": list(QEMU_VERSIONS), "panels": panels}
 

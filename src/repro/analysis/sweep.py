@@ -9,10 +9,10 @@ cost table.  This keeps the sweep honest -- counts come from real runs
 on the right structure -- while staying fast.
 
 The grouping itself lives in the engine-spec layer
-(:meth:`repro.sim.spec.EngineSpec.structural_key`): the sweep builds
-one :class:`~repro.sim.spec.DBTSpec` per version up front, submits one
-job per (benchmark, version) and lets the runner deduplicate, store
-and parallelise the executions.
+(:meth:`repro.sim.spec.EngineSpec.structural_key`): the sweep takes
+one :class:`~repro.sim.spec.DBTSpec` per version from the shared
+:func:`version_axis`, submits one job per (benchmark, version) and
+lets the runner deduplicate, store and parallelise the executions.
 """
 
 import math
@@ -22,15 +22,28 @@ from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
 from repro.sim.spec import DBTSpec
 
 
+#: ``(arch_name, versions) -> axis``: every sweep and bisection over
+#: the same timeline shares one tuple of specs, and with it each
+#: spec's cached structural key and cost models.
+_AXES = {}
+
+
 def version_axis(arch_name, versions=None):
     """The ordered ``(version, DBTSpec)`` axis of the simulated QEMU
     release history -- the default input to
-    :class:`repro.attrib.bisect.BisectAxis`."""
+    :class:`repro.attrib.bisect.BisectAxis`.
+
+    The tuple is built once per ``(arch_name, versions)`` and then
+    returned as is; specs are immutable, so sharing them is safe."""
     versions = QEMU_VERSIONS if versions is None else tuple(versions)
-    return tuple(
-        (version, DBTSpec.from_config(dbt_config_for_version(version, arch_name)))
-        for version in versions
-    )
+    key = (arch_name, versions)
+    axis = _AXES.get(key)
+    if axis is None:
+        axis = _AXES[key] = tuple(
+            (version, DBTSpec.from_config(dbt_config_for_version(version, arch_name)))
+            for version in versions
+        )
+    return axis
 
 
 def _usable_seconds(value):
@@ -100,14 +113,15 @@ class VersionSweep:
             # only missing structural groups execute (and get appended).
             runner.dataset = dataset
         self.runner = runner
-        # One engine spec per version, built up front: the whole sweep
-        # is described before anything executes.
-        self.engine_specs = dict(version_axis(arch.name, self.versions))
+        # One engine spec per version, described before anything
+        # executes and shared with every sweep over the same timeline.
+        self._axis = version_axis(arch.name, self.versions)
+        self.engine_specs = dict(self._axis)
 
     def axis(self):
         """The ordered ``(version, spec)`` steps of this sweep -- the
         bisection-ready view of the version timeline."""
-        return tuple((version, self.engine_specs[version]) for version in self.versions)
+        return self._axis
 
     def spec_deltas(self):
         """Field-level changes at each version boundary.
@@ -144,16 +158,19 @@ class VersionSweep:
 
     def run(self, benchmark, iterations=None, strict=True):
         """Sweep one benchmark; returns a :class:`SweepSeries`."""
-        return self.run_many([benchmark], iterations=iterations, strict=strict)[
-            benchmark.name
-        ]
+        return self.run_many([(benchmark, iterations)], strict=strict)[benchmark.name]
 
-    def run_many(self, benchmarks, iterations=None, strict=True):
+    def run_many(self, cells, strict=True):
         """Sweep several benchmarks; returns ``{name: SweepSeries}``.
 
-        All (benchmark, version) cells go to the runner as one grid, so
-        with ``jobs=N`` the per-structural-group executions of *every*
-        benchmark proceed in parallel.
+        ``cells`` is an iterable of ``(benchmark, iterations)`` pairs
+        (``iterations=None`` is the benchmark's default), so benchmarks
+        at different iteration counts -- a figure's whole grid -- go to
+        the runner as one :meth:`~repro.core.runner.ExperimentRunner.run`
+        call: with ``jobs=N`` the per-structural-group executions of
+        *every* benchmark proceed in parallel, and a warm regeneration
+        pays one dataset-totals fold, not one per iteration count.  The
+        result keeps the order of ``cells``.
 
         The grid always completes (the runner is fault-isolated); what
         ``strict`` controls is reporting.  ``strict=True`` raises
@@ -162,19 +179,16 @@ class VersionSweep:
         on the series, so one bad version does not discard the rest of
         a completed sweep.
         """
-        benchmarks = list(benchmarks)
+        cells = list(cells)
         specs = []
-        for benchmark in benchmarks:
+        for benchmark, iterations in cells:
             specs.extend(self._specs(benchmark, iterations))
-        results = self.runner.run(specs)
+        results = iter(self.runner.run(specs))
         series = {}
-        index = 0
-        for benchmark in benchmarks:
+        for benchmark, _iterations in cells:
             seconds = []
             failures = []
-            for version in self.versions:
-                result = results[index]
-                index += 1
+            for version, result in zip(self.versions, results):
                 if not result.ok:
                     if strict:
                         raise RuntimeError(

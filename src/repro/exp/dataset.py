@@ -27,10 +27,27 @@ the DBT code store.  A row of another :data:`DATASET_SCHEMA`, or an
 entry of any other shape, is quarantined the same way -- never
 misread.  Failure rows (``crashed``/``timeout``/``error``) are never
 appended, so a failed cell re-executes on the next run.
+
+Reads are memoized per :class:`Dataset` object: each decoded row is
+kept with its file's ``(st_ino, st_size, st_mtime_ns)``, and a later
+:meth:`~repro.storage.DirectoryStore.get` or scan that stats the same
+signature returns that row without opening the file.  Rows are
+write-once (:meth:`Dataset.append` links a complete file into place
+and nothing rewrites one), so an unchanged signature means unchanged
+content; a row removed, quarantined or cleared -- by this process or
+another -- fails the stat and misses exactly as an unmemoized read
+would, and a row written again gets a later mtime (rows younger than
+:data:`_RACY_NS` are never memoized, so a rewrite within the same
+timestamp tick cannot slip by).  Hit, miss and quarantine accounting
+is the same either way.
+Memoized rows are shared between callers: treat what ``get``/``rows``
+return as read-only (:meth:`Dataset.record` hands out a fresh
+:class:`~repro.core.harness.ExecutionRecord`).
 """
 
 import json
 import os
+import time
 
 from repro.core.harness import ExecutionRecord
 from repro.core.suite import slugify
@@ -53,6 +70,13 @@ _REQUIRED_KEYS = (
     "status",
     "record",
 )
+
+#: Rows modified less than this long before they are read are not
+#: memoized: a row removed and re-appended within one file-system
+#: timestamp tick can get back the same inode, size and mtime, so only
+#: a row older than the coarsest common tick (2 s) has a signature
+#: that no later write can repeat.
+_RACY_NS = 2_000_000_000
 
 #: Statuses worth persisting: completed cells and known engine
 #: limitations.  Failures are transient by policy, so a failed cell
@@ -88,14 +112,36 @@ def make_row(spec, record, provenance=None, manifest=None):
     }
 
 
+def _signature(st):
+    """What identifies one write of a row file."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class Dataset(DirectoryStore):
     """On-disk dataset of provenance-stamped execution rows."""
 
     metrics_name = "dataset"
 
+    def __init__(self, root):
+        DirectoryStore.__init__(self, root)
+        #: ``path -> (stat signature, decoded row)``; see the module
+        #: docstring for why a matching signature is enough.
+        self._memo = {}
+
     def _read_entry(self, path):
+        memo = self._memo.get(path)
+        if memo is not None and memo[0] == _signature(os.stat(path)):
+            return memo[1]
+        self._memo.pop(path, None)
         with open(path, "r", encoding="utf-8") as fh:
-            row = json.load(fh)
+            st = os.fstat(fh.fileno())
+            row = self._decode(json.load(fh))
+        if time.time_ns() - st.st_mtime_ns >= _RACY_NS:
+            self._memo[path] = (_signature(st), row)
+        return row
+
+    @staticmethod
+    def _decode(row):
         if not isinstance(row, dict):
             raise ValueError("dataset row is not an object")
         for key in _REQUIRED_KEYS:
@@ -163,8 +209,10 @@ class Dataset(DirectoryStore):
     def remove(self, cell_id):
         """Delete one row (the resumability escape hatch: a removed
         cell is simply re-executed by the next manifest run)."""
+        path = self._path(cell_id)
+        self._memo.pop(path, None)
         try:
-            os.unlink(self._path(cell_id))
+            os.unlink(path)
         except OSError:
             return False
         return True
@@ -179,6 +227,10 @@ class Dataset(DirectoryStore):
             if query is None or query.match(row):
                 out.append(row)
         return out
+
+    def clear(self):
+        self._memo.clear()
+        return DirectoryStore.clear(self)
 
     def stats(self):
         stats = DirectoryStore.stats(self)

@@ -108,6 +108,20 @@ class TranslationResult:
             levels=self.levels,
         )
 
+    def perm_mask(self):
+        """This mapping's data permissions as a 4-bit mask: bit
+        ``access << 1 | kernel`` is set when :meth:`allows` grants
+        ``access`` (``AccessType.READ``/``WRITE``) in that mode
+        (``kernel`` is the PSR mode bit, 0 or 1).  Engines cache it
+        with a mapping so their hit paths test one bit instead of
+        calling :meth:`allows`."""
+        mask = 0
+        for access in (AccessType.READ, AccessType.WRITE):
+            for kernel in (0, 1):
+                if self.allows(access, kernel):
+                    mask |= 1 << (access << 1 | kernel)
+        return mask
+
     def allows(self, access, is_kernel):
         """Permission check for a cached mapping."""
         if access == AccessType.WRITE:

@@ -30,7 +30,10 @@ Execution model:
   the wall-clock check;
 - every slice's telemetry rows accumulate on the job, so ``wait``/
   ``status`` stream per-cell outcomes and warm/cold provenance back
-  to the client.
+  to the client;
+- every unfinished job is remembered, finished ones only up to
+  :data:`FINISHED_JOBS_KEPT` (newest first): the daemon's memory and
+  ``status`` answer stay bounded however long it runs.
 
 Graceful drain: on SIGTERM (or ``drain``), the service stops accepting
 submissions, cancels queued slices (their jobs finish ``drained`` with
@@ -44,6 +47,7 @@ Service observability rides the metrics registry:
 ``serve.drained_slices`` counters, and a ``serve.slice`` phase timer.
 """
 
+import collections
 import os
 import queue
 import socket
@@ -65,6 +69,11 @@ from repro.serve.protocol import (
 #: progress is reported in slices (``slices_done/slices``); the runner
 #: re-chunks each slice for the pool.
 SLICE_SIZE = 8
+
+#: Finished jobs the service remembers.  Every unfinished job is kept;
+#: beyond this many finished ones the oldest to finish is forgotten
+#: (its rows are in the dataset) and its id answers ``unknown job``.
+FINISHED_JOBS_KEPT = 256
 
 #: Job lifecycle states; ``drained``/``failed``/``done`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "drained")
@@ -174,6 +183,8 @@ class ExperimentService:
         #: enqueued after a drain.
         self.queue = queue.Queue()
         self._jobs = {}
+        #: Ids of finished jobs still in ``_jobs``, oldest first.
+        self._finished = collections.deque()
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
         self._draining = threading.Event()
@@ -248,11 +259,13 @@ class ExperimentService:
             job_id, slice_specs = self.queue.get(timeout=timeout)
         except queue.Empty:
             return False
-        job = self._jobs[job_id]
-        if job.done.is_set():
+        with self._jobs_lock:
+            job = self._jobs.get(job_id)
+        if job is None or job.done.is_set():
             # The job already reached a terminal state (an earlier
-            # slice failed, or a drain finished it); its leftover
-            # slices are dropped, never resurrected into "done".
+            # slice failed, or a drain finished it) and may since have
+            # been forgotten; its leftover slices are dropped, never
+            # resurrected into "done".
             METRICS.inc("serve.drained_slices")
             self._update_gauges()
             return True
@@ -266,7 +279,8 @@ class ExperimentService:
             rows = [dict(row, job=job_id) for row in self.runner.last_jobs]
             job.fold_slice(self.runner.last_stats, rows)
         except Exception as exc:  # a slice failure fails its job only
-            job.finish("failed", error="%s: %s" % (type(exc).__name__, exc))
+            with self._jobs_lock:
+                self._finish(job, "failed", error="%s: %s" % (type(exc).__name__, exc))
             return True
         finally:
             METRICS.set_gauge("serve.inflight_slices", 0)
@@ -274,8 +288,17 @@ class ExperimentService:
             job.slices_done += 1
             self._update_gauges()
         if job.slices_done >= job.slices_total:
-            job.finish("done")
+            with self._jobs_lock:
+                self._finish(job, "done")
         return True
+
+    def _finish(self, job, state, error=None):
+        """Finish ``job``, then forget the oldest finished jobs beyond
+        :data:`FINISHED_JOBS_KEPT`.  The caller holds ``_jobs_lock``."""
+        job.finish(state, error)
+        self._finished.append(job.id)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            self._jobs.pop(self._finished.popleft(), None)
 
     def _scheduler_loop(self):
         while True:
@@ -434,9 +457,9 @@ class ExperimentService:
                 except queue.Empty:
                     break
                 METRICS.inc("serve.drained_slices")
-                job = self._jobs[job_id]
-                if not job.done.is_set():
-                    job.finish("drained")
+                job = self._jobs.get(job_id)
+                if job is not None and not job.done.is_set():
+                    self._finish(job, "drained")
 
     def serve_forever(self):
         """Park until a drain completes; returns 0 (the drain exit
@@ -463,9 +486,9 @@ class ExperimentService:
         # Any job still marked running lost its remaining slices to the
         # drain; close it out so waiters unblock.
         with self._jobs_lock:
-            for job in self._jobs.values():
+            for job in list(self._jobs.values()):
                 if not job.done.is_set():
-                    job.finish("drained")
+                    self._finish(job, "drained")
         # Persist every store's totals: the runner folds once per run;
         # one final fold covers counters a failed slice left unflushed,
         # then the pool goes down.

@@ -16,20 +16,6 @@ PAGE_SHIFT = 12
 FTLB_CAPACITY = 4096
 
 
-def _perm_mask(entry):
-    """The softmmu slot's permission mask for a data mapping: bit
-    ``access << 1 | kernel`` is set when ``entry`` allows that access
-    (``AccessType.READ``/``WRITE``) in that mode (``kernel`` is the
-    PSR mode bit), so translated code tests one bit instead of calling
-    :meth:`TranslationResult.allows`."""
-    mask = 0
-    for access in (AccessType.READ, AccessType.WRITE):
-        for kernel in (0, 1):
-            if entry.allows(access, kernel):
-                mask |= 1 << (access << 1 | kernel)
-    return mask
-
-
 class GuestUndef(Exception):
     """Raised by helpers when the current instruction must UNDEF."""
 
@@ -72,7 +58,8 @@ class DBTSimulator(Simulator):
         tlb_size = 1 << self.config.tlb_bits
         #: Direct-mapped softmmu slots, ``None`` or ``(key, hit_mask,
         #: data, offset, ppn, perms)``: ``key`` is the vpage plus ASID
-        #: tag, ``perms`` the :func:`_perm_mask` of the mapping and
+        #: tag, ``perms`` the mapping's
+        #: :meth:`~repro.machine.mmu.TranslationResult.perm_mask` and
         #: ``ppn`` its physical page number.  RAM pages carry the
         #: region's buffer and the page's offset in it, and
         #: ``hit_mask == perms``; device pages carry ``None`` and a
@@ -154,7 +141,7 @@ class DBTSimulator(Simulator):
         self.counters.ptw_levels += result.levels
         entry = result.narrow(vaddr)
         key = (vaddr >> PAGE_SHIFT) | self._asid_tag
-        perms = _perm_mask(entry)
+        perms = entry.perm_mask()
         ppn = entry.ppage >> PAGE_SHIFT
         region = self._memory.find_ram(entry.ppage, 1)
         if region is not None:

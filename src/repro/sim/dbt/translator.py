@@ -70,49 +70,72 @@ class _MemoEntry:
         self.make = make
 
 
+#: Byte-verified lowerings kept per memo key.  Programs that share a
+#: start address (the SPEC proxies all load at one base) each keep
+#: their block instead of evicting one another when a sweep
+#: interleaves them; the bound stops code that rewrites itself in a
+#: loop from growing one key without limit.
+MEMO_WAYS = 16
+
+
 class TranslationMemo:
     """Process-wide bounded LRU of lowered+compiled blocks.
 
     Keyed by ``(vaddr, DBTConfig.translation_key())``; generated source
     embeds absolute PCs, so the start address is part of the identity.
-    Hits are verified against the live instruction bytes before reuse,
-    which makes entries safe across self-modifying code and across the
-    many engines of a sweep.
+    A key holds up to :data:`MEMO_WAYS` entries, most recently used
+    first, and :meth:`lookup` returns only one whose bytes match the
+    live instructions, which makes entries safe across self-modifying
+    code and across the many programs and engines of a sweep.
+    ``capacity`` bounds the entries of all keys together; overflow
+    drops the least recently used key.
     """
 
     def __init__(self, capacity=16384):
         self.capacity = capacity
         self._entries = collections.OrderedDict()
+        self._size = 0
         self.hits = 0
         self.misses = 0
 
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+    def lookup(self, key, matches):
+        """The entry under ``key`` for which ``matches(entry)`` holds,
+        or ``None``; a hit becomes the key's first way."""
+        ways = self._entries.get(key)
+        if ways is not None:
+            for index, entry in enumerate(ways):
+                if matches(entry):
+                    if index:
+                        del ways[index]
+                        ways.insert(0, entry)
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry
+        self.misses += 1
+        return None
 
     def insert(self, key, entry):
         entries = self._entries
-        if key in entries:
-            # Refresh both the entry and its LRU position; without the
-            # move a re-inserted key kept its stale position and could
-            # be evicted as if cold.
-            entries[key] = entry
+        ways = entries.get(key)
+        if ways is None:
+            ways = entries[key] = []
+        else:
             entries.move_to_end(key)
-            return
-        if len(entries) >= self.capacity:
-            entries.popitem(last=False)
-        entries[key] = entry
+        ways.insert(0, entry)
+        self._size += 1
+        if len(ways) > MEMO_WAYS:
+            ways.pop()
+            self._size -= 1
+        while self._size > self.capacity:
+            _key, evicted = entries.popitem(last=False)
+            self._size -= len(evicted)
 
     def clear(self):
         self._entries.clear()
+        self._size = 0
 
     def __len__(self):
-        return len(self._entries)
+        return self._size
 
 
 #: Shared across every engine in the process: a 20-version sweep
@@ -155,8 +178,10 @@ class Translator:
         """
         cfg_key = self.config.translation_key()
         memo_key = (vaddr, cfg_key)
-        entry = TRANSLATION_MEMO.get(memo_key)
-        if entry is not None and self._entry_matches(memory, paddr, entry):
+        entry = TRANSLATION_MEMO.lookup(
+            memo_key, lambda entry: self._entry_matches(memory, paddr, entry)
+        )
+        if entry is not None:
             return self._bind(entry, vaddr, paddr)
         insns, word_bytes = self._decode_block(memory, paddr)
         entry = None

@@ -107,10 +107,12 @@ class FunctionalCore(Simulator):
         #: or translation-regime changes miss naturally.
         self._fetch_state = None
         #: Last-page *data* fast path, mirroring the fetch one:
-        #: ``(vpage, sctlr_bit, entry_or_None, data, page_off, ppage)``.
-        #: ``entry`` is the live data-TLB entry when the MMU was on at
-        #: arm time (permissions are re-checked per access) and ``None``
-        #: for a physical (MMU-off) page.  Armed only for RAM pages
+        #: ``(vpage, sctlr_bit, perms_or_None, data, page_off, ppage)``.
+        #: ``perms`` is the live data-TLB entry's
+        #: :meth:`~repro.machine.mmu.TranslationResult.perm_mask` when
+        #: the MMU was on at arm time (each access tests its bit,
+        #: ``access << 1 | kernel``) and ``None`` for a physical
+        #: (MMU-off) page.  Armed only for RAM pages
         #: fully inside their region, and -- with the MMU on -- only for
         #: TLBs whose ``lookup`` is side-effect-free beyond its own
         #: tallies (the SoftTLB family; the set-associative model
@@ -227,25 +229,26 @@ class FunctionalCore(Simulator):
 
         Only pages fully inside their RAM region (plus an unaligned
         spill word) qualify, so the fast path can never read past the
-        buffer; with the MMU on the live TLB entry is captured so the
-        fast path replicates the baseline hit exactly (counters,
-        permission check, physical address).
+        buffer; with the MMU on the live TLB entry's permission mask is
+        captured so the fast path replicates the baseline hit exactly
+        (counters, permission check, physical address).
         """
         sctlr_bit = self._cp15.sctlr & 1
-        entry = None
+        perms = None
         if sctlr_bit:
             if not self._data_fast_ok:
                 return
             entry = self._dtlb.peek(vaddr)
             if entry is None:
                 return
+            perms = entry.perm_mask()
         page_base = paddr & ~0xFFF
         if not region.contains(page_base, (1 << PAGE_SHIFT) + 4):
             return
         self._data_state = (
             vaddr >> PAGE_SHIFT,
             sctlr_bit,
-            entry,
+            perms,
             region.data,
             page_base - region.base,
             paddr >> PAGE_SHIFT,
@@ -258,11 +261,11 @@ class FunctionalCore(Simulator):
             and state[0] == vaddr >> PAGE_SHIFT
             and state[1] == (self._cp15.sctlr & 1)
         ):
-            entry = state[2]
-            if entry is not None:
+            perms = state[2]
+            if perms is not None:
                 self.counters.tlb_hits += 1
                 self._dtlb.hits += 1
-                if not entry.allows(AccessType.READ, kernel):
+                if not perms >> kernel & 1:  # bit READ << 1 | kernel
                     raise Fault(FaultType.PERMISSION, vaddr, AccessType.READ)
             off = state[4] + (vaddr & 0xFFF)
             return int.from_bytes(state[3][off : off + size], "little")
@@ -289,11 +292,11 @@ class FunctionalCore(Simulator):
             and state[0] == vaddr >> PAGE_SHIFT
             and state[1] == (self._cp15.sctlr & 1)
         ):
-            entry = state[2]
-            if entry is not None:
+            perms = state[2]
+            if perms is not None:
                 self.counters.tlb_hits += 1
                 self._dtlb.hits += 1
-                if not entry.allows(AccessType.WRITE, kernel):
+                if not perms >> (2 | kernel) & 1:  # bit WRITE << 1 | kernel
                     raise Fault(FaultType.PERMISSION, vaddr, AccessType.WRITE)
             off = state[4] + (vaddr & 0xFFF)
             state[3][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(

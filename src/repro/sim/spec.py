@@ -116,6 +116,12 @@ class EngineSpec:
     Subclasses declare the registry name (:attr:`engine`), the
     simulator class they build, their fields, and the guest
     architectures the paper evaluates them on (Figure 7 columns).
+
+    A spec is immutable once built: assigning an attribute raises
+    :class:`AttributeError` (:meth:`replace` makes a changed copy).
+    That is what lets an instance compute its :meth:`structural_key`
+    once and build its cost model once per arch, so the many jobs and
+    sweeps sharing one spec share those values too.
     """
 
     #: Registry name (``None`` on the abstract base).
@@ -149,12 +155,25 @@ class EngineSpec:
             )
         for field in cls.fields:
             value = kwargs.get(field.name, field.default)
-            setattr(
+            object.__setattr__(
                 self,
                 field.name,
                 canonical(value, "%s.%s" % (cls.engine, field.name)),
             )
         self.validate()
+        object.__setattr__(
+            self, "_structural_key", (cls.engine, _freeze(self.structural_values()))
+        )
+        object.__setattr__(self, "_cost_models", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            "%s is immutable (use replace(%s=...) for a changed copy)"
+            % (type(self).__name__, name)
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     # -- validation / views ------------------------------------------------
     def validate(self):
@@ -180,9 +199,10 @@ class EngineSpec:
         """Hashable signature of the execution-relevant configuration.
 
         Two jobs with equal structural keys (and equal benchmark, arch,
-        platform and iterations) share one execution.
+        platform and iterations) share one execution.  Computed once,
+        when the spec is built.
         """
-        return (self.engine, _freeze(self.structural_values()))
+        return self._structural_key
 
     def cache_key_payload(self):
         """JSON-serializable identity for the on-disk result dataset."""
@@ -301,7 +321,18 @@ class EngineSpec:
         return self.simulator_class(board, arch=arch, **self.constructor_kwargs())
 
     def cost_model(self, arch=None):
-        """The engine's cost model under the given arch profile."""
+        """The engine's cost model under the given arch profile.
+
+        Built once per arch name and then shared by every caller of
+        this spec, so treat it as read-only."""
+        arch_name = _arch_name(arch)
+        model = self._cost_models.get(arch_name)
+        if model is None:
+            model = self._cost_models[arch_name] = self._build_cost_model(arch_name)
+        return model
+
+    def _build_cost_model(self, arch_name):
+        """A new cost model for ``arch_name``; subclasses override."""
         raise NotImplementedError
 
     @classmethod
@@ -450,7 +481,7 @@ class DBTSpec(EngineSpec):
     def constructor_kwargs(self):
         return {"config": self.to_config()}
 
-    def cost_model(self, arch=None):
+    def _build_cost_model(self, arch_name):
         return dbt_cost_model(dict(self.cost_overrides))
 
 
@@ -471,7 +502,7 @@ class InterpSpec(EngineSpec):
         "asid_tagged": (False, True),
     }
 
-    def cost_model(self, arch=None):
+    def _build_cost_model(self, arch_name):
         return interp_cost_model()
 
 
@@ -494,7 +525,7 @@ class DetailedSpec(EngineSpec):
                 % (self.simulator_class.MODES, self.mode)
             )
 
-    def cost_model(self, arch=None):
+    def _build_cost_model(self, arch_name):
         return detailed_cost_model()
 
 
@@ -505,8 +536,8 @@ class VirtSpec(EngineSpec):
     simulator_class = VirtSimulator
     fields = (Field("tlb_capacity", 2048),)
 
-    def cost_model(self, arch=None):
-        return virt_cost_model(_arch_name(arch))
+    def _build_cost_model(self, arch_name):
+        return virt_cost_model(arch_name)
 
 
 class NativeSpec(EngineSpec):
@@ -516,8 +547,8 @@ class NativeSpec(EngineSpec):
     simulator_class = NativeMachine
     fields = (Field("tlb_capacity", 1024),)
 
-    def cost_model(self, arch=None):
-        return native_cost_model(_arch_name(arch))
+    def _build_cost_model(self, arch_name):
+        return native_cost_model(arch_name)
 
 
 #: The engine registry, in the paper's Figure 4/7 column order.  Every

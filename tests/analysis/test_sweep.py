@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.sweep import SweepSeries, VersionSweep
 from repro.arch import ARM
 from repro.core import get_benchmark
+from repro.core.runner import ExperimentRunner
 from repro.platform import VEXPRESS
 from repro.sim.dbt.versions import QEMU_VERSIONS
 
@@ -66,6 +67,20 @@ class TestVersionSweep:
 
     def test_run_many(self, sweep):
         result = sweep.run_many(
-            [get_benchmark("System Call"), get_benchmark("TLB Flush")], iterations=10
+            [(get_benchmark("System Call"), 10), (get_benchmark("TLB Flush"), 10)]
         )
         assert set(result) == {"System Call", "TLB Flush"}
+
+    def test_run_many_mixes_iteration_counts_in_one_grid(self):
+        calls = []
+        runner = ExperimentRunner()
+        real_run = runner.run
+        runner.run = lambda specs: calls.append(len(specs)) or real_run(specs)
+        sweep = VersionSweep(ARM, VEXPRESS, runner=runner)
+        cells = [(get_benchmark("TLB Flush"), 12), (get_benchmark("System Call"), 10)]
+        result = sweep.run_many(cells)
+        assert calls == [2 * len(QEMU_VERSIONS)]
+        assert list(result) == ["TLB Flush", "System Call"]
+        for benchmark, iterations in cells:
+            alone = VersionSweep(ARM, VEXPRESS).run(benchmark, iterations=iterations)
+            assert result[benchmark.name].seconds == alone.seconds

@@ -53,6 +53,7 @@ from repro.obs.export import (
 from repro.obs.metrics import METRICS, Metrics, enabled_scope
 from repro.platform import VEXPRESS
 from repro.sim.dbt.codestore import CodeStore
+from repro.sim.dbt.translator import TRANSLATION_MEMO
 from tests.core.test_faults import _grid, _ok_benchmarks
 
 
@@ -435,6 +436,10 @@ class TestWorkerMetricsMerge:
 
     def test_worker_codestore_delta_reaches_totals(self, tmp_path):
         code_dir = tmp_path / "code"
+        # Forked workers inherit this process's translation memo; clear
+        # it so they translate, and reach the store, rather than reuse
+        # blocks that earlier tests already memoized.
+        TRANSLATION_MEMO.clear()
         runner = ExperimentRunner(jobs=2, code_cache_dir=code_dir)
         runner.run(
             [

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.harness import Harness, TimingPolicy
 from repro.core.resultcache import schema_tag
 from repro.core.runner import ExperimentRunner, JobSpec
 from repro.core import get_benchmark
+import repro.exp.dataset as dataset_module
 from repro.exp.dataset import DATASET_SCHEMA, Dataset, make_row
 from repro.exp.provenance import capture
 from repro.exp.query import QueryError, parse_query
@@ -150,6 +152,159 @@ class TestDataset:
             dataset.append(row)
         cells = [row["cell"] for row in dataset.rows()]
         assert cells == sorted(cells)
+
+
+def aged(dataset, cell_id, seconds=60):
+    """Backdate a row file's mtime, as for a row written in an earlier
+    run; rows younger than ``_RACY_NS`` are never memoized."""
+    stamp = time.time_ns() - seconds * 10**9
+    os.utime(dataset._path(cell_id), ns=(stamp, stamp))
+
+
+def refuse_open(monkeypatch):
+    def no_open(*args, **kwargs):
+        raise AssertionError("row file opened on a memo hit")
+
+    monkeypatch.setattr(dataset_module, "open", no_open, raising=False)
+
+
+class TestRowMemo:
+    def test_unchanged_row_is_not_reopened(self, executed, tmp_path, monkeypatch):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        aged(dataset, row["cell"])
+        first = dataset.get(row["cell"])
+        refuse_open(monkeypatch)
+        assert dataset.get(row["cell"]) == first
+        assert [r["cell"] for r in dataset.rows()] == [row["cell"]]
+        assert (dataset.hits, dataset.misses) == (2, 0)
+
+    def test_young_row_is_read_every_time(self, executed, tmp_path, monkeypatch):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        dataset.get(row["cell"])
+        refuse_open(monkeypatch)
+        with pytest.raises(AssertionError, match="opened"):
+            dataset.get(row["cell"])
+
+    def test_row_removed_by_another_handle_misses(self, executed, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        aged(dataset, row["cell"])
+        assert dataset.get(row["cell"]) is not None
+        assert Dataset(tmp_path / "ds").remove(row["cell"]) is True
+        assert dataset.get(row["cell"]) is None
+        assert dataset.rows() == []
+        assert (dataset.hits, dataset.misses) == (1, 1)
+
+    @pytest.mark.parametrize("age", [60, 0])
+    def test_row_reappended_after_removal_is_read_fresh(self, executed, tmp_path, age):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        if age:
+            aged(dataset, row["cell"], age)
+        assert dataset.get(row["cell"])["manifest"] == "m" * 64
+        other = Dataset(tmp_path / "ds")
+        other.remove(row["cell"])
+        # Same length, so the new file can match the old one in size
+        # (and, on a reused inode, everything but the mtime).
+        assert other.append(dict(row, manifest="n" * 64)) is True
+        assert dataset.get(row["cell"])["manifest"] == "n" * 64
+        assert dataset.rows()[0]["manifest"] == "n" * 64
+
+    def test_removal_and_clear_through_the_same_handle(self, executed, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        aged(dataset, row["cell"])
+        dataset.get(row["cell"])
+        dataset.remove(row["cell"])
+        assert dataset.get(row["cell"]) is None
+        dataset.append(row)
+        aged(dataset, row["cell"])
+        dataset.get(row["cell"])
+        assert dataset.clear() == 1
+        assert dataset.get(row["cell"]) is None
+
+    def test_corrupt_entry_is_quarantined_on_its_first_read(self, executed, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        aged(dataset, row["cell"])
+        assert dataset.get(row["cell"]) is not None
+        path = dataset._path(row["cell"])
+        # Another writer forces a torn entry over the memoized row.
+        os.unlink(path)
+        with open(path, "w") as fh:
+            fh.write("{not json")
+        assert dataset.get(row["cell"]) is None
+        assert (dataset.misses, dataset.quarantined) == (1, 1)
+        assert not os.path.exists(path)
+        assert dataset.get(row["cell"]) is None
+        assert (dataset.misses, dataset.quarantined) == (2, 1)
+
+    def test_counts_match_unmemoized_reads(self, executed, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        first = row_for(executed)
+        second = dict(first, cell="f" * 64)
+        for row in (first, second):
+            dataset.append(row)
+            aged(dataset, row["cell"])
+        reads = [
+            ("get", first["cell"]),
+            ("get", first["cell"]),
+            ("get", "0" * 64),
+            ("rows", None),
+            ("get", second["cell"]),
+            ("rows", None),
+        ]
+
+        def replay(handle_for):
+            totals = dict.fromkeys(("hits", "misses", "stores", "quarantined"), 0)
+            out = []
+            for op, key in reads:
+                handle = handle_for()
+                out.append(handle.get(key) if op == "get" else handle.rows())
+                for name, value in handle.session_stats().items():
+                    totals[name] += value
+            return out, totals
+
+        memoized = Dataset(tmp_path / "ds")
+        with_memo = replay(lambda: memoized)
+        memoized_totals = memoized.session_stats()
+        fresh = replay(lambda: Dataset(tmp_path / "ds"))
+        assert with_memo[0] == fresh[0]
+        assert memoized_totals == fresh[1]
+        assert memoized_totals["hits"] == 3 and memoized_totals["misses"] == 1
+
+    def test_runner_and_record_leave_memoized_rows_untouched(self, tmp_path):
+        """``get``/``rows`` hand out the memoized row itself; no caller
+        in the program mutates it, and :meth:`Dataset.record` copies."""
+        specs = [
+            JobSpec("System Call", "simit", ARM, VEXPRESS, iterations=4),
+            JobSpec("TLB Flush", "qemu-dbt", ARM, VEXPRESS, iterations=4),
+        ]
+        with ExperimentRunner(dataset=Dataset(tmp_path / "ds")) as runner:
+            runner.run(specs)
+        dataset = Dataset(tmp_path / "ds")
+        for spec in specs:
+            aged(dataset, spec.fingerprint())
+        with ExperimentRunner(dataset=dataset) as runner:
+            for _ in range(2):
+                for result in runner.run(specs):
+                    result.kernel_delta["instructions"] = -1
+                for record in runner.last_records.values():
+                    record.kernel_delta["loads"] = -1
+        record = dataset.record(specs[0].fingerprint())
+        record.kernel_delta.clear()
+        assert dataset.hits == 5
+        for row in dataset.rows():
+            with open(dataset._path(row["cell"])) as fh:
+                assert row == json.load(fh)
 
 
 class TestQuery:

@@ -97,3 +97,32 @@ class TestFigureViews:
         series = sweep.run(get_benchmark("System Call"), iterations=30)
         assert len(series.seconds) == 20
         assert all(s > 0 for s in series.seconds)
+
+
+class CountingRunner(ExperimentRunner):
+    """Counts :meth:`run` calls: each is one grid and one totals fold."""
+
+    calls = 0
+
+    def run(self, specs):
+        self.calls += 1
+        return ExperimentRunner.run(self, specs)
+
+
+class TestOneGridPerFigure:
+    @pytest.mark.parametrize("name", ["figure2", "figure6"])
+    def test_sweep_figure_submits_one_grid(self, warm, name):
+        with CountingRunner() as runner:
+            getattr(figures, name)(scale=SCALE, runner=runner, dataset=warm)
+        assert runner.calls == 1
+
+    def test_warm_pass_makes_five_runner_calls(self, warm):
+        with ExperimentRunner() as runner:
+            run_manifest(figures.figure_manifest(6, scale=SCALE), runner, dataset=warm)
+        with CountingRunner(dataset=warm) as runner:
+            figures.figure7(scale=SCALE, runner=runner)
+            figures.figure2(scale=SCALE, runner=runner)
+            figures.figure6(scale=SCALE, runner=runner)
+            figures.figure8(scale=SCALE, runner=runner)
+        assert runner.calls == 5
+        assert runner.total_stats["executed"] == 0

@@ -325,6 +325,34 @@ class TestRequests:
         assert response["states"] == {"done": 1, "queued": 1}
         assert response["queue_depth"] == 1
 
+    def test_only_the_newest_finished_jobs_are_kept(self, service, monkeypatch):
+        monkeypatch.setattr(daemon, "FINISHED_JOBS_KEPT", 2)
+        ids = []
+        for name in ("system-call", "tlb-flush", "undefined-instruction", "small-blocks"):
+            ids.append(service.submit({"grid": adhoc([name])})["job"])
+            run_all(service)
+        queued = service.submit({"grid": SMOKE_GRID})["job"]
+        response = service.handle_request({"op": "status"})
+        assert response["states"] == {"done": 2, "queued": 1}
+        assert [job["id"] for job in response["jobs"]] == ids[2:] + [queued]
+        for job_id in ids[:2]:
+            answer = service.handle_request({"op": "status", "job": job_id})
+            assert answer["ok"] is False
+            assert "unknown job" in answer["error"]
+        assert service.handle_request({"op": "status", "job": ids[3]})["ok"] is True
+
+    def test_slices_of_a_forgotten_failed_job_are_dropped(self, service, monkeypatch):
+        monkeypatch.setattr(daemon, "FINISHED_JOBS_KEPT", 0)
+        job_id = service.submit({"grid": adhoc(["system-call", "tlb-flush"])})["job"]
+
+        def explode(specs):
+            raise RuntimeError("slice exploded")
+
+        service.runner.run = explode
+        run_all(service)
+        assert job_id not in service._jobs
+        assert service.queue.qsize() == 0
+
 
 class TestSocket:
     def test_round_trip_over_the_socket(self, tmp_path):

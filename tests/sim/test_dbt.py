@@ -15,7 +15,13 @@ from repro.machine.mmu import AP_KERNEL_RW, AP_USER_RW, PageTableBuilder, make_p
 from repro.platform import PCPLAT, VEXPRESS
 from repro.sim import DBTSimulator
 from repro.sim.dbt import DBTConfig, TranslationCache, TranslatedBlock
-from repro.sim.dbt.translator import Translator
+import repro.sim.dbt.translator as translator_module
+from repro.sim.dbt.translator import (
+    MEMO_WAYS,
+    TRANSLATION_MEMO,
+    TranslationMemo,
+    Translator,
+)
 from repro.sim.spec import as_engine_spec
 
 
@@ -238,6 +244,83 @@ class TestTranslationCache:
         cache.insert(new)
         assert not old.valid
         assert cache.get(0x1000, 0x1000) is new
+
+
+#: Two programs whose blocks start at the same addresses but hold
+#: different code, as the SPEC proxies do.
+MEMO_PROGRAMS = (
+    """
+    movi r1, 40
+loop:
+    subi r1, r1, 1
+    cmpi r1, 0
+    bne loop
+    halt #0
+""",
+    """
+    movi r1, 30
+    movi r2, 0
+loop:
+    addi r2, r2, 3
+    subi r1, r1, 1
+    cmpi r1, 0
+    bne loop
+    halt #0
+""",
+)
+
+
+class TestTranslationMemo:
+    def counted_compiles(self, monkeypatch):
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(translator_module, "compile", counting, raising=False)
+        return sources
+
+    def snapshot(self, body):
+        engine, _board, result = run_dbt(body)
+        assert result.halted_ok
+        return engine.counters.snapshot()
+
+    def test_alternating_programs_compile_each_block_once(self, monkeypatch):
+        cold = []
+        for body in MEMO_PROGRAMS:
+            TRANSLATION_MEMO.clear()
+            cold.append(self.snapshot(body))
+        TRANSLATION_MEMO.clear()
+        sources = self.counted_compiles(monkeypatch)
+        for _round in range(3):
+            for body, expected in zip(MEMO_PROGRAMS, cold):
+                assert self.snapshot(body) == expected
+        assert sources
+        assert len(sources) == len(set(sources))
+
+    def test_ways_per_key_are_bounded(self):
+        memo = TranslationMemo(capacity=100)
+        for value in range(MEMO_WAYS + 3):
+            memo.insert("key", value)
+        assert len(memo) == MEMO_WAYS
+        assert memo.lookup("key", lambda entry: entry == 0) is None
+        assert memo.lookup("key", lambda entry: entry == 3) == 3
+        # A hit becomes the first way, so it outlives later inserts.
+        memo.insert("key", "late")
+        assert memo.lookup("key", lambda entry: entry == 3) == 3
+        assert (memo.hits, memo.misses) == (2, 1)
+
+    def test_capacity_bounds_entries_of_all_keys(self):
+        memo = TranslationMemo(capacity=4)
+        for key in ("a", "b"):
+            for value in range(2):
+                memo.insert(key, value)
+        memo.lookup("a", lambda entry: True)
+        memo.insert("c", 0)
+        assert len(memo) == 3
+        assert memo.lookup("b", lambda entry: True) is None
+        assert memo.lookup("a", lambda entry: entry == 1) == 1
 
 
 class TestSoftmmuTLB:

@@ -12,6 +12,8 @@ The contracts under test:
   errors are worded identically at every entry point.
 """
 
+import pickle
+
 import pytest
 
 from repro.arch import ARM, X86
@@ -163,6 +165,38 @@ class TestStructuralVsPricing:
         assert spec.tlb_capacity == 256
         with pytest.raises(ValueError):
             DetailedSpec().replace(mode="cycle-exact")
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("engine", list(SPEC_CLASSES))
+    def test_assignment_after_init_raises(self, engine):
+        spec = spec_for(engine)
+        name = type(spec).fields[0].name
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, name, getattr(spec, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            spec.anything_new = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            del spec.engine
+
+    def test_structural_key_is_computed_once(self):
+        spec = DBTSpec(tlb_bits=7)
+        assert spec.structural_key() is spec.structural_key()
+        assert spec.structural_key() == DBTSpec(tlb_bits=7).structural_key()
+
+    def test_cost_model_is_built_once_per_arch(self):
+        spec = VirtSpec()
+        assert spec.cost_model(ARM) is spec.cost_model("arm")
+        assert spec.cost_model(X86) is not spec.cost_model(ARM)
+        assert spec.cost_model(X86).costs == VirtSpec().cost_model(X86).costs
+
+    def test_pickled_spec_keeps_its_values(self):
+        spec = DBTSpec(tlb_bits=7, cost_overrides={"translations": 1.0})
+        spec.cost_model(ARM)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.structural_key() == spec.structural_key()
+        assert clone.cost_model(ARM).costs == spec.cost_model(ARM).costs
 
 
 class TestValidation:

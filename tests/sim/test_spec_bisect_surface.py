@@ -4,7 +4,7 @@ the sweep's ordered version axis."""
 import pytest
 
 from repro.analysis.sweep import version_axis
-from repro.sim.dbt.versions import QEMU_VERSIONS
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
 from repro.sim.spec import DBTSpec, InterpSpec, SPEC_CLASSES
 
 
@@ -54,3 +54,15 @@ class TestVersionAxis:
         specs = dict(version_axis("arm"))
         diff = specs["v1.7.2"].diff(specs["v2.0.0"])
         assert diff["tlb_bits"] == (7, 8)
+
+    def test_repeated_calls_share_one_axis(self):
+        axis = version_axis("arm")
+        assert version_axis("arm", QEMU_VERSIONS) is axis
+        assert version_axis("arm", list(QEMU_VERSIONS)) == axis
+        fresh = tuple(
+            (version, DBTSpec.from_config(dbt_config_for_version(version, "arm")))
+            for version in QEMU_VERSIONS
+        )
+        assert axis == fresh
+        assert version_axis("x86") != axis
+        assert version_axis("arm", QEMU_VERSIONS[:2]) == axis[:2]
