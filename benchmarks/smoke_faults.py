@@ -58,8 +58,9 @@ def main():
         "parallel grid diverged from serial execution"
     )
     assert parallel_runner.last_stats["crashed"] == 1, parallel_runner.last_stats
-    assert parallel_runner.last_stats["failures"][0]["benchmark"] == "Crashing Cell"
-    assert "deliberate smoke-test crash" in parallel_runner.last_stats["failures"][0]["error"]
+    crashed = [row for row in parallel_runner.last_jobs if row["status"] == "crashed"]
+    assert crashed[0]["benchmark"] == "Crashing Cell", crashed
+    assert "deliberate smoke-test crash" in crashed[0]["error"], crashed
 
     print("fault smoke ok: %d-cell grid completed around 1 crashed cell "
           "(serial == jobs=2)" % len(expected))

@@ -246,16 +246,18 @@ def _metrics_begin(args):
         METRICS.enable()
 
 
-def _metrics_finish(args, runner=None, jobs=None, meta=None):
-    """Write the ``--metrics-out`` JSONL export, if requested."""
+def _metrics_finish(args, runner, meta=None):
+    """Write the ``--metrics-out`` JSONL export, if requested: one job
+    line per cell the runner resolved."""
     path = getattr(args, "metrics_out", None)
     if not path:
         return
-    rows = jobs if jobs is not None else (runner.jobs_log if runner else [])
     header = {"command": args.command}
     if meta:
         header.update(meta)
-    count = write_jsonl(path, meta=header, jobs=rows, snapshot=METRICS.snapshot())
+    count = write_jsonl(
+        path, meta=header, jobs=runner.cells.values(), snapshot=METRICS.snapshot()
+    )
     print("metrics: wrote %d lines to %s" % (count, path), file=sys.stderr)
     METRICS.disable()
 
@@ -324,7 +326,9 @@ def _failure_summary(args, runner):
     -> 0.  Failures -> a summary on stderr, then exit
     ``EXIT_GRID_FAILURES`` unless ``--keep-going`` was given.
     """
-    failures = runner.failures
+    failures = [
+        cell for cell in runner.cells.values() if cell["status"] in FAILURE_STATUSES
+    ]
     if not failures:
         return 0
     print(
@@ -337,7 +341,7 @@ def _failure_summary(args, runner):
             "  %-28s on %-10s [%s]  %s%s"
             % (
                 cell["benchmark"],
-                cell["simulator"],
+                cell["engine"],
                 cell["arch"],
                 cell["status"],
                 ": %s" % cell["error"] if cell["error"] else "",
@@ -883,7 +887,7 @@ def _cmd_metrics(args):
     _report_runner(args, runner)
 
     print("Per-benchmark x per-engine breakdown:")
-    print(render_breakdown(breakdown(runner.jobs_log)))
+    print(render_breakdown(breakdown(runner.cells.values())))
     snapshot = METRICS.snapshot()
     if snapshot["phases"]:
         print()
@@ -912,7 +916,7 @@ def _cmd_metrics(args):
                 "scale": args.scale,
                 "jobs": getattr(args, "jobs", 1) or 1,
             },
-            jobs=runner.jobs_log,
+            jobs=runner.cells.values(),
             snapshot=snapshot,
         )
         print("wrote %d lines to %s" % (count, out), file=sys.stderr)
@@ -1009,8 +1013,7 @@ def _cmd_serve(args):
         file=sys.stderr,
     )
     status = service.serve_forever()
-    rows = [row for job in service._jobs.values() for row in job.rows]
-    _metrics_finish(args, jobs=rows, meta={"socket": args.socket})
+    _metrics_finish(args, service.runner, meta={"socket": args.socket})
     print("drained; exiting", file=sys.stderr)
     return status
 

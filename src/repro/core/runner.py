@@ -42,19 +42,19 @@ canonically JSON-serializable (:meth:`JobSpec.to_payload`), which is
 what makes pool transport -- and future sharded/remote execution --
 possible without pickling live engine state.
 
-Observability: every executed job is timed (``wall_ns``, and for pool
-jobs ``queue_wait_ns``); workers snapshot their process-local metrics
-registry per *chunk* and ship it back with the chunk's records, and
-the parent merges those snapshots in chunk submission order -- so the
-merged registry (and the per-job rows in
-:attr:`ExperimentRunner.last_jobs`) is deterministic up to the timings
+Observability: the runner keeps one telemetry row per unique cell
+(see :class:`ExperimentRunner`), timed per execution (``wall_ns``, and
+for pool jobs ``queue_wait_ns``); workers snapshot their process-local
+metrics registry per *chunk* and ship it back with the chunk's
+records, and the parent merges those snapshots in chunk submission
+order -- so the merged registry is deterministic up to the timings
 themselves.  The parent additionally times chunk dispatch
 (``runner.dispatch``), records a chunk-size histogram
 (``runner.chunk_size``) and counts shipped payload bytes
-(``runner.payload_bytes``), so pool overhead is visible per run.  Persistent-store session
-deltas (dataset, DBT code store) are folded into each store's
-on-disk totals at the end of every run, covering parent *and* worker
-activity (``repro cache stats`` reports them).
+(``runner.payload_bytes``), so pool overhead is visible per run.
+Persistent-store session deltas (dataset, DBT code store) are folded
+into each store's on-disk totals at the end of every run, covering
+parent *and* worker activity (``repro cache stats`` reports them).
 """
 
 import json
@@ -68,7 +68,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.harness import (
-    FAILURE_STATUSES,
     ExecutionRecord,
     Harness,
     SuiteResult,
@@ -334,6 +333,13 @@ def _timed_execute(harness, spec, deadline):
     return record, wall_ns
 
 
+def _note_attempt(row, wall_ns, where):
+    """Count one execution attempt of a cell in its telemetry row."""
+    row["wall_ns"] += wall_ns
+    row["attempts"] += 1
+    row["where"] = where
+
+
 def _terminate_pool_processes(pool):
     """Hard-kill a ProcessPoolExecutor's workers (wedged-pool escape
     hatch); relies on the private process table, so failures to reach
@@ -495,15 +501,14 @@ SUMMED_STATS = (
     "crashed", "timeout", "errors", "retried", "worker_lost",
 )
 
+#: Every :attr:`ExperimentRunner.last_stats` key: the summed counters
+#: plus per-run pool accounting, which stays 0 on a serial run.
+RUN_STATS = SUMMED_STATS + ("chunks", "chunk_splits", "payload_bytes", "chunk_size")
 
-def _fresh_job_info():
-    """Per-job observability row skeleton (filled in as the job runs)."""
-    return {
-        "wall_ns": 0,
-        "queue_wait_ns": 0,
-        "attempts": 0,
-        "where": None,
-    }
+#: The telemetry row fields a later run of the same cell adds to, and
+#: those it replaces (:attr:`ExperimentRunner.cells`).
+_ROW_SUMS = ("submitted", "attempts", "wall_ns", "queue_wait_ns")
+_ROW_LATEST = ("status", "source", "where", "error")
 
 
 class ExperimentRunner:
@@ -549,10 +554,13 @@ class ExperimentRunner:
     telemetry rows; :func:`~repro.exp.manifest.run_manifest` sets it.
 
     Observability: after every :meth:`run`, :attr:`last_jobs` holds one
-    row per submitted spec (status, source, wall/queue-wait timings,
-    attempts) in submission order, and :attr:`jobs_log` accumulates
-    those rows across runs; worker metrics snapshots are merged into
-    the process-global registry in submission order.
+    row per unique cell in first-submission order: identity,
+    ``cell_id``, ``manifest``, final ``status`` and ``error``,
+    ``source`` (``executed``/``dataset``/``static``), ``submitted``
+    (the specs that shared the cell), ``attempts``, ``where`` and the
+    wall/queue-wait timings.  :attr:`cells` keeps one row per
+    ``cell_id`` across runs: a repeat adds its counts and timings and
+    replaces status, source, where and error.
     """
 
     def __init__(
@@ -580,42 +588,20 @@ class ExperimentRunner:
         # or the pool breaks) and its configuration key.
         self._pool = None
         self._pool_key = None
-        # Per-run pool accounting (chunks dispatched, split rounds,
-        # payload bytes, planned chunk size).
-        self._pool_stats = self._fresh_pool_stats()
-        #: Counters for the last :meth:`run` call.
-        self.last_stats = {}
+        #: Counters for the last (or running) :meth:`run` call.
+        self.last_stats = dict.fromkeys(RUN_STATS, 0)
         #: Raw :class:`ExecutionRecord` per execution key for the last
         #: :meth:`run` call -- the unpriced half of the results.
         self.last_records = {}
-        #: Per-job observability rows for the last :meth:`run` call.
+        #: One telemetry row per unique cell of the last :meth:`run`.
         self.last_jobs = []
-        #: Job rows accumulated across every :meth:`run` call on this
-        #: runner (drivers like Figure 8 issue several runs).
-        self.jobs_log = []
-        #: Failing grid cells accumulated across every :meth:`run` call.
-        self.failures = []
+        #: One telemetry row per ``cell_id`` across every :meth:`run`.
+        self.cells = {}
         #: The :data:`SUMMED_STATS` counters of :attr:`last_stats`,
         #: summed across every :meth:`run` call.
         self.total_stats = dict.fromkeys(SUMMED_STATS, 0)
-        self._exec_stats = self._fresh_exec_stats()
         # Worker code-store deltas shipped back during the current run.
         self._worker_codestore = {}
-
-    @staticmethod
-    def _fresh_exec_stats():
-        """The single source of the execution-stats reset: ``__init__``
-        and every :meth:`run` start from this same shape, so
-        ``retried``/``worker_lost`` in :attr:`last_stats` count exactly
-        one run -- never a carry-over from a previous grid."""
-        return {"retried": 0, "worker_lost": 0}
-
-    @staticmethod
-    def _fresh_pool_stats():
-        """Per-run pool accounting, reset at the start of every run;
-        folded into :attr:`last_stats` only when the pool path actually
-        dispatched chunks (serial runs keep the legacy stats shape)."""
-        return {"chunks": 0, "chunk_splits": 0, "payload_bytes": 0, "chunk_size": 0}
 
     # -- pool lifecycle ------------------------------------------------
     def _ensure_pool(self):
@@ -714,8 +700,8 @@ class ExperimentRunner:
     def _run_grid(self, specs):
         specs = [spec if isinstance(spec, JobSpec) else JobSpec(*spec) for spec in specs]
         keys = [spec.execution_key() for spec in specs]
-        self._exec_stats = self._fresh_exec_stats()
-        self._pool_stats = self._fresh_pool_stats()
+        # Fresh every run, so no counter carries over from a previous grid.
+        self.last_stats = stats = dict.fromkeys(RUN_STATS, 0)
         self._worker_codestore = {}
         manifest = self.manifest
         manifest_id = manifest.manifest_id() if manifest is not None else None
@@ -723,20 +709,38 @@ class ExperimentRunner:
         # under MODELED timing.
         dataset = self.dataset if self.harness.timing is TimingPolicy.MODELED else None
 
-        # Resolve each unique execution key once, in submission order.
+        # Resolve each unique execution key once, in submission order,
+        # into one telemetry row; repeats only count as ``submitted``.
         # Jobs decided statically (not-applicable / unsupported engine)
         # run no guest code, so they are neither stored nor counted as
         # executions; the rest get one dataset probe, and what the
         # dataset lacks executes.  The fingerprint is the row key and
-        # every telemetry row's ``cell_id``.
+        # the row's ``cell_id``.
         records = {}
-        sources = {}
-        cell_ids = {}
+        rows = {}
         pending = []
         for key, spec in zip(keys, specs):
-            if key in cell_ids:
+            row = rows.get(key)
+            if row is not None:
+                row["submitted"] += 1
                 continue
-            cell_ids[key] = cell_id = spec.fingerprint()
+            rows[key] = row = {
+                "benchmark": spec.benchmark.name,
+                "engine": spec.engine_spec.engine,
+                "arch": spec.arch.name,
+                "platform": spec.platform.name,
+                "iterations": spec.iterations,
+                "status": None,
+                "error": None,
+                "source": "executed",
+                "cell_id": spec.fingerprint(),
+                "manifest": manifest_id,
+                "submitted": 1,
+                "wall_ns": 0,
+                "queue_wait_ns": 0,
+                "attempts": 0,
+                "where": None,
+            }
             if not spec.executes():
                 records[key] = self.harness.execute_benchmark(
                     spec.benchmark,
@@ -745,83 +749,55 @@ class ExperimentRunner:
                     spec.platform,
                     iterations=spec.iterations,
                 )
-                sources[key] = "static"
+                row["source"] = "static"
                 continue
-            record = dataset.record(cell_id) if dataset is not None else None
+            record = dataset.record(row["cell_id"]) if dataset is not None else None
             if record is not None:
                 records[key] = record
-                sources[key] = "dataset"
+                row["source"] = "dataset"
             else:
                 pending.append((key, spec))
 
         # Execute the remainder -- serially, or over a fork pool.
-        executed, exec_infos = self._execute_pending([spec for _, spec in pending])
-        infos = {}
-        for (key, _spec), record, info in zip(pending, executed, exec_infos):
+        executed = self._execute_pending(
+            [spec for _, spec in pending], [rows[key] for key, _ in pending]
+        )
+        for (key, _spec), record in zip(pending, executed):
             records[key] = record
-            sources[key] = "executed"
-            infos[key] = info
-        appended = 0
         if dataset is not None:
-            appended = dataset.store_records(
+            stats["dataset_appended"] = dataset.store_records(
                 [(spec, records[key]) for key, spec in pending], manifest=manifest
             )
 
+        for key, row in rows.items():
+            record = records[key]
+            row["status"] = record.status
+            row["error"] = str(record.error) if record.error else None
+        sources = [row["source"] for row in rows.values()]
         statuses = [records[key].status for key, _ in pending]
-        resolved = list(sources.values())
-        self.last_stats = {
-            "jobs": len(specs),
-            "unique": len(cell_ids),
-            "static": resolved.count("static"),
-            "from_dataset": resolved.count("dataset"),
-            "executed": len(pending),
-            "dataset_appended": appended,
-            "crashed": statuses.count("crashed"),
-            "timeout": statuses.count("timeout"),
-            "errors": statuses.count("error"),
-            "retried": self._exec_stats["retried"],
-            "worker_lost": self._exec_stats["worker_lost"],
-        }
-        if self._pool_stats["chunks"]:
-            # Pool-path extras: only present when chunks were actually
-            # dispatched, so serial runs keep the legacy stats shape.
-            self.last_stats.update(self._pool_stats)
+        stats.update(
+            jobs=len(specs),
+            unique=len(rows),
+            static=sources.count("static"),
+            from_dataset=sources.count("dataset"),
+            executed=len(pending),
+            crashed=statuses.count("crashed"),
+            timeout=statuses.count("timeout"),
+            errors=statuses.count("error"),
+        )
         self.last_records = records
         for name in SUMMED_STATS:
-            self.total_stats[name] += self.last_stats[name]
-
-        # Per-job observability rows, in submission order.  The first
-        # spec of each execution group carries the group's source and
-        # timings; structurally-identical repeats are ``dedup`` rows.
-        # ``cell_id`` and ``manifest`` join telemetry rows against
-        # dataset rows.
-        seen = set()
-        rows = []
-        for key, spec in zip(keys, specs):
-            if key in seen:
-                source, info = "dedup", _fresh_job_info()
-            else:
-                seen.add(key)
-                source, info = sources[key], infos.get(key) or _fresh_job_info()
-            rows.append(
-                {
-                    "benchmark": spec.benchmark.name,
-                    "engine": spec.engine_spec.engine,
-                    "arch": spec.arch.name,
-                    "platform": spec.platform.name,
-                    "iterations": spec.iterations,
-                    "status": records[key].status,
-                    "source": source,
-                    "cell_id": cell_ids[key],
-                    "manifest": manifest_id,
-                    "wall_ns": info["wall_ns"],
-                    "queue_wait_ns": info["queue_wait_ns"],
-                    "attempts": info["attempts"],
-                    "where": info["where"],
-                }
-            )
-        self.last_jobs = rows
-        self.jobs_log.extend(rows)
+            self.total_stats[name] += stats[name]
+        self.last_jobs = list(rows.values())
+        for row in self.last_jobs:
+            cell = self.cells.get(row["cell_id"])
+            if cell is None:
+                self.cells[row["cell_id"]] = dict(row)
+                continue
+            for name in _ROW_SUMS:
+                cell[name] += row[name]
+            for name in _ROW_LATEST:
+                cell[name] = row[name]
 
         # Fold this run's store activity (parent-side session deltas
         # plus worker-shipped code-store deltas) into on-disk totals.
@@ -829,7 +805,7 @@ class ExperimentRunner:
 
         # Price every original spec against its shared record.
         with METRICS.phase("harness.price_grid"):
-            results = [
+            return [
                 self.harness.price_record(
                     records[key],
                     spec.benchmark,
@@ -840,22 +816,6 @@ class ExperimentRunner:
                 )
                 for key, spec in zip(keys, specs)
             ]
-        # One entry per failing grid cell (submission order), for
-        # failure summaries without re-walking the results.
-        cell_failures = [
-            {
-                "benchmark": result.benchmark,
-                "simulator": result.simulator,
-                "arch": result.arch,
-                "status": result.status,
-                "error": str(result.error) if result.error else None,
-            }
-            for result in results
-            if result.status in FAILURE_STATUSES
-        ]
-        self.last_stats["failures"] = cell_failures
-        self.failures.extend(cell_failures)
-        return results
 
     def _fold_store_totals(self):
         """Fold store session deltas into persistent totals, once per
@@ -902,7 +862,7 @@ class ExperimentRunner:
         the merge stays deterministic."""
         workers = min(self.jobs, len(specs))
         size = self._chunk_size(len(specs), workers)
-        self._pool_stats["chunk_size"] = size
+        self.last_stats["chunk_size"] = size
         groups = {}
         order = []
         for index, spec in enumerate(specs):
@@ -954,11 +914,11 @@ class ExperimentRunner:
             {"engines": engines, "jobs": jobs}, pickle.HIGHEST_PROTOCOL
         )
         METRICS.inc("runner.payload_bytes", len(blob))
-        self._pool_stats["payload_bytes"] += len(blob)
+        self.last_stats["payload_bytes"] += len(blob)
         return blob
 
-    def _accept_chunk(self, chunk, payload, parent_elapsed_ns, results, infos):
-        """Fold one delivered chunk payload into results/infos.
+    def _accept_chunk(self, chunk, payload, parent_elapsed_ns, results, rows):
+        """Fold one delivered chunk payload into results and rows.
 
         Returns ``False`` (leaving the chunk untouched for the
         split/serial path) if the payload is not the expected
@@ -994,11 +954,9 @@ class ExperimentRunner:
             queue_share = queue_wait // len(chunk)
         for position, index in enumerate(chunk):
             results[index] = records[position]
-            info = infos[index]
-            info["attempts"] += 1
-            info["where"] = "pool"
-            info["wall_ns"] += int(walls[position]) if position < len(walls) else 0
-            info["queue_wait_ns"] += queue_share
+            wall_ns = int(walls[position]) if position < len(walls) else 0
+            _note_attempt(rows[index], wall_ns, "pool")
+            rows[index]["queue_wait_ns"] += queue_share
         METRICS.merge(aux.get("metrics"))
         delta = aux.get("codestore")
         if delta:
@@ -1008,10 +966,10 @@ class ExperimentRunner:
                 )
         return True
 
-    def _execute_pending(self, specs):
-        """Execute ``specs``, returning ``(records, infos)`` -- one
-        record and one observability row per spec in submission order
-        -- never raising for a job's failure.
+    def _execute_pending(self, specs, rows):
+        """Execute ``specs``, returning one record per spec in
+        submission order and noting each attempt in the spec's
+        telemetry row -- never raising for a job's failure.
 
         Pipeline: (1) optional chunked pool fan-out over the persistent
         warm pool, collecting whatever the workers deliver; (2) one
@@ -1023,19 +981,18 @@ class ExperimentRunner:
         transient failures.
         """
         if not specs:
-            return [], []
+            return []
         results = [None] * len(specs)
-        infos = [_fresh_job_info() for _ in specs]
         if self.jobs > 1 and len(specs) > 1:
             chunks = self._plan_chunks(specs)
-            undelivered = self._pool_round(specs, chunks, results, infos)
+            undelivered = self._pool_round(specs, chunks, results, rows)
             if any(len(chunk) > 1 for chunk in undelivered):
                 # Sub-chunk split: losing a chunk must not mean losing
                 # a batch.  Retry every still-missing job from the lost
                 # chunks as singleton chunks -- only the job that
                 # actually killed its worker falls through to the
                 # parent.
-                self._pool_stats["chunk_splits"] += 1
+                self.last_stats["chunk_splits"] += 1
                 METRICS.inc("runner.chunk_splits")
                 singles = [
                     [index]
@@ -1043,27 +1000,25 @@ class ExperimentRunner:
                     for index in chunk
                     if results[index] is None
                 ]
-                self._pool_round(specs, singles, results, infos)
+                self._pool_round(specs, singles, results, rows)
         # In-parent serial execution: the base path when jobs=1, the
         # fallback for anything the pool failed to deliver.
         lost = [index for index, record in enumerate(results) if record is None]
         if self.jobs > 1 and len(specs) > 1 and lost:
-            self._exec_stats["worker_lost"] += len(lost)
+            self.last_stats["worker_lost"] += len(lost)
             METRICS.inc("runner.worker_lost", len(lost))
         for index in lost:
             record, wall_ns = _timed_execute(
                 self.harness, specs[index], self.deadline
             )
             results[index] = record
-            infos[index]["wall_ns"] += wall_ns
-            infos[index]["attempts"] += 1
-            infos[index]["where"] = "parent"
-        self._retry_transient(specs, results, infos)
-        return results, infos
+            _note_attempt(rows[index], wall_ns, "parent")
+        self._retry_transient(specs, results, rows)
+        return results
 
-    def _pool_round(self, specs, chunks, results, infos):
+    def _pool_round(self, specs, chunks, results, rows):
         """One pool pass submitting ``chunks`` (lists of indices into
-        ``specs``), filling ``results``/``infos`` in place.
+        ``specs``), filling ``results``/``rows`` in place.
 
         Chunks deliver atomically: a chunk whose future fails (worker
         death, ``BrokenProcessPool``, transport error, wedged worker
@@ -1105,7 +1060,7 @@ class ExperimentRunner:
                 "runner.dispatch", time.perf_counter_ns() - dispatch_start
             )
             METRICS.observe("runner.chunk_size", len(chunk))
-            self._pool_stats["chunks"] += 1
+            self.last_stats["chunks"] += 1
             future.add_done_callback(_stamper(chunk_id))
             futures.append((chunk_id, chunk, future))
 
@@ -1142,7 +1097,7 @@ class ExperimentRunner:
                         harvested,
                         stamp - submit_ns if stamp else None,
                         results,
-                        infos,
+                        rows,
                     ):
                         undelivered.append(late_chunk)
                 break
@@ -1157,7 +1112,7 @@ class ExperimentRunner:
                 payload,
                 stamp - submit_ns if stamp else None,
                 results,
-                infos,
+                rows,
             ):
                 undelivered.append(chunk)
         if wedged or getattr(self._pool, "_broken", False):
@@ -1177,7 +1132,7 @@ class ExperimentRunner:
             return self.harness.timing is not TimingPolicy.MODELED
         return False
 
-    def _retry_transient(self, specs, results, infos):
+    def _retry_transient(self, specs, results, rows):
         """Re-execute transiently-failed jobs, up to ``retries`` rounds
         with exponential backoff, in-parent (deterministic merge: a
         retried success is bit-for-bit what a clean run produces)."""
@@ -1187,16 +1142,14 @@ class ExperimentRunner:
                 return
             if self.retry_backoff:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            self._exec_stats["retried"] += len(retry)
+            self.last_stats["retried"] += len(retry)
             METRICS.inc("runner.retried", len(retry))
             for index in retry:
                 record, wall_ns = _timed_execute(
                     self.harness, specs[index], self.deadline
                 )
                 results[index] = record
-                infos[index]["wall_ns"] += wall_ns
-                infos[index]["attempts"] += 1
-                infos[index]["where"] = "parent"
+                _note_attempt(rows[index], wall_ns, "parent")
 
     # ------------------------------------------------------------------
     def run_suite(

@@ -6,10 +6,11 @@ per line, so consumers can stream-filter with nothing smarter than
 
 - ``{"type": "meta", ...}`` -- one header line: schema version plus
   whatever run description the caller supplies (command, grid shape);
-- ``{"type": "job", ...}`` -- one line per grid cell, in submission
-  order: benchmark/engine/arch/platform/iterations identity, final
-  ``status``, ``source`` (``executed``/``dataset``/``static``/
-  ``dedup``), ``wall_ns``/``queue_wait_ns`` host timings,
+- ``{"type": "job", ...}`` -- one line per unique cell, in
+  first-submission order: benchmark/engine/arch/platform/iterations
+  identity, final ``status`` and ``error``, ``source``
+  (``executed``/``dataset``/``static``), ``submitted`` (the specs that
+  shared the cell), ``wall_ns``/``queue_wait_ns`` host timings,
   ``attempts``, and the join keys ``cell_id`` (the structural
   fingerprint that keys the experiment dataset) plus the ``manifest``
   id (``None`` outside manifest runs), so telemetry rows join dataset
@@ -24,7 +25,7 @@ same grid produce line-for-line comparable files (up to timings).
 import json
 
 #: Bump when line shapes change incompatibly.
-EXPORT_SCHEMA = 1
+EXPORT_SCHEMA = 2
 
 
 def jsonl_lines(meta=None, jobs=(), snapshot=None):
@@ -76,10 +77,13 @@ def read_jsonl(path):
 
 
 def breakdown(jobs):
-    """Aggregate job rows per (benchmark, engine, arch) cell.
+    """Aggregate per-cell job rows per (benchmark, engine, arch).
 
     Returns rows in first-seen (submission) order, each with the job
     count, per-source counts, failure count and summed host wall time.
+    A row stands for its ``submitted`` specs: all of them count as
+    jobs (and as failed when the cell failed), the first under the
+    row's source and the rest as ``dedup``.
     """
     cells = {}
     order = []
@@ -101,12 +105,14 @@ def breakdown(jobs):
                 "queue_wait_ns": 0,
             }
             order.append(key)
-        cell["jobs"] += 1
+        submitted = int(row.get("submitted", 1))
+        cell["jobs"] += submitted
+        cell["dedup"] += submitted - 1
         source = row.get("source")
-        if source in ("executed", "dataset", "static", "dedup"):
+        if source in ("executed", "dataset", "static"):
             cell[source] += 1
         if row.get("status") in ("error", "crashed", "timeout"):
-            cell["failed"] += 1
+            cell["failed"] += submitted
         cell["wall_ns"] += int(row.get("wall_ns") or 0)
         cell["queue_wait_ns"] += int(row.get("queue_wait_ns") or 0)
     return [cells[key] for key in order]

@@ -28,9 +28,10 @@ Execution model:
   deadlines stay enforced: pool workers arm SIGALRM in their own
   chunk loop, and the scheduler thread's serial fallback degrades to
   the wall-clock check;
-- every slice's telemetry rows accumulate on the job, so ``wait``/
-  ``status`` stream per-cell outcomes and warm/cold provenance back
-  to the client;
+- every slice's telemetry rows (one per unique cell, with the
+  ``submitted`` count of specs that shared it) accumulate on the job,
+  so ``wait``/``status`` stream per-cell outcomes and warm/cold
+  provenance back to the client;
 - every unfinished job is remembered, finished ones only up to
   :data:`FINISHED_JOBS_KEPT` (newest first): the daemon's memory and
   ``status`` answer stay bounded however long it runs.
@@ -54,6 +55,7 @@ import socket
 import threading
 import time
 
+from repro.core.harness import FAILURE_STATUSES
 from repro.core.runner import ExperimentRunner
 from repro.exp.dataset import Dataset
 from repro.exp.manifest import Manifest, ManifestError, resolve_manifest
@@ -108,7 +110,6 @@ class Job:
         self.slices_total = slices
         self.slices_done = 0
         self.stats = dict.fromkeys(self._STAT_KEYS, 0)
-        self.failures = []
         self.rows = []
         self.error = None
         self.submitted_ns = time.time_ns()
@@ -118,7 +119,6 @@ class Job:
     def fold_slice(self, stats, rows):
         for key in self._STAT_KEYS:
             self.stats[key] += int(stats.get(key, 0))
-        self.failures.extend(stats.get("failures") or [])
         self.rows.extend(rows)
 
     def finish(self, state, error=None):
@@ -136,7 +136,9 @@ class Job:
             "cells": self.cells,
             "slices": self.slices_total,
             "slices_done": self.slices_done,
-            "failures": len(self.failures),
+            "failures": sum(
+                row["status"] in FAILURE_STATUSES for row in self.rows
+            ),
             "submitted_ns": self.submitted_ns,
             "finished_ns": self.finished_ns,
             "error": self.error,

@@ -13,7 +13,7 @@ refuses a mismatch loudly rather than mis-parsing the daemon.
 Operations (see :mod:`repro.serve.daemon` for semantics):
 
 ``ping``
-    Liveness + identity: ``{"ok": true, "protocol": 2, "pid": ...}``.
+    Liveness + identity: ``{"ok": true, "protocol": 3, "pid": ...}``.
 ``submit``
     A manifest payload (``manifest``), a bundled/path reference
     resolved daemon-side (``manifest_ref``) or an ad-hoc grid table
@@ -26,8 +26,10 @@ Operations (see :mod:`repro.serve.daemon` for semantics):
 ``wait``
     Block until a job reaches a terminal state (optional ``timeout``
     seconds; ``0`` answers at once); answers the final job summary
-    plus its per-cell telemetry ``rows`` (``source`` included, so a
-    client can tell warm ``dataset`` cells from executed ones).
+    plus its telemetry ``rows``: one per unique cell of each slice,
+    with ``submitted`` (specs sharing the cell), ``status``/``error``
+    and ``source``, so a client can tell warm ``dataset`` cells from
+    executed ones.
 ``drain``
     Begin graceful shutdown: finish in-flight work, cancel the queue,
     persist dataset rows and store totals, exit 0.
@@ -38,7 +40,7 @@ import os
 import socket
 
 #: Bump when the message vocabulary changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default rendezvous path, alongside the default dataset directory.
 DEFAULT_SOCKET = ".repro-serve.sock"

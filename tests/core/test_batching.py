@@ -18,8 +18,8 @@ Contracts under test:
   multi-engine grid, at every worker count;
 - dispatch observability: ``runner.dispatch``/``runner.chunk`` phase
   timers and the ``runner.chunk_size`` histogram are recorded, and the
-  pool-path extras (``chunks``/``chunk_splits``/``payload_bytes``)
-  appear in ``last_stats`` only when chunks were actually dispatched.
+  pool-path counters (``chunks``/``chunk_splits``/``payload_bytes``)
+  in ``last_stats`` count what was dispatched (0 on a serial run).
 """
 
 import pickle
@@ -127,7 +127,7 @@ class TestCompactPayloads:
         assert len(payload["engines"]) == 1
         assert len(payload["jobs"]) == len(specs)
         assert all(isinstance(job[0], str) for job in payload["jobs"])
-        assert runner._pool_stats["payload_bytes"] == len(blob)
+        assert runner.last_stats["payload_bytes"] == len(blob)
 
     def test_adhoc_benchmark_ships_by_value(self):
         runner = ExperimentRunner(jobs=2)
@@ -215,11 +215,11 @@ class TestDispatchObservability:
                 == runner.last_stats["payload_bytes"]
             )
 
-    def test_serial_run_keeps_legacy_stats_shape(self):
+    def test_serial_run_reports_zero_pool_stats(self):
         runner = ExperimentRunner()
         runner.run(_simit_grid())
         for key in ("chunks", "chunk_splits", "payload_bytes", "chunk_size"):
-            assert key not in runner.last_stats
+            assert runner.last_stats[key] == 0
 
     def test_pool_run_reports_chunk_stats(self):
         with ExperimentRunner(jobs=2) as runner:

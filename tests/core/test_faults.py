@@ -151,7 +151,9 @@ class TestCrashContainment:
         assert "deliberate fault-injection boom" in crash.error.exc_message
         assert "boom" in crash.error.traceback_summary
         assert runner.last_stats["crashed"] == 1
-        assert runner.last_stats["failures"][0]["benchmark"] == "Crashing Cell"
+        assert runner.last_jobs[0]["benchmark"] == "Crashing Cell"
+        assert runner.last_jobs[0]["status"] == "crashed"
+        assert "deliberate fault-injection boom" in runner.last_jobs[0]["error"]
 
     def test_deterministic_crash_is_not_retried_under_modeled(self):
         runner = ExperimentRunner(retries=3)

@@ -7,9 +7,10 @@ Contracts under test:
 - registry semantics: counters/gauges/phases/histograms record, reset,
   snapshot (sorted, JSON-safe) and merge deterministically; the phase
   timer is a shared no-op when disabled;
-- the runner emits one observability row per submitted job (source =
-  executed/dataset/static/dedup) and merges worker metrics snapshots and
-  code-store deltas back into the parent under ``jobs=N``;
+- the runner emits one observability row per unique cell (source =
+  executed/dataset/static, ``submitted`` = specs sharing it), keeps one
+  row per ``cell_id`` across runs, and merges worker metrics snapshots
+  and code-store deltas back into the parent under ``jobs=N``;
 - store accounting survives the process boundary: ``_totals.json``
   accumulates across instances/processes and ``repro cache stats``
   reports it;
@@ -54,7 +55,8 @@ from repro.obs.metrics import METRICS, Metrics, enabled_scope
 from repro.platform import VEXPRESS
 from repro.sim.dbt.codestore import CodeStore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
-from tests.core.test_faults import _grid, _ok_benchmarks
+from repro.sim.dbt.versions import dbt_config_for_version
+from tests.core.test_faults import CrashingBenchmark, _grid, _ok_benchmarks
 
 
 @pytest.fixture(autouse=True)
@@ -200,24 +202,13 @@ def _sample_rows():
             "platform": "vexpress",
             "iterations": 10,
             "status": "ok",
+            "error": None,
             "source": "executed",
+            "submitted": 2,
             "wall_ns": 1_000_000,
             "queue_wait_ns": 100,
             "attempts": 1,
             "where": "pool",
-        },
-        {
-            "benchmark": "System Call",
-            "engine": "simit",
-            "arch": "arm",
-            "platform": "vexpress",
-            "iterations": 10,
-            "status": "ok",
-            "source": "dedup",
-            "wall_ns": 0,
-            "queue_wait_ns": 0,
-            "attempts": 0,
-            "where": None,
         },
         {
             "benchmark": "TLB Flush",
@@ -226,7 +217,9 @@ def _sample_rows():
             "platform": "vexpress",
             "iterations": 10,
             "status": "crashed",
+            "error": "boom",
             "source": "executed",
+            "submitted": 1,
             "wall_ns": 2_000_000,
             "queue_wait_ns": 0,
             "attempts": 2,
@@ -245,13 +238,13 @@ class TestExport:
             path, meta={"command": "test"}, jobs=_sample_rows(), snapshot=reg.snapshot()
         )
         lines = read_jsonl(path)
-        assert count == len(lines) == 1 + 3 + 2
+        assert count == len(lines) == 1 + 2 + 2
         assert lines[0]["type"] == "meta"
         assert lines[0]["command"] == "test"
-        assert lines[0]["schema"] == 1
+        assert lines[0]["schema"] == 2
         jobs = [line for line in lines if line["type"] == "job"]
-        assert [job["benchmark"] for job in jobs] == [
-            "System Call", "System Call", "TLB Flush",
+        assert [(job["benchmark"], job["submitted"]) for job in jobs] == [
+            ("System Call", 2), ("TLB Flush", 1),
         ]
         counter = [line for line in lines if line["type"] == "counter"]
         assert counter == [
@@ -343,7 +336,7 @@ class TestStoreTotals:
 
 
 class TestJobRows:
-    def test_sources_executed_dedup_static(self):
+    def test_one_row_per_cell_counts_its_specs(self):
         runner = ExperimentRunner()
         bench = get_benchmark("System Call")
         specs = _grid(bench, bench) + [
@@ -353,11 +346,46 @@ class TestJobRows:
         ]
         runner.run(specs)
         rows = runner.last_jobs
-        assert [row["source"] for row in rows] == ["executed", "dedup", "static"]
+        assert [(row["source"], row["submitted"]) for row in rows] == [
+            ("executed", 2), ("static", 1),
+        ]
         assert rows[0]["wall_ns"] > 0
         assert rows[0]["attempts"] == 1
+        assert rows[0]["error"] is None
         assert rows[1]["wall_ns"] == 0
-        assert rows[2]["status"] == "unsupported"
+        assert rows[1]["status"] == "unsupported"
+
+    def test_per_cell_rows_keep_every_count(self):
+        """A cell submitted three times (a repeat and a pricing-only
+        variant), a static cell and a crashing cell: three rows, and
+        the breakdown counts what one row per submitted spec gave."""
+        bench = get_benchmark("System Call")
+        # Two QEMU versions that differ only in pricing.
+        old, new = (dbt_config_for_version(v, "arm") for v in ("v2.1.0", "v2.4.1"))
+        specs = [
+            JobSpec(bench, "qemu-dbt", ARM, VEXPRESS, iterations=10, dbt_config=config)
+            for config in (old, old, new)
+        ] + [
+            JobSpec("Memory Mapped Device", "gem5", ARM, VEXPRESS, iterations=5),
+            JobSpec(CrashingBenchmark(), "simit", ARM, VEXPRESS, iterations=5),
+        ]
+        runner = ExperimentRunner()
+        runner.run(specs)
+        rows = runner.last_jobs
+        assert [row["submitted"] for row in rows] == [3, 1, 1]
+        assert [row["source"] for row in rows] == ["executed", "static", "executed"]
+        assert rows[2]["status"] == "crashed"
+        assert "boom" in rows[2]["error"]
+        totals = {
+            name: sum(cell[name] for cell in breakdown(rows))
+            for name in ("jobs", "executed", "dataset", "static", "dedup", "failed")
+        }
+        assert totals == {
+            "jobs": 5, "executed": 2, "dataset": 0, "static": 1, "dedup": 2,
+            "failed": 1,
+        }
+        first = breakdown(rows)[0]
+        assert (first["jobs"], first["executed"], first["dedup"]) == (3, 1, 2)
 
     def test_dataset_hits_become_dataset_rows(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
@@ -367,14 +395,18 @@ class TestJobRows:
         warm.run(specs())
         assert [row["source"] for row in warm.last_jobs] == ["dataset"]
 
-    def test_jobs_log_accumulates_across_runs(self):
+    def test_cells_keep_one_row_per_cell_across_runs(self):
         runner = ExperimentRunner()
         runner.run(_grid(get_benchmark("System Call")))
         runner.run(_grid(get_benchmark("TLB Flush")))
+        runner.run(_grid(get_benchmark("System Call")))
         assert len(runner.last_jobs) == 1
-        assert [row["benchmark"] for row in runner.jobs_log] == [
+        assert [row["benchmark"] for row in runner.cells.values()] == [
             "System Call", "TLB Flush",
         ]
+        again = runner.cells[runner.last_jobs[0]["cell_id"]]
+        assert (again["submitted"], again["attempts"]) == (2, 2)
+        assert again["wall_ns"] > runner.last_jobs[0]["wall_ns"] > 0
 
     def test_pool_rows_report_pool_and_queue_wait(self):
         METRICS.enable()
@@ -467,7 +499,7 @@ class TestWorkerMetricsMerge:
 
 
 # ---------------------------------------------------------------------------
-# Bugfix regressions: _exec_stats reset semantics
+# Bugfix regressions: last_stats reset semantics
 # ---------------------------------------------------------------------------
 
 _CRASH_ONCE = {"count": 0}
@@ -519,13 +551,12 @@ class TestExecStatsReset:
         assert runner.last_stats["worker_lost"] == 0
         assert runner.last_stats["crashed"] == 0
 
-    def test_fresh_exec_stats_is_the_single_source(self):
-        # ``__init__`` and ``run`` must share one reset definition.
+    def test_last_stats_has_one_shape(self):
+        # ``__init__`` and every serial or pooled ``run`` share one shape.
         runner = ExperimentRunner()
-        assert runner._exec_stats == ExperimentRunner._fresh_exec_stats()
-        assert ExperimentRunner._fresh_exec_stats() == {
-            "retried": 0, "worker_lost": 0,
-        }
+        assert runner.last_stats == dict.fromkeys(runner_mod.RUN_STATS, 0)
+        runner.run(_grid(get_benchmark("System Call")))
+        assert list(runner.last_stats) == list(runner_mod.RUN_STATS)
 
     def test_retry_events_counted_in_metrics(self):
         _CRASH_ONCE["count"] = 0

@@ -169,8 +169,13 @@ class TestDeduplication:
             "errors": 0,
             "retried": 0,
             "worker_lost": 0,
-            "failures": [],
+            "chunks": 0,
+            "chunk_splits": 0,
+            "payload_bytes": 0,
+            "chunk_size": 0,
         }
+        assert len(runner.last_jobs) == 2
+        assert sum(row["submitted"] for row in runner.last_jobs) == 20
 
     def test_deduped_results_match_naive_serial(self):
         benchmark = get_benchmark("System Call")

@@ -57,7 +57,7 @@ class TestFigureViews:
         with ExperimentRunner(dataset=warm) as runner:
             view = figures.figure2(scale=SCALE, runner=runner)
             executed = [
-                row for row in runner.jobs_log if row["source"] == "executed"
+                row for row in runner.cells.values() if row["source"] == "executed"
             ]
         assert executed == []
         assert deep_equal(imperative, view)
@@ -73,7 +73,7 @@ class TestFigureViews:
         with ExperimentRunner(dataset=fresh) as runner:
             figures.figure7(scale=SCALE, runner=runner)
             assert not [
-                row for row in runner.jobs_log if row["source"] == "executed"
+                row for row in runner.cells.values() if row["source"] == "executed"
             ]
 
     def test_figure8_from_figure2_panels(self, warm):

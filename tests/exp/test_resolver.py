@@ -209,9 +209,9 @@ class TestDatasetResolution:
         with ExperimentRunner(dataset=dataset) as runner:
             results = runner.run(specs)
             assert runner.last_stats["unique"] == 1
-            assert [row["source"] for row in runner.last_jobs] == [
-                "executed", "dedup", "dedup",
-            ]
+            assert [
+                (row["source"], row["submitted"]) for row in runner.last_jobs
+            ] == [("executed", 3)]
         assert len(results) == 3
         assert len({id(r) for r in results}) == 3  # distinct result objects
         assert len(dataset.rows()) == 1

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.exp.dataset import Dataset
+from repro.obs.export import read_jsonl
 from repro.obs.metrics import METRICS
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -262,7 +263,7 @@ class TestRequests:
     def test_ping_reports_identity(self, service):
         response = service.handle_request({"op": "ping"})
         assert response["ok"] is True
-        assert response["protocol"] == PROTOCOL_VERSION == 2
+        assert response["protocol"] == PROTOCOL_VERSION == 3
         assert response["pid"] == os.getpid()
 
     def test_status_unknown_job_is_refused(self, service):
@@ -352,6 +353,69 @@ class TestRequests:
         run_all(service)
         assert job_id not in service._jobs
         assert service.queue.qsize() == 0
+
+
+class TestRunnerState:
+    def test_identical_submissions_keep_one_row_per_cell(self, service):
+        grid = adhoc(["system-call", "tlb-flush"])
+        jobs = []
+        for _ in range(5):
+            jobs.append(service.submit({"grid": grid})["job"])
+            run_all(service)
+        assert len(service.runner.cells) == 2
+        assert [row["submitted"] for row in service.runner.cells.values()] == [5, 5]
+        for job_id in jobs:
+            assert len(service._jobs[job_id].rows) == 2
+
+    def test_job_failures_count_failing_rows(self, service):
+        job_id = service.submit({"grid": adhoc(["system-call"])})["job"]
+        run_all(service)
+        job = service._jobs[job_id]
+        assert job.summary()["failures"] == 0
+        job.rows[0]["status"] = "crashed"
+        assert job.summary()["failures"] == 1
+
+
+class TestMetricsExport:
+    def test_serve_export_keeps_the_cells_of_forgotten_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(daemon, "FINISHED_JOBS_KEPT", 1)
+        sock = os.fspath(tmp_path / "serve.sock")
+        out = tmp_path / "serve.jsonl"
+        names = ["system-call", "tlb-flush", "small-blocks"]
+        errors = []
+
+        def client_side():
+            client = ServeClient(sock)
+            try:
+                deadline = time.monotonic() + 20
+                while not client.is_up():
+                    assert time.monotonic() < deadline, "daemon never came up"
+                    time.sleep(0.05)
+                for name in names:
+                    client.wait(client.submit(grid=adhoc([name]))["job"], timeout=60)
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                client.drain()
+
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+        thread = threading.Thread(target=client_side, daemon=True)
+        thread.start()
+        try:
+            args = ["serve", "--socket", sock, "--metrics-out", os.fspath(out)]
+            assert main(args) == 0
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+        thread.join(timeout=30)
+        assert errors == []
+        jobs = [line for line in read_jsonl(out) if line["type"] == "job"]
+        assert sorted(job["benchmark"] for job in jobs) == [
+            "Small Blocks", "System Call", "TLB Flush",
+        ]
+        assert len({job["cell_id"] for job in jobs}) == 3
 
 
 class TestSocket:
