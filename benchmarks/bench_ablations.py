@@ -8,15 +8,14 @@ reproduced results are driven by real mechanisms, not cost tables.
 from repro.arch import ARM
 from repro.core import ExperimentRunner, Harness, JobSpec, get_benchmark
 from repro.platform import VEXPRESS
-from repro.sim.dbt import DBTConfig
+from repro.sim.spec import DBTSpec
 
 
-def _run(runner, bench_name, iterations=150, **config_kwargs):
-    config = DBTConfig(**config_kwargs) if config_kwargs else None
+def _run(runner, bench_name, iterations=150, **fields):
     [result] = runner.run([
         JobSpec(
-            get_benchmark(bench_name), "qemu-dbt", ARM, VEXPRESS,
-            iterations=iterations, dbt_config=config,
+            get_benchmark(bench_name), DBTSpec(**fields), ARM, VEXPRESS,
+            iterations=iterations,
         )
     ])
     assert result.ok, result.error
@@ -122,8 +121,8 @@ def test_ablation_asid_tagged_tlb(benchmark, save_artifact):
     def run():
         untagged, tagged = ExperimentRunner().run([
             JobSpec(
-                bench, "qemu-dbt", ARM, VEXPRESS, iterations=150,
-                dbt_config=DBTConfig(asid_tagged=asid_tagged),
+                bench, DBTSpec(asid_tagged=asid_tagged), ARM, VEXPRESS,
+                iterations=150,
             )
             for asid_tagged in (False, True)
         ])

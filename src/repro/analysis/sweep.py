@@ -18,8 +18,7 @@ lets the runner deduplicate, store and parallelise the executions.
 import math
 
 from repro.core.runner import ExperimentRunner, JobSpec
-from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
-from repro.sim.spec import DBTSpec
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 
 
 #: ``(arch_name, versions) -> axis``: every sweep and bisection over
@@ -40,7 +39,7 @@ def version_axis(arch_name, versions=None):
     axis = _AXES.get(key)
     if axis is None:
         axis = _AXES[key] = tuple(
-            (version, DBTSpec.from_config(dbt_config_for_version(version, arch_name)))
+            (version, dbt_spec_for_version(version, arch_name))
             for version in versions
         )
     return axis

@@ -903,23 +903,16 @@ def _cmd_metrics(args):
         print("Histograms:")
         print(render_histograms(snapshot))
 
-    # --metrics-out (from the shared runner options) is honoured as an
-    # alias for --out, so every runner-backed command spells it the same.
-    out = args.out or getattr(args, "metrics_out", None)
-    if out:
-        count = write_jsonl(
-            out,
-            meta={
-                "command": "metrics",
-                "arches": arch_names,
-                "engines": sims,
-                "scale": args.scale,
-                "jobs": getattr(args, "jobs", 1) or 1,
-            },
-            jobs=runner.cells.values(),
-            snapshot=snapshot,
-        )
-        print("wrote %d lines to %s" % (count, out), file=sys.stderr)
+    _metrics_finish(
+        args,
+        runner,
+        meta={
+            "arches": arch_names,
+            "engines": sims,
+            "scale": args.scale,
+            "jobs": getattr(args, "jobs", 1) or 1,
+        },
+    )
     METRICS.disable()
     return _failure_summary(args, runner)
 
@@ -1479,12 +1472,6 @@ def build_parser():
         "on each arch)",
     )
     p_metrics.add_argument("--scale", type=float, default=0.25)
-    p_metrics.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the JSONL observability export to PATH",
-    )
     _add_runner_options(p_metrics)
 
     p_detect = sub.add_parser("detect", help="sandbox-detect an engine")

@@ -41,7 +41,7 @@ from repro.core.harness import (
 from repro.core.density import measure_density, density_table
 from repro.core.predict import PerformanceModel, predict_workloads
 from repro.core.resultcache import job_fingerprint
-from repro.core.runner import ExperimentRunner, JobSpec, structural_key
+from repro.core.runner import ExperimentRunner, JobSpec
 
 __all__ = [
     "Benchmark",
@@ -60,7 +60,6 @@ __all__ = [
     "ExperimentRunner",
     "JobSpec",
     "job_fingerprint",
-    "structural_key",
     "measure_density",
     "density_table",
     "PerformanceModel",

@@ -21,8 +21,8 @@ class ContextSwitch(Benchmark):
     switch must conservatively flush the TLB, so every access after a
     switch misses.  The gap between those two designs is exactly what
     this benchmark measures (compare
-    ``FastInterpreter(asid_tagged=True/False)`` or
-    ``DBTConfig(asid_tagged=...)``).
+    ``spec_for("simit", asid_tagged=...)`` or
+    ``spec_for("qemu-dbt", asid_tagged=...)``).
     """
 
     name = "Context Switch"

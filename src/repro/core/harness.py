@@ -55,7 +55,8 @@ class ExecutionRecord:
     (benchmark, engine, arch/platform, iterations, structural config)
     -- except ``kernel_wall_ns``, which records the host time of the
     run that produced the record and is only meaningful under the
-    WALLCLOCK policy.  Pricing a record through a cost model
+    WALLCLOCK policy.  Dataset rows leave it out, and a record decoded
+    without it carries 0.  Pricing a record through a cost model
     (:meth:`Harness.price_record`) turns it into a
     :class:`~repro.core.benchmark.BenchmarkResult`.
     """
@@ -117,7 +118,7 @@ class ExecutionRecord:
             status=payload["status"],
             error=error,
             kernel_delta=dict(payload["kernel_delta"]),
-            kernel_wall_ns=payload["kernel_wall_ns"],
+            kernel_wall_ns=payload.get("kernel_wall_ns", 0),
             total_instructions=payload["total_instructions"],
         )
 
@@ -206,21 +207,18 @@ class Harness:
         arch,
         platform,
         iterations=None,
-        dbt_config=None,
-        sim_kwargs=None,
     ):
         """Execute one benchmark on one simulator and return the raw
         :class:`ExecutionRecord` (the kernel-phase counter delta plus
         run status) -- no cost model is applied.
 
         ``simulator`` is an :class:`~repro.sim.spec.EngineSpec` or a
-        registry name (with the legacy ``dbt_config``/``sim_kwargs``
-        pair).  The record depends only on the spec's *structural*
+        registry name (its default spec).  The record depends only on the spec's *structural*
         fields, so two configs differing only in cost overrides produce
         identical records; :meth:`price_record` applies a specific cost
         table afterwards.
         """
-        spec = as_engine_spec(simulator, dbt_config, sim_kwargs)
+        spec = as_engine_spec(simulator)
         if iterations is None:
             iterations = benchmark.default_iterations
 
@@ -297,8 +295,6 @@ class Harness:
         arch,
         platform,
         iterations=None,
-        dbt_config=None,
-        sim_kwargs=None,
     ):
         """Price an :class:`ExecutionRecord` under the engine's cost
         model and return a :class:`~repro.core.benchmark.BenchmarkResult`.
@@ -309,7 +305,7 @@ class Harness:
         a stored record prices to exactly the result a fresh execution
         would have produced.
         """
-        spec = as_engine_spec(simulator, dbt_config, sim_kwargs)
+        spec = as_engine_spec(simulator)
         if iterations is None:
             iterations = benchmark.default_iterations
         with METRICS.phase("harness.price"):

@@ -81,21 +81,6 @@ from repro.sim.dbt import codestore
 from repro.sim.spec import EngineSpec, as_engine_spec
 
 
-def structural_key(simulator, dbt_config=None, sim_kwargs=None):
-    """The structural signature of one job's engine configuration.
-
-    Two jobs with equal structural keys (and equal benchmark, arch,
-    platform and iterations) execute identical guest instruction
-    streams and produce identical kernel counter deltas, so they can
-    share one execution.  This is
-    :meth:`~repro.sim.spec.EngineSpec.structural_key` after folding the
-    legacy ``(name, dbt_config, sim_kwargs)`` triple into a spec;
-    object-valued options raise :class:`ValueError` instead of leaking
-    an unstable ``repr`` into the key.
-    """
-    return as_engine_spec(simulator, dbt_config, sim_kwargs).structural_key()
-
-
 def resolve_benchmark(name):
     """Resolve a benchmark/workload by name across every registry.
 
@@ -125,8 +110,8 @@ class JobSpec:
 
     ``benchmark`` may be a Benchmark/Workload instance or a suite
     benchmark name; ``simulator`` an :class:`EngineSpec` or a registry
-    name (the legacy ``dbt_config``/``sim_kwargs`` pair is folded into
-    the spec); ``iterations=None`` means the benchmark's default.
+    name (its default spec); ``iterations=None`` means the benchmark's
+    default.
     """
 
     __slots__ = (
@@ -137,20 +122,11 @@ class JobSpec:
         "iterations",
     )
 
-    def __init__(
-        self,
-        benchmark,
-        simulator,
-        arch,
-        platform,
-        iterations=None,
-        dbt_config=None,
-        sim_kwargs=None,
-    ):
+    def __init__(self, benchmark, simulator, arch, platform, iterations=None):
         if isinstance(benchmark, str):
             benchmark = resolve_benchmark(benchmark)
         self.benchmark = benchmark
-        self.engine_spec = as_engine_spec(simulator, dbt_config, sim_kwargs)
+        self.engine_spec = as_engine_spec(simulator)
         self.arch = arch
         self.platform = platform
         self.iterations = (
@@ -506,7 +482,8 @@ SUMMED_STATS = (
 RUN_STATS = SUMMED_STATS + ("chunks", "chunk_splits", "payload_bytes", "chunk_size")
 
 #: The telemetry row fields a later run of the same cell adds to, and
-#: those it replaces (:attr:`ExperimentRunner.cells`).
+#: those it replaces (:attr:`ExperimentRunner.cells`, which also counts
+#: each run's ``source`` under ``sources``).
 _ROW_SUMS = ("submitted", "attempts", "wall_ns", "queue_wait_ns")
 _ROW_LATEST = ("status", "source", "where", "error")
 
@@ -559,8 +536,10 @@ class ExperimentRunner:
     ``source`` (``executed``/``dataset``/``static``), ``submitted``
     (the specs that shared the cell), ``attempts``, ``where`` and the
     wall/queue-wait timings.  :attr:`cells` keeps one row per
-    ``cell_id`` across runs: a repeat adds its counts and timings and
-    replaces status, source, where and error.
+    ``cell_id`` across runs: a repeat adds its counts and timings,
+    replaces status, source, where and error, and counts its source in
+    the row's ``sources`` dict (``{"executed": 1, "dataset": 1}`` for a
+    cell executed once and read back once).
     """
 
     def __init__(
@@ -792,12 +771,14 @@ class ExperimentRunner:
         for row in self.last_jobs:
             cell = self.cells.get(row["cell_id"])
             if cell is None:
-                self.cells[row["cell_id"]] = dict(row)
-                continue
-            for name in _ROW_SUMS:
-                cell[name] += row[name]
-            for name in _ROW_LATEST:
-                cell[name] = row[name]
+                cell = self.cells[row["cell_id"]] = dict(row, sources={})
+            else:
+                for name in _ROW_SUMS:
+                    cell[name] += row[name]
+                for name in _ROW_LATEST:
+                    cell[name] = row[name]
+            sources = cell["sources"]
+            sources[row["source"]] = sources.get(row["source"], 0) + 1
 
         # Fold this run's store activity (parent-side session deltas
         # plus worker-shipped code-store deltas) into on-disk totals.
@@ -1159,7 +1140,6 @@ class ExperimentRunner:
         platform,
         benchmarks=None,
         scale=1.0,
-        dbt_config=None,
     ):
         """Run the (full or partial) suite on one simulator as one grid
         and return a :class:`~repro.core.harness.SuiteResult`.
@@ -1167,7 +1147,7 @@ class ExperimentRunner:
         ``scale`` multiplies every benchmark's default iteration count,
         letting callers trade run time for measurement stability.
         """
-        engine_spec = as_engine_spec(simulator, dbt_config)
+        engine_spec = as_engine_spec(simulator)
         if benchmarks is None:
             benchmarks = SUITE
         specs = [

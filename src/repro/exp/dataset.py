@@ -92,9 +92,13 @@ def make_row(spec, record, provenance=None, manifest=None):
     engine ships as its registry name plus the defaults-stripped field
     delta (:meth:`~repro.sim.spec.EngineSpec.delta_payload`), so the
     row is self-contained: a view can rebuild the exact spec and price
-    the record under any cost table.
+    the record under any cost table.  The record's host-measured
+    ``kernel_wall_ns`` is left out, so a row is a pure function of its
+    cell (WALLCLOCK runs never consult the dataset).
     """
     delta = spec.engine_spec.delta_payload()
+    stored = record.to_payload()
+    del stored["kernel_wall_ns"]
     return {
         "schema": DATASET_SCHEMA,
         "cell": spec.fingerprint(),
@@ -107,7 +111,7 @@ def make_row(spec, record, provenance=None, manifest=None):
         "platform": spec.platform.name,
         "iterations": spec.iterations,
         "status": record.status,
-        "record": record.to_payload(),
+        "record": stored,
         "provenance": provenance or {},
     }
 

@@ -80,8 +80,7 @@ def _default_platform(arch_name):
 
 def _expand_engines(entries, arch_name, where):
     """Expand a grid's engine list into concrete :class:`EngineSpec`."""
-    from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
-    from repro.sim.spec import DBTSpec
+    from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 
     specs = []
     for entry in entries:
@@ -94,7 +93,7 @@ def _expand_engines(entries, arch_name, where):
                     % (where, entry)
                 )
             specs.extend(
-                DBTSpec.from_config(dbt_config_for_version(version, arch_name))
+                dbt_spec_for_version(version, arch_name)
                 for version in QEMU_VERSIONS
             )
         elif isinstance(entry, dict) and "engine" in entry:

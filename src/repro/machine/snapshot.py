@@ -16,9 +16,9 @@ Typical use::
     warm = FastInterpreter(board, arch=ARM)
     warm.run(max_insns=...)           # e.g. run the setup phase
     snap = snapshot(board)
-    for config in configs:
+    for spec in specs:
         restore(board, snap)
-        engine = DBTSimulator(board, arch=ARM, config=config)
+        engine = spec.build(board, ARM)
         engine.run(...)
 """
 

@@ -9,8 +9,10 @@ per line, so consumers can stream-filter with nothing smarter than
 - ``{"type": "job", ...}`` -- one line per unique cell, in
   first-submission order: benchmark/engine/arch/platform/iterations
   identity, final ``status`` and ``error``, ``source``
-  (``executed``/``dataset``/``static``), ``submitted`` (the specs that
-  shared the cell), ``wall_ns``/``queue_wait_ns`` host timings,
+  (``executed``/``dataset``/``static``), ``sources`` (how often each
+  source resolved the cell, when the rows span several runs),
+  ``submitted`` (the specs that shared the cell), ``wall_ns``/
+  ``queue_wait_ns`` host timings,
   ``attempts``, and the join keys ``cell_id`` (the structural
   fingerprint that keys the experiment dataset) plus the ``manifest``
   id (``None`` outside manifest runs), so telemetry rows join dataset
@@ -82,8 +84,10 @@ def breakdown(jobs):
     Returns rows in first-seen (submission) order, each with the job
     count, per-source counts, failure count and summed host wall time.
     A row stands for its ``submitted`` specs: all of them count as
-    jobs (and as failed when the cell failed), the first under the
-    row's source and the rest as ``dedup``.
+    jobs (and as failed when the cell failed), one per resolution under
+    its source and the rest as ``dedup``.  A row resolved once names
+    its ``source``; a row spanning several runs counts each run's
+    source in ``sources``.
     """
     cells = {}
     order = []
@@ -106,11 +110,12 @@ def breakdown(jobs):
             }
             order.append(key)
         submitted = int(row.get("submitted", 1))
+        sources = row.get("sources") or {row.get("source"): 1}
         cell["jobs"] += submitted
-        cell["dedup"] += submitted - 1
-        source = row.get("source")
-        if source in ("executed", "dataset", "static"):
-            cell[source] += 1
+        cell["dedup"] += submitted - sum(sources.values())
+        for source, count in sources.items():
+            if source in ("executed", "dataset", "static"):
+                cell[source] += count
         if row.get("status") in ("error", "crashed", "timeout"):
             cell["failed"] += submitted
         cell["wall_ns"] += int(row.get("wall_ns") or 0)

@@ -35,8 +35,7 @@ from repro.sim.costs import (
 from repro.sim.interp import FastInterpreter
 from repro.sim.detailed import DetailedInterpreter
 from repro.sim.dbt import DBTSimulator
-from repro.sim.dbt.config import DBTConfig
-from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 from repro.sim.virt import VirtSimulator
 from repro.sim.native import NativeMachine
 from repro.sim.spec import (
@@ -60,29 +59,6 @@ SIMULATOR_CLASSES = {
 }
 
 
-def create_simulator(kind, board, arch, **kwargs):
-    """Instantiate a simulator by its registry name.
-
-    ``kind`` may also be an :class:`EngineSpec`; keyword arguments are
-    validated against the engine's declared spec fields (a ``config``
-    entry carries a :class:`DBTConfig` for the DBT engine).
-    """
-    return as_engine_spec(kind, sim_kwargs=kwargs).build(board, arch)
-
-
-def cost_model_for(kind, arch=None, dbt_config=None, sim_kwargs=None):
-    """The cost model a :func:`create_simulator` instance would carry.
-
-    Lets callers price a recorded counter delta without instantiating
-    (or running) an engine -- the basis of the "execute once, price
-    many" result dataset.  ``dbt_config``/``sim_kwargs`` mirror the
-    harness arguments; a ``config`` entry in ``sim_kwargs`` wins, as it
-    does when constructing the engine.  Dispatch is spec-driven, so
-    unknown engines fail with the same error as engine construction.
-    """
-    return as_engine_spec(kind, dbt_config, sim_kwargs).cost_model(arch)
-
-
 __all__ = [
     "Counters",
     "CostModel",
@@ -95,7 +71,7 @@ __all__ = [
     "VirtSimulator",
     "NativeMachine",
     "QEMU_VERSIONS",
-    "dbt_config_for_version",
+    "dbt_spec_for_version",
     "SIMULATOR_CLASSES",
     "SPEC_CLASSES",
     "EngineSpec",
@@ -108,6 +84,4 @@ __all__ = [
     "engines_for_arch",
     "spec_class_for",
     "spec_for",
-    "create_simulator",
-    "cost_model_for",
 ]

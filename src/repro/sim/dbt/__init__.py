@@ -8,16 +8,14 @@ the shared page-table walker; synchronous exceptions are side exits;
 interrupts are recognised at block boundaries.
 """
 
-from repro.sim.dbt.config import DBTConfig
 from repro.sim.dbt.engine import DBTSimulator
 from repro.sim.dbt.blockcache import TranslatedBlock, TranslationCache
-from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 
 __all__ = [
-    "DBTConfig",
     "DBTSimulator",
     "TranslatedBlock",
     "TranslationCache",
     "QEMU_VERSIONS",
-    "dbt_config_for_version",
+    "dbt_spec_for_version",
 ]

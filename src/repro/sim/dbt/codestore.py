@@ -12,7 +12,7 @@ within a run.
 Keys are content addresses: SHA-256 over the CPython bytecode magic
 (marshalled code objects are only loadable by the interpreter version
 that produced them), :data:`CODEGEN_VERSION`,
-:meth:`DBTConfig.translation_key`, the virtual start address and the
+:meth:`DBTSpec.translation_key`, the virtual start address and the
 block's instruction bytes.  Any of those
 changing produces a different key, so stale entries are never
 *loaded* -- at worst they sit unused until ``repro cache clear``.
@@ -24,9 +24,8 @@ count as a miss, are unlinked, and bump ``stats()["quarantined"]`` --
 never a crash).
 
 The store is process-wide: :func:`configure` installs it (the
-experiment runner does this in every worker from ``--code-cache-dir``),
-and :func:`active` falls back to the ``REPRO_CODE_CACHE_DIR``
-environment variable for ad-hoc use.
+experiment runner does this in every worker from ``--code-cache-dir``)
+and :func:`active` returns it.
 """
 
 import hashlib
@@ -88,23 +87,15 @@ def block_key(translation_key, vaddr, word_bytes):
 
 
 _ACTIVE = None
-_CONFIGURED = False
 
 
 def configure(root):
     """Install (or, with ``None``, remove) the process-wide store."""
-    global _ACTIVE, _CONFIGURED
+    global _ACTIVE
     _ACTIVE = CodeStore(root) if root else None
-    _CONFIGURED = True
     return _ACTIVE
 
 
 def active():
-    """The process-wide store, or ``None`` when no directory is set.
-
-    Unconfigured processes consult ``REPRO_CODE_CACHE_DIR`` once.
-    """
-    global _ACTIVE, _CONFIGURED
-    if not _CONFIGURED:
-        configure(os.environ.get("REPRO_CODE_CACHE_DIR"))
+    """The process-wide store, or ``None`` when no directory is set."""
     return _ACTIVE

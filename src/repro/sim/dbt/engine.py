@@ -5,7 +5,6 @@ from repro.obs.metrics import METRICS
 from repro.sim.base import ExitReason, RunResult, Simulator
 from repro.sim.costs import dbt_cost_model
 from repro.sim.dbt.blockcache import TranslatedBlock, TranslationCache
-from repro.sim.dbt.config import DBTConfig
 from repro.sim.dbt.translator import Translator
 
 MASK32 = 0xFFFFFFFF
@@ -42,20 +41,24 @@ class DBTSimulator(Simulator):
     #: stream via :func:`repro.sim.trace.trace_blocks` instead.
     supports_block_trace = True
 
-    def __init__(self, board, arch=None, config=None):
+    def __init__(self, board, arch=None, spec=None):
         super().__init__(board, arch)
-        self.config = config if config is not None else DBTConfig()
-        self.cost_model = dbt_cost_model(self.config.cost_overrides)
+        if spec is None:
+            from repro.sim.spec import DBTSpec
+
+            spec = DBTSpec()
+        self.spec = spec
+        self.cost_model = dbt_cost_model(dict(spec.cost_overrides))
         self._memory = board.memory
         self._cp15 = board.cp15
         self._cops = board.cops
         self._intc = board.intc
         self._walker = board.walker
-        self._tcache = TranslationCache(capacity=self.config.tcache_capacity)
-        self._translator = Translator(self.config)
+        self._tcache = TranslationCache(capacity=self.spec.tcache_capacity)
+        self._translator = Translator(spec)
         self._code_pages = self._tcache.pages
         self._exec_pages = set()
-        tlb_size = 1 << self.config.tlb_bits
+        tlb_size = 1 << self.spec.tlb_bits
         #: Direct-mapped softmmu slots, ``None`` or ``(key, hit_mask,
         #: data, offset, ppn, perms)``: ``key`` is the vpage plus ASID
         #: tag, ``perms`` the mapping's
@@ -95,7 +98,7 @@ class DBTSimulator(Simulator):
     def _on_tlb_flush(self):
         self.counters.tlb_flushes += 1
         self._tlb = [None] * (self._tlb_mask + 1)
-        current = self._cp15.asid if self.config.asid_tagged else 0
+        current = self._cp15.asid if self.spec.asid_tagged else 0
         self._tlb_arrays = {current: self._tlb}
         self._ftlb.clear()
 
@@ -112,7 +115,7 @@ class DBTSimulator(Simulator):
         array when tagging is configured, else flush conservatively
         (QEMU-style)."""
         self.counters.context_switches += 1
-        if self.config.asid_tagged:
+        if self.spec.asid_tagged:
             self._asid_tag = asid << 24
             array = self._tlb_arrays.get(asid)
             if array is None:
@@ -453,7 +456,7 @@ class DBTSimulator(Simulator):
             "Code Generation": "Block-based",
             "Control Flow (Inter-Page)": "Block Cache",
             "Control Flow (Intra-Page)": "Block Chaining"
-            if self.config.chain_enabled
+            if self.spec.chain_enabled
             else "Block Cache",
             "Interrupts": "Block Boundaries",
             "Synchronous Exceptions": "Side Exit",

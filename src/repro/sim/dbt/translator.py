@@ -81,7 +81,7 @@ MEMO_WAYS = 16
 class TranslationMemo:
     """Process-wide bounded LRU of lowered+compiled blocks.
 
-    Keyed by ``(vaddr, DBTConfig.translation_key())``; generated source
+    Keyed by ``(vaddr, DBTSpec.translation_key())``; generated source
     embeds absolute PCs, so the start address is part of the identity.
     A key holds up to :data:`MEMO_WAYS` entries, most recently used
     first, and :meth:`lookup` returns only one whose bytes match the
@@ -160,10 +160,10 @@ class _EmitCtx:
 
 
 class Translator:
-    """Translates basic blocks under a given :class:`DBTConfig`."""
+    """Translates basic blocks under a given :class:`~repro.sim.spec.DBTSpec`."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, spec):
+        self.spec = spec
 
     # ------------------------------------------------------------------
     def translate(self, memory, vaddr, paddr):
@@ -176,7 +176,7 @@ class Translator:
         (disk).  Accounting is the caller's and does not change with
         the cache level that served the block.
         """
-        cfg_key = self.config.translation_key()
+        cfg_key = self.spec.translation_key()
         memo_key = (vaddr, cfg_key)
         entry = TRANSLATION_MEMO.lookup(
             memo_key, lambda entry: self._entry_matches(memory, paddr, entry)
@@ -240,7 +240,7 @@ class Translator:
         words = bytearray()
         addr = paddr
         page_end = (paddr | ((1 << PAGE_SHIFT) - 1)) + 1
-        max_insns = self.config.max_block_insns
+        max_insns = self.spec.max_block_insns
         while addr < page_end and len(insns) < max_insns:
             word = memory.read32(addr)
             words += word.to_bytes(4, "little")
@@ -499,11 +499,11 @@ class Translator:
 
     # -- terminals ---------------------------------------------------------
     def _chainable(self, from_pc, to_pc):
-        if not self.config.chain_enabled:
+        if not self.spec.chain_enabled:
             return False
         if (from_pc >> PAGE_SHIFT) == (to_pc >> PAGE_SHIFT):
             return True
-        return self.config.chain_cross_page
+        return self.spec.chain_cross_page
 
     def _emit_chain_exit(self, body, from_pc, target, slot):
         """Emit the block exit for a statically-known target."""

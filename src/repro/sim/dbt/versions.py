@@ -10,7 +10,7 @@ The paper sweeps 20 QEMU releases (v1.7.0 .. v2.5.0-rc2) and observes:
 - steadily improving TLB maintenance operations.
 
 We cannot rebuild 20 QEMU releases here, so each version maps to a
-:class:`~repro.sim.dbt.config.DBTConfig`: a couple of *structural*
+:class:`~repro.sim.spec.DBTSpec`: a couple of *structural*
 changes (the softmmu TLB grows in v2.0.0) plus per-event cost factors
 that encode the release notes above.  Event counts always come from
 really executing the guest on the engine, so per-benchmark sensitivity
@@ -24,7 +24,6 @@ the guest observes.
 """
 
 from repro.sim.costs import DBT_BASE_COSTS
-from repro.sim.dbt.config import DBTConfig
 
 #: The sweep order used in Figures 2, 6 and 8.
 QEMU_VERSIONS = (
@@ -125,8 +124,10 @@ CHANGELOG = {
 }
 
 
-def dbt_config_for_version(version, arch_name="arm"):
-    """Return the :class:`DBTConfig` modelling a QEMU release."""
+def dbt_spec_for_version(version, arch_name="arm"):
+    """Return the :class:`~repro.sim.spec.DBTSpec` modelling a QEMU release."""
+    from repro.sim.spec import DBTSpec  # spec.py imports this package
+
     try:
         factors = _TIMELINE[version]
     except KeyError:
@@ -141,11 +142,4 @@ def dbt_config_for_version(version, arch_name="arm"):
             overrides[counter] = DBT_BASE_COSTS[counter] * factor
     # Structural change: the softmmu TLB grew with the 2.0 series.
     tlb_bits = 7 if version.startswith("v1.") else 8
-    return DBTConfig(
-        chain_enabled=True,
-        chain_cross_page=False,
-        max_block_insns=64,
-        tlb_bits=tlb_bits,
-        cost_overrides=overrides,
-        version=version,
-    )
+    return DBTSpec(tlb_bits=tlb_bits, cost_overrides=overrides, version=version)

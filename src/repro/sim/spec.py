@@ -41,7 +41,6 @@ from repro.sim.costs import (
     native_cost_model,
     virt_cost_model,
 )
-from repro.sim.dbt.config import DBTConfig
 from repro.sim.dbt.engine import DBTSimulator
 from repro.sim.detailed import DetailedInterpreter
 from repro.sim.interp import FastInterpreter
@@ -335,16 +334,6 @@ class EngineSpec:
         """A new cost model for ``arch_name``; subclasses override."""
         raise NotImplementedError
 
-    @classmethod
-    def from_legacy(cls, dbt_config=None, sim_kwargs=None):
-        """Adapter from the historical ``(dbt_config, sim_kwargs)`` pair.
-
-        The base implementation ignores ``dbt_config`` (it only ever
-        applied to the DBT engine) and treats ``sim_kwargs`` as field
-        values; unknown or object-valued entries raise ``ValueError``.
-        """
-        return cls(**dict(sim_kwargs or {}))
-
     # -- descriptive views -------------------------------------------------
     @property
     def execution_model(self):
@@ -400,7 +389,36 @@ class EngineSpec:
 
 
 class DBTSpec(EngineSpec):
-    """QEMU-like dynamic-binary-translation engine description."""
+    """QEMU-like dynamic-binary-translation engine description.
+
+    Fields
+    ------
+    chain_enabled:
+        Patch direct same-page branches to jump straight to the
+        successor block, bypassing the dispatcher.
+    chain_cross_page:
+        Also chain direct branches that cross a page boundary (off by
+        default: cross-page chains are unsafe under remapping, so QEMU
+        avoids them -- this is why inter-page control flow goes through
+        the block cache in Figure 4).
+    max_block_insns:
+        Translation stops after this many instructions (blocks never
+        cross a page boundary regardless).
+    tlb_bits:
+        log2 of the number of direct-mapped softmmu TLB slots.
+    tcache_capacity:
+        Maximum number of cached translations; on overflow the whole
+        code cache is flushed, QEMU-style.
+    asid_tagged:
+        Tag softmmu TLB slots with the guest ASID so address-space
+        switches retag instead of flushing (off by default, matching
+        QEMU's historical flush-on-context-switch behaviour).
+    cost_overrides:
+        Per-counter cost-table overrides (see
+        :data:`repro.sim.costs.DBT_BASE_COSTS`).
+    version:
+        Optional QEMU release label (see :mod:`repro.sim.dbt.versions`).
+    """
 
     engine = "qemu-dbt"
     simulator_class = DBTSimulator
@@ -428,58 +446,26 @@ class DBTSpec(EngineSpec):
     }
 
     def validate(self):
-        # DBTConfig owns the range checks; building one validates them.
-        self.to_config()
+        if self.max_block_insns < 1:
+            raise ValueError("max_block_insns must be positive")
+        if not 2 <= self.tlb_bits <= 16:
+            raise ValueError("tlb_bits out of range")
 
-    def to_config(self):
-        """The :class:`DBTConfig` the engine constructor consumes."""
-        return DBTConfig(
-            chain_enabled=self.chain_enabled,
-            chain_cross_page=self.chain_cross_page,
-            max_block_insns=self.max_block_insns,
-            tlb_bits=self.tlb_bits,
-            tcache_capacity=self.tcache_capacity,
-            cost_overrides=dict(self.cost_overrides),
-            version=self.version,
-            asid_tagged=self.asid_tagged,
-        )
+    def translation_key(self):
+        """The fields generated code depends on.
 
-    @classmethod
-    def from_config(cls, config):
-        """Lift a :class:`DBTConfig` into a spec (lossless)."""
-        return cls(
-            chain_enabled=config.chain_enabled,
-            chain_cross_page=config.chain_cross_page,
-            max_block_insns=config.max_block_insns,
-            tlb_bits=config.tlb_bits,
-            tcache_capacity=config.tcache_capacity,
-            asid_tagged=config.asid_tagged,
-            cost_overrides=dict(config.cost_overrides),
-            version=config.version,
-        )
-
-    @classmethod
-    def from_legacy(cls, dbt_config=None, sim_kwargs=None):
-        kwargs = dict(sim_kwargs or {})
-        config = kwargs.pop("config", None)
-        if config is None:
-            config = dbt_config
-        if config is not None:
-            if not isinstance(config, DBTConfig):
-                raise ValueError(
-                    "%s config must be a DBTConfig, got %r"
-                    % (cls.engine, type(config).__name__)
-                )
-            if kwargs:
-                raise ValueError(
-                    "pass either a DBTConfig or field options for %r, "
-                    "not both (extra: %s)" % (cls.engine, sorted(kwargs))
-                )
-            return cls.from_config(config)
-        return cls(**kwargs)
+        Lowered source is a pure function of (instruction bytes, start
+        vaddr, this key): chaining flags change emitted exits and
+        ``max_block_insns`` changes where decoding stops.  Everything
+        else (TLB geometry, cache capacity, costs) prices or places
+        blocks without altering their code, so memo/code-store entries
+        are shared across those dimensions -- the whole point of
+        memoizing a version sweep.
+        """
+        return (self.chain_enabled, self.chain_cross_page, self.max_block_insns)
 
     def constructor_kwargs(self):
-        return {"config": self.to_config()}
+        return {"spec": self}
 
     def _build_cost_model(self, arch_name):
         return dbt_cost_model(dict(self.cost_overrides))
@@ -581,21 +567,15 @@ def spec_for(engine, **fields):
     return spec_class_for(engine)(**fields)
 
 
-def as_engine_spec(engine, dbt_config=None, sim_kwargs=None):
+def as_engine_spec(engine):
     """Normalize an engine argument to an :class:`EngineSpec`.
 
-    ``engine`` may already be a spec (returned unchanged; passing
-    legacy configuration alongside one is an error) or a registry name
-    accompanied by the historical ``dbt_config``/``sim_kwargs`` pair.
+    ``engine`` may already be a spec (returned unchanged) or a registry
+    name (its default spec).
     """
     if isinstance(engine, EngineSpec):
-        if dbt_config is not None or sim_kwargs:
-            raise ValueError(
-                "engine configuration must live inside the EngineSpec; "
-                "dbt_config/sim_kwargs cannot be passed alongside one"
-            )
         return engine
-    return spec_class_for(engine).from_legacy(dbt_config, sim_kwargs)
+    return spec_class_for(engine)()
 
 
 def engines_for_arch(arch):

@@ -10,8 +10,8 @@ from repro.analysis.sandbox import (
     fingerprint,
 )
 from repro.arch import ARM
-from repro.sim import DBTSimulator, FastInterpreter
-from repro.sim.dbt import DBTConfig
+from repro.sim import FastInterpreter
+from repro.sim.spec import DBTSpec
 
 EXPECTED = {
     "qemu-dbt": "dbt",
@@ -39,8 +39,8 @@ class TestDetection:
     def test_unchained_dbt_still_detected(self):
         """A DBT engine with chaining disabled still betrays itself via
         retranslation cost."""
-        config = DBTConfig(chain_enabled=False)
-        label, _fp = detect(lambda board: DBTSimulator(board, arch=ARM, config=config))
+        spec = DBTSpec(chain_enabled=False)
+        label, _fp = detect(lambda board: spec.build(board, ARM))
         assert label == "dbt"
 
     def test_interpreter_without_decode_cache(self):

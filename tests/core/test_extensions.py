@@ -11,7 +11,7 @@ from repro.core.benchmarks.extensions import (
 )
 from repro.core.suite import SUITE
 from repro.platform import PCPLAT, VEXPRESS
-from repro.sim.dbt import DBTConfig
+from repro.sim.spec import spec_for
 from tests.runs import run_cell
 
 
@@ -78,8 +78,8 @@ class TestContextSwitch:
     def test_untagged_interpreter_flushes_per_switch(self, runner):
         bench = ContextSwitch()
         result = run_cell(
-            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
-            sim_kwargs={"asid_tagged": False},
+            runner, bench, spec_for("simit", asid_tagged=False), ARM, VEXPRESS,
+            iterations=100,
         )
         delta = result.kernel_delta
         # Every access after a switch misses: 2 switches x 4 pages.
@@ -88,8 +88,8 @@ class TestContextSwitch:
     def test_tagged_interpreter_stays_warm(self, runner):
         bench = ContextSwitch()
         result = run_cell(
-            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
-            sim_kwargs={"asid_tagged": True},
+            runner, bench, spec_for("simit", asid_tagged=True), ARM, VEXPRESS,
+            iterations=100,
         )
         delta = result.kernel_delta
         # Only the first pass under each ASID misses.
@@ -99,24 +99,24 @@ class TestContextSwitch:
     def test_tagging_is_faster(self, runner):
         bench = ContextSwitch()
         untagged = run_cell(
-            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
-            sim_kwargs={"asid_tagged": False},
+            runner, bench, spec_for("simit", asid_tagged=False), ARM, VEXPRESS,
+            iterations=100,
         )
         tagged = run_cell(
-            runner, bench, "simit", ARM, VEXPRESS, iterations=100,
-            sim_kwargs={"asid_tagged": True},
+            runner, bench, spec_for("simit", asid_tagged=True), ARM, VEXPRESS,
+            iterations=100,
         )
         assert tagged.kernel_ns < untagged.kernel_ns
 
     def test_dbt_asid_tagging(self, runner):
         bench = ContextSwitch()
         untagged = run_cell(
-            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
-            dbt_config=DBTConfig(asid_tagged=False),
+            runner, bench, spec_for("qemu-dbt", asid_tagged=False), ARM, VEXPRESS,
+            iterations=100,
         )
         tagged = run_cell(
-            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=100,
-            dbt_config=DBTConfig(asid_tagged=True),
+            runner, bench, spec_for("qemu-dbt", asid_tagged=True), ARM, VEXPRESS,
+            iterations=100,
         )
         assert tagged.kernel_delta["tlb_misses"] < untagged.kernel_delta["tlb_misses"]
         assert tagged.kernel_ns < untagged.kernel_ns

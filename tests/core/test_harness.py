@@ -7,7 +7,7 @@ from repro.arch import ARM
 from repro.core import ExperimentRunner, Harness, SUITE, TimingPolicy, get_benchmark
 from repro.core.suite import GROUPS, benchmarks_in_group
 from repro.platform import VEXPRESS
-from repro.sim.dbt.versions import dbt_config_for_version
+from repro.sim.dbt.versions import dbt_spec_for_version
 from tests.runs import run_cell
 
 
@@ -83,15 +83,15 @@ class TestRunBenchmark:
         second = harness.build_program(bench, ARM, VEXPRESS)
         assert first is second
 
-    def test_dbt_config_applied(self, runner):
+    def test_version_spec_applied(self, runner):
         bench = get_benchmark("Data Access Fault")
         base = run_cell(
-            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
-            dbt_config=dbt_config_for_version("v1.7.0"),
+            runner, bench, dbt_spec_for_version("v1.7.0"), ARM, VEXPRESS,
+            iterations=50,
         )
         fast = run_cell(
-            runner, bench, "qemu-dbt", ARM, VEXPRESS, iterations=50,
-            dbt_config=dbt_config_for_version("v2.5.0-rc0"),
+            runner, bench, dbt_spec_for_version("v2.5.0-rc0"), ARM, VEXPRESS,
+            iterations=50,
         )
         # The data-fault fast path makes this benchmark far faster.
         assert base.kernel_ns > 2 * fast.kernel_ns

@@ -55,7 +55,7 @@ from repro.obs.metrics import METRICS, Metrics, enabled_scope
 from repro.platform import VEXPRESS
 from repro.sim.dbt.codestore import CodeStore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
-from repro.sim.dbt.versions import dbt_config_for_version
+from repro.sim.dbt.versions import dbt_spec_for_version
 from tests.core.test_faults import CrashingBenchmark, _grid, _ok_benchmarks
 
 
@@ -361,10 +361,10 @@ class TestJobRows:
         the breakdown counts what one row per submitted spec gave."""
         bench = get_benchmark("System Call")
         # Two QEMU versions that differ only in pricing.
-        old, new = (dbt_config_for_version(v, "arm") for v in ("v2.1.0", "v2.4.1"))
+        old, new = (dbt_spec_for_version(v, "arm") for v in ("v2.1.0", "v2.4.1"))
         specs = [
-            JobSpec(bench, "qemu-dbt", ARM, VEXPRESS, iterations=10, dbt_config=config)
-            for config in (old, old, new)
+            JobSpec(bench, engine, ARM, VEXPRESS, iterations=10)
+            for engine in (old, old, new)
         ] + [
             JobSpec("Memory Mapped Device", "gem5", ARM, VEXPRESS, iterations=5),
             JobSpec(CrashingBenchmark(), "simit", ARM, VEXPRESS, iterations=5),
@@ -394,6 +394,19 @@ class TestJobRows:
         warm = ExperimentRunner(dataset=dataset)
         warm.run(specs())
         assert [row["source"] for row in warm.last_jobs] == ["dataset"]
+
+    def test_cells_count_each_runs_source(self, tmp_path):
+        """A cell executed by one run and read back from the dataset by
+        the next counts once under each source, not as a dedup."""
+        runner = ExperimentRunner(dataset=Dataset(tmp_path / "ds"))
+        runner.run(_grid(get_benchmark("System Call")))
+        runner.run(_grid(get_benchmark("System Call")))
+        [cell] = runner.cells.values()
+        assert cell["sources"] == {"executed": 1, "dataset": 1}
+        [row] = breakdown(runner.cells.values())
+        assert (row["jobs"], row["executed"], row["dataset"], row["dedup"]) == (
+            2, 1, 1, 0,
+        )
 
     def test_cells_keep_one_row_per_cell_across_runs(self):
         runner = ExperimentRunner()

@@ -26,21 +26,20 @@ from repro.core import (
     TimingPolicy,
     get_benchmark,
     job_fingerprint,
-    structural_key,
 )
 from repro.core import resultcache
 from repro.errors import UnsupportedFeatureError
 from repro.exp import Dataset
 from repro.platform import VEXPRESS
-from repro.sim.dbt.config import DBTConfig
-from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
+from repro.sim.spec import spec_for
 
 
-def _dicts(results, with_wall=True):
+def _dicts(results):
+    """Result dicts without the host-measured ``kernel_wall_ns``."""
     dicts = [res.as_dict() for res in results]
-    if not with_wall:
-        for entry in dicts:
-            entry.pop("kernel_wall_ns")
+    for entry in dicts:
+        entry.pop("kernel_wall_ns")
     return dicts
 
 
@@ -54,31 +53,31 @@ class _CountingHarness(Harness):
         return super().execute_benchmark(*args, **kwargs)
 
 
+def _key(engine, **fields):
+    return spec_for(engine, **fields).structural_key()
+
+
 class TestStructuralKey:
     def test_cost_overrides_do_not_matter(self):
-        a = dbt_config_for_version("v2.1.0", "arm")
-        b = dbt_config_for_version("v2.4.1", "arm")
+        a = dbt_spec_for_version("v2.1.0", "arm")
+        b = dbt_spec_for_version("v2.4.1", "arm")
         assert a.cost_overrides != b.cost_overrides
-        assert structural_key("qemu-dbt", a) == structural_key("qemu-dbt", b)
+        assert a.structural_key() == b.structural_key()
 
     def test_structure_matters(self):
-        old = dbt_config_for_version("v1.7.0", "arm")  # tlb_bits=7
-        new = dbt_config_for_version("v2.5.0-rc2", "arm")  # tlb_bits=8
-        assert structural_key("qemu-dbt", old) != structural_key("qemu-dbt", new)
+        old = dbt_spec_for_version("v1.7.0", "arm")  # tlb_bits=7
+        new = dbt_spec_for_version("v2.5.0-rc2", "arm")  # tlb_bits=8
+        assert old.structural_key() != new.structural_key()
 
-    def test_sim_kwargs_matter(self):
-        assert structural_key("qemu-dbt", None, {"asid_tagged": True}) != structural_key(
-            "qemu-dbt", None, {}
-        )
-        assert structural_key("simit", None, {"tlb_capacity": 128}) != structural_key(
-            "simit"
-        )
+    def test_structural_fields_matter(self):
+        assert _key("qemu-dbt", asid_tagged=True) != _key("qemu-dbt")
+        assert _key("simit", tlb_capacity=128) != _key("simit")
 
-    def test_unknown_sim_kwargs_rejected(self):
+    def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown engine option"):
-            structural_key("simit", None, {"x": 1})
+            _key("simit", x=1)
 
-    def test_object_valued_sim_kwargs_rejected(self):
+    def test_object_valued_fields_rejected(self):
         # Objects have no canonical encoding; silently keying on their
         # repr (memory address) would split the cache between equal
         # configs built separately, so they must be rejected loudly.
@@ -86,20 +85,18 @@ class TestStructuralKey:
             pass
 
         with pytest.raises(ValueError, match="tlb_capacity"):
-            structural_key("simit", None, {"tlb_capacity": Policy()})
+            _key("simit", tlb_capacity=Policy())
 
     def test_separately_built_equal_configs_collide(self):
         # Regression for the repr-address bug: two equal configurations
         # constructed independently must produce identical keys.
-        a = structural_key("simit", None, {"tlb_capacity": 128, "asid_tagged": True})
-        b = structural_key("simit", None, {"asid_tagged": True, "tlb_capacity": 128})
+        a = _key("simit", tlb_capacity=128, asid_tagged=True)
+        b = _key("simit", asid_tagged=True, tlb_capacity=128)
         assert a == b
-        assert structural_key("qemu-dbt", DBTConfig(tlb_bits=7)) == structural_key(
-            "qemu-dbt", DBTConfig(tlb_bits=7)
-        )
+        assert _key("qemu-dbt", tlb_bits=7) == _key("qemu-dbt", tlb_bits=7)
 
     def test_engines_distinct(self):
-        assert structural_key("simit") != structural_key("gem5")
+        assert _key("simit") != _key("gem5")
 
 
 class TestJobSpec:
@@ -111,11 +108,10 @@ class TestJobSpec:
     def test_payload_roundtrip_preserves_identity(self):
         spec = JobSpec(
             "System Call",
-            "qemu-dbt",
+            dbt_spec_for_version("v2.1.0", "arm"),
             ARM,
             VEXPRESS,
             iterations=20,
-            dbt_config=dbt_config_for_version("v2.1.0", "arm"),
         )
         clone = JobSpec.from_payload(spec.to_payload())
         assert clone.engine_spec == spec.engine_spec
@@ -144,11 +140,10 @@ class TestDeduplication:
         specs = [
             JobSpec(
                 benchmark,
-                "qemu-dbt",
+                dbt_spec_for_version(version, "arm"),
                 ARM,
                 VEXPRESS,
                 iterations=20,
-                dbt_config=dbt_config_for_version(version, "arm"),
             )
             for version in QEMU_VERSIONS
         ]
@@ -184,25 +179,23 @@ class TestDeduplication:
         naive = Harness(timing=TimingPolicy.MODELED)
         expected = []
         for version in QEMU_VERSIONS:
-            cell = (benchmark, "qemu-dbt", ARM, VEXPRESS)
-            job = {"iterations": 20, "dbt_config": dbt_config_for_version(version, "arm")}
-            record = naive.execute_benchmark(*cell, **job)
-            expected.append(naive.price_record(record, *cell, **job))
+            cell = (benchmark, dbt_spec_for_version(version, "arm"), ARM, VEXPRESS)
+            record = naive.execute_benchmark(*cell, iterations=20)
+            expected.append(naive.price_record(record, *cell, iterations=20))
         runner = ExperimentRunner()
         got = runner.run(
             [
                 JobSpec(
                     benchmark,
-                    "qemu-dbt",
+                    dbt_spec_for_version(version, "arm"),
                     ARM,
                     VEXPRESS,
                     iterations=20,
-                    dbt_config=dbt_config_for_version(version, "arm"),
                 )
                 for version in QEMU_VERSIONS
             ]
         )
-        assert _dicts(got, with_wall=False) == _dicts(expected, with_wall=False)
+        assert _dicts(got) == _dicts(expected)
 
 
 class TestParallelDeterminism:
@@ -222,7 +215,7 @@ class TestParallelDeterminism:
         kwargs = dict(scale=0.05)
         serial = ExperimentRunner(jobs=1).run_suite("simit", ARM, VEXPRESS, **kwargs)
         parallel = ExperimentRunner(jobs=4).run_suite("simit", ARM, VEXPRESS, **kwargs)
-        assert _dicts(parallel, with_wall=False) == _dicts(serial, with_wall=False)
+        assert _dicts(parallel) == _dicts(serial)
 
     def test_parallel_error_statuses_survive_the_pool(self):
         # gem5's dagger rows are static, but parallel pools must also
@@ -250,9 +243,9 @@ class TestDatasetStore:
         warm = warm_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
         assert warm_runner.last_stats["from_dataset"] == len(cold)
         assert warm_runner.last_stats["executed"] == 0
-        # Exact reproduction, wall-clock fields included (they come from
-        # the stored record).
+        # Exact reproduction; stored rows carry no host wall time.
         assert _dicts(warm) == _dicts(cold)
+        assert {res.kernel_wall_ns for res in warm} == {0}
 
     def test_version_sweep_warms_from_structural_entries(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
@@ -323,7 +316,7 @@ class TestDatasetStore:
         warm = warm_runner.run_suite("simit", ARM, VEXPRESS, scale=0.05)
         assert warm_runner.last_stats["from_dataset"] == 0
         assert warm_runner.last_stats["executed"] == len(warm)
-        assert _dicts(warm, with_wall=False) == _dicts(cold, with_wall=False)
+        assert _dicts(warm) == _dicts(cold)
 
     def test_execution_record_payload_roundtrip(self):
         record = ExecutionRecord(
@@ -358,7 +351,7 @@ class TestCacheKey:
             arch=ARM,
             platform=VEXPRESS,
             iterations=20,
-            structure=structural_key("qemu-dbt", DBTConfig()),
+            structure=_key("qemu-dbt"),
         )
         params.update(overrides)
         return job_fingerprint(**params)
@@ -367,12 +360,12 @@ class TestCacheKey:
         assert self._fingerprint() != self._fingerprint(iterations=21)
 
     def test_structural_config_changes_key(self):
-        other = structural_key("qemu-dbt", DBTConfig(tlb_bits=7))
+        other = _key("qemu-dbt", tlb_bits=7)
         assert self._fingerprint() != self._fingerprint(structure=other)
 
     def test_cost_overrides_share_key(self):
-        a = structural_key("qemu-dbt", dbt_config_for_version("v2.1.0", "arm"))
-        b = structural_key("qemu-dbt", dbt_config_for_version("v2.4.1", "arm"))
+        a = dbt_spec_for_version("v2.1.0", "arm").structural_key()
+        b = dbt_spec_for_version("v2.4.1", "arm").structural_key()
         assert self._fingerprint(structure=a) == self._fingerprint(structure=b)
 
     def test_benchmark_and_arch_change_key(self):

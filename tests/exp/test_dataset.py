@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.arch import ARM
-from repro.core.harness import Harness, TimingPolicy
+from repro.core.harness import ExecutionRecord, Harness, TimingPolicy
 from repro.core.resultcache import schema_tag
 from repro.core.runner import ExperimentRunner, JobSpec
 from repro.core import get_benchmark
@@ -56,6 +56,13 @@ class TestRows:
         assert row["engine"] == "simit"
         assert row["engine_fields"] == {}
         assert row["record"]["status"] == "ok"
+
+    def test_make_row_leaves_out_host_wall_time(self, executed):
+        spec, record = executed
+        assert record.kernel_wall_ns > 0
+        row = make_row(spec, record)
+        assert "kernel_wall_ns" not in row["record"]
+        assert ExecutionRecord.from_payload(row["record"]).kernel_wall_ns == 0
 
     def test_provenance_stamp(self, executed):
         row = row_for(executed)

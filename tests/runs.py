@@ -3,12 +3,13 @@
 from repro.core import ExperimentRunner, JobSpec
 
 
-def run_cell(runner, benchmark, simulator, arch, platform, **job):
+def run_cell(runner, benchmark, simulator, arch, platform, iterations=None):
     """Run one cell on ``runner`` (``None``: a fresh serial runner) and
     return its :class:`~repro.core.benchmark.BenchmarkResult`.
-    ``job`` holds :class:`JobSpec`'s keyword arguments (``iterations``,
-    ``dbt_config``, ``sim_kwargs``)."""
+    ``simulator`` is an engine spec or a registry name."""
     if runner is None:
         runner = ExperimentRunner()
-    [result] = runner.run([JobSpec(benchmark, simulator, arch, platform, **job)])
+    [result] = runner.run(
+        [JobSpec(benchmark, simulator, arch, platform, iterations=iterations)]
+    )
     return result

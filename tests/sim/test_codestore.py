@@ -160,16 +160,11 @@ class TestConfigure:
         finally:
             codestore.configure(None)
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
+    def test_environment_does_not_install_a_store(self, tmp_path, monkeypatch):
+        # ``configure`` (``--code-cache-dir``) is the one way to set it.
         monkeypatch.setenv("REPRO_CODE_CACHE_DIR", str(tmp_path))
-        try:
-            codestore._CONFIGURED = False
-            codestore._ACTIVE = None
-            store = codestore.active()
-            assert store is not None
-            assert str(store.root) == str(tmp_path)
-        finally:
-            codestore.configure(None)
+        codestore.configure(None)
+        assert codestore.active() is None
 
     def test_clear_removes_entries(self, tmp_path):
         store = CodeStore(tmp_path)

@@ -15,8 +15,9 @@ from repro.sim.dbt.versions import (
     BASELINE_VERSION,
     CHANGELOG,
     QEMU_VERSIONS,
-    dbt_config_for_version,
+    dbt_spec_for_version,
 )
+from repro.sim.spec import DBTSpec
 
 
 class TestCostModel:
@@ -115,31 +116,31 @@ class TestVersionTimeline:
         assert QEMU_VERSIONS[0] == BASELINE_VERSION == "v1.7.0"
         assert QEMU_VERSIONS[-1] == "v2.5.0-rc2"
 
-    def test_every_version_has_a_config(self):
+    def test_every_version_has_a_spec(self):
         for version in QEMU_VERSIONS:
-            config = dbt_config_for_version(version)
-            assert config.version == version
+            spec = dbt_spec_for_version(version)
+            assert spec.version == version
 
     def test_unknown_version_rejected(self):
         with pytest.raises(KeyError):
-            dbt_config_for_version("v9.9.9")
+            dbt_spec_for_version("v9.9.9")
 
     def test_baseline_is_identity(self):
-        config = dbt_config_for_version(BASELINE_VERSION)
-        for counter, cost in config.cost_overrides.items():
+        spec = dbt_spec_for_version(BASELINE_VERSION)
+        for counter, cost in spec.cost_overrides.items():
             assert cost == pytest.approx(DBT_BASE_COSTS[counter])
 
     def test_v2_0_0_improves_codegen_and_exec(self):
-        config = dbt_config_for_version("v2.0.0")
-        assert config.cost_overrides["translations"] < DBT_BASE_COSTS["translations"]
-        assert config.cost_overrides["instructions"] < DBT_BASE_COSTS["instructions"]
+        spec = dbt_spec_for_version("v2.0.0")
+        assert spec.cost_overrides["translations"] < DBT_BASE_COSTS["translations"]
+        assert spec.cost_overrides["instructions"] < DBT_BASE_COSTS["instructions"]
 
     def test_v1_series_has_smaller_tlb(self):
-        assert dbt_config_for_version("v1.7.0").tlb_bits < dbt_config_for_version("v2.0.0").tlb_bits
+        assert dbt_spec_for_version("v1.7.0").tlb_bits < dbt_spec_for_version("v2.0.0").tlb_bits
 
     def test_data_fault_fast_path_is_arch_dependent(self):
-        arm = dbt_config_for_version("v2.5.0-rc0", "arm")
-        x86 = dbt_config_for_version("v2.5.0-rc0", "x86")
+        arm = dbt_spec_for_version("v2.5.0-rc0", "arm")
+        x86 = dbt_spec_for_version("v2.5.0-rc0", "x86")
         assert arm.cost_overrides["data_aborts"] < x86.cost_overrides["data_aborts"]
         # ~8x on ARM, ~4x on x86, vs the baseline cost.
         assert DBT_BASE_COSTS["data_aborts"] / arm.cost_overrides["data_aborts"] == pytest.approx(8.0)
@@ -147,7 +148,7 @@ class TestVersionTimeline:
 
     def test_control_flow_declines_monotonically_after_2_1(self):
         dispatch = [
-            dbt_config_for_version(v).cost_overrides["slow_dispatches"]
+            dbt_spec_for_version(v).cost_overrides["slow_dispatches"]
             for v in QEMU_VERSIONS
         ]
         tail = dispatch[6:]  # from v2.1.0 on
@@ -155,7 +156,7 @@ class TestVersionTimeline:
 
     def test_tlb_maintenance_improves(self):
         flushes = [
-            dbt_config_for_version(v).cost_overrides["tlb_flushes"]
+            dbt_spec_for_version(v).cost_overrides["tlb_flushes"]
             for v in QEMU_VERSIONS
         ]
         assert flushes[-1] < 0.5 * flushes[0]
@@ -165,19 +166,19 @@ class TestVersionTimeline:
         assert "v2.5.0-rc0" in CHANGELOG
 
 
-class TestDBTConfig:
+class TestDBTSpec:
     def test_replace(self):
-        from repro.sim.dbt import DBTConfig
-
-        config = DBTConfig(tlb_bits=8)
-        other = config.replace(tlb_bits=4)
+        spec = DBTSpec(tlb_bits=8)
+        other = spec.replace(tlb_bits=4)
         assert other.tlb_bits == 4
-        assert config.tlb_bits == 8
+        assert spec.tlb_bits == 8
 
     def test_validation(self):
-        from repro.sim.dbt import DBTConfig
-
-        with pytest.raises(ValueError):
-            DBTConfig(max_block_insns=0)
-        with pytest.raises(ValueError):
-            DBTConfig(tlb_bits=1)
+        with pytest.raises(ValueError, match="max_block_insns"):
+            DBTSpec(max_block_insns=0)
+        with pytest.raises(ValueError, match="tlb_bits"):
+            DBTSpec(tlb_bits=1)
+        with pytest.raises(ValueError, match="tlb_bits"):
+            DBTSpec().replace(tlb_bits=17)
+        assert DBTSpec(tlb_bits=2).tlb_bits == 2
+        assert DBTSpec(tlb_bits=16).tlb_bits == 16

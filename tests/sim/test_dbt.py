@@ -14,7 +14,7 @@ from repro.machine import Board
 from repro.machine.mmu import AP_KERNEL_RW, AP_USER_RW, PageTableBuilder, make_page_entry
 from repro.platform import PCPLAT, VEXPRESS
 from repro.sim import DBTSimulator
-from repro.sim.dbt import DBTConfig, TranslationCache, TranslatedBlock
+from repro.sim.dbt import TranslationCache, TranslatedBlock
 import repro.sim.dbt.translator as translator_module
 from repro.sim.dbt.translator import (
     MEMO_WAYS,
@@ -22,14 +22,14 @@ from repro.sim.dbt.translator import (
     TranslationMemo,
     Translator,
 )
-from repro.sim.spec import as_engine_spec
+from repro.sim.spec import DBTSpec, as_engine_spec
 
 
-def run_dbt(body, config=None, max_insns=200_000):
+def run_dbt(body, spec=None, max_insns=200_000):
     source = ".org 0x8000\n_start:\n    li sp, 0x100000\n%s\n" % body
     board = Board(VEXPRESS)
     board.load(assemble(source))
-    engine = DBTSimulator(board, arch=ARM, config=config)
+    engine = DBTSimulator(board, arch=ARM, spec=spec)
     result = engine.run(max_insns=max_insns)
     return engine, board, result
 
@@ -56,7 +56,7 @@ loop:
         prog = assemble(".org 0x8ff8\n_start:\n" + "    nop\n" * 8 + "    halt #0\n")
         board.load(prog)
         engine = DBTSimulator(board, arch=ARM)
-        translator = Translator(engine.config)
+        translator = Translator(engine.spec)
         block = translator.translate(board.memory, 0x8FF8, 0x8FF8)
         assert block.insn_count == 2  # stops at the 0x9000 boundary
 
@@ -64,8 +64,7 @@ loop:
         board = Board(VEXPRESS)
         prog = assemble(".org 0x8000\n_start:\n" + "    nop\n" * 100 + "    halt #0\n")
         board.load(prog)
-        config = DBTConfig(max_block_insns=16)
-        translator = Translator(config)
+        translator = Translator(DBTSpec(max_block_insns=16))
         block = translator.translate(board.memory, 0x8000, 0x8000)
         assert block.insn_count == 16
 
@@ -92,7 +91,7 @@ loop:
         assert engine.counters.slow_dispatches < 10
 
     def test_chaining_disabled(self):
-        config = DBTConfig(chain_enabled=False)
+        spec = DBTSpec(chain_enabled=False)
         engine, _board, _res = run_dbt(
             """
     movi r1, 50
@@ -102,7 +101,7 @@ loop:
     bne loop
     halt #0
 """,
-            config=config,
+            spec=spec,
         )
         assert engine.counters.chain_follows == 0
         assert engine.counters.slow_dispatches > 50
@@ -129,7 +128,7 @@ far:
         assert engine.counters.slow_dispatches >= 60
 
     def test_cross_page_chaining_opt_in(self):
-        config = DBTConfig(chain_cross_page=True)
+        spec = DBTSpec(chain_cross_page=True)
         engine, _board, res = run_dbt(
             """
     movi r1, 30
@@ -144,7 +143,7 @@ back:
 far:
     b back
 """,
-            config=config,
+            spec=spec,
         )
         assert res.halted_ok
         assert engine.counters.chain_follows > 50
@@ -339,7 +338,7 @@ class TestSoftmmuTLB:
 
     def test_direct_mapped_conflicts(self):
         # Two pages whose vpage indices collide in a tiny 4-slot TLB.
-        config = DBTConfig(tlb_bits=2)
+        spec = DBTSpec(tlb_bits=2)
         engine, _board, res = run_dbt(
             """
     li r0, 0x4000
@@ -375,7 +374,7 @@ ping:
     bne ping
     halt #0
 """,
-            config=config,
+            spec=spec,
         )
         assert res.halted_ok
         assert engine.counters.tlb_evictions >= 30
@@ -394,7 +393,7 @@ class TestDBTFeatureSummary:
 
     def test_chaining_off_changes_summary(self):
         board = Board(VEXPRESS)
-        engine = DBTSimulator(board, arch=ARM, config=DBTConfig(chain_enabled=False))
+        engine = DBTSimulator(board, arch=ARM, spec=DBTSpec(chain_enabled=False))
         assert engine.feature_summary()["Control Flow (Intra-Page)"] == "Block Cache"
 
 
@@ -576,7 +575,7 @@ _EDGE_VALUES = {
     "next": USER_PAGE + 0x1000,
 }
 
-#: name -> (guest source, DBTConfig field overrides).
+#: name -> (guest source, DBTSpec field overrides).
 EDGE_CASES = {
     name: (_EDGE_HEADER + body % _EDGE_VALUES + _EDGE_FOOTER, {})
     for name, body in _EDGE_BODIES.items()
@@ -611,7 +610,7 @@ def edge_outcome(name):
     source, fields = EDGE_CASES[name]
     board = _edge_board()
     board.load(assemble(source))
-    engine = DBTSimulator(board, arch=ARM, config=DBTConfig(**fields))
+    engine = DBTSimulator(board, arch=ARM, spec=DBTSpec(**fields))
     result = engine.run(max_insns=100_000)
     ram = hashlib.sha256()
     for base, length in EDGE_RAM_WINDOWS:

@@ -12,7 +12,6 @@ Three kinds of guarantees live here:
 """
 
 import ast
-import inspect
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.isa.encoding import Cond, Op, encode
 from repro.machine import Board
 from repro.machine.memory import PhysicalMemory
 from repro.platform import VEXPRESS
-from repro.sim.dbt import DBTConfig
 from repro.sim.dbt import codestore
 from repro.sim.dbt.ir import lift_block
 from repro.sim.dbt.passes import (
@@ -31,6 +29,7 @@ from repro.sim.dbt.passes import (
     fuse_pairs,
 )
 from repro.sim.dbt.translator import TRANSLATION_MEMO, Translator
+from repro.sim.spec import DBTSpec
 from tests.sim.util import (
     assert_pipeline_neutral,
     bare_program,
@@ -183,11 +182,11 @@ class TestPairFusion:
 
 
 def _block_sources(asm_body, vaddrs=(0x8000,), **fields):
-    """Translate the given block starts under a config and return
+    """Translate the given block starts under a spec and return
     their concatenated generated source."""
     board = Board(VEXPRESS)
     board.load(assemble(".org 0x8000\n_start:\n%s\n" % asm_body))
-    translator = Translator(DBTConfig(**fields))
+    translator = Translator(DBTSpec(**fields))
     return "\n".join(
         translator.translate(board.memory, vaddr, vaddr).source for vaddr in vaddrs
     )
@@ -285,11 +284,11 @@ class TestSoftmmuEmission:
 
 
 class TestKeyCompleteness:
-    """Every config field that changes generated code must be part of
+    """Every spec field that changes generated code must be part of
     the translation key (and therefore of the code-store address)."""
 
     #: Fields whose toggling must change the generated source for the
-    #: probe programs below.  A new DBTConfig field that affects
+    #: probe programs below.  A new DBTSpec field that affects
     #: codegen must be added here AND to translation_key().
     CODEGEN_FIELDS = {"chain_enabled", "chain_cross_page", "max_block_insns"}
 
@@ -305,12 +304,22 @@ class TestKeyCompleteness:
     }
 
     def test_variant_table_covers_every_field(self):
-        params = set(inspect.signature(DBTConfig.__init__).parameters) - {"self"}
-        assert set(self.VARIANTS) == params
+        assert set(self.VARIANTS) == {field.name for field in DBTSpec.fields}
 
     def test_translation_key_is_the_codegen_fields(self):
-        config = DBTConfig(chain_cross_page=True, max_block_insns=7)
-        assert config.translation_key() == (True, True, 7)
+        spec = DBTSpec(chain_cross_page=True, max_block_insns=7)
+        assert spec.translation_key() == (True, True, 7)
+
+    def test_default_keys_are_pinned(self, monkeypatch):
+        """Memo and code-store keys of the default engine are fixed
+        values: a change here orphans every stored block and needs a
+        ``CODEGEN_VERSION`` bump.  The interpreter's bytecode magic is
+        pinned too, so the digest holds on any Python version."""
+        assert DBTSpec().translation_key() == (True, False, 64)
+        monkeypatch.setattr(codestore.importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+        assert codestore.block_key(
+            DBTSpec().translation_key(), 0x8000, bytes(range(8))
+        ) == "4e24ec5637ccc15a13bc3592d26ee4a7dc60fe2e0d50d78ae257e588b36e95f2"
 
     @pytest.mark.parametrize("field", sorted(VARIANTS))
     def test_codegen_sensitive_fields_are_keyed(self, field):
@@ -320,17 +329,17 @@ class TestKeyCompleteness:
                 _CROSS_PAGE_BODY, **fields
             )
 
-        base_cfg = DBTConfig()
-        variant_cfg = DBTConfig(**{field: self.VARIANTS[field]})
+        base = DBTSpec()
+        variant = DBTSpec(**{field: self.VARIANTS[field]})
         differs = sources() != sources(**{field: self.VARIANTS[field]})
         assert differs == (field in self.CODEGEN_FIELDS)
         if differs:
-            assert base_cfg.translation_key() != variant_cfg.translation_key()
+            assert base.translation_key() != variant.translation_key()
             word_bytes = b"\x00\x00\x00\x00"
             assert codestore.block_key(
-                base_cfg.translation_key(), 0x8000, word_bytes
+                base.translation_key(), 0x8000, word_bytes
             ) != codestore.block_key(
-                variant_cfg.translation_key(), 0x8000, word_bytes
+                variant.translation_key(), 0x8000, word_bytes
             )
 
 

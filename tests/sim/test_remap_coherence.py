@@ -118,12 +118,12 @@ class TestRemapCoherence:
 
     def test_dbt_asid_tagged_flush(self):
         from repro.sim import DBTSimulator
-        from repro.sim.dbt import DBTConfig
+        from repro.sim.spec import DBTSpec
 
         source = _program("    mcr r0, p15, c7")
         board = _board()
         board.load(assemble(source))
-        engine = DBTSimulator(board, arch=ARM, config=DBTConfig(asid_tagged=True))
+        engine = DBTSimulator(board, arch=ARM, spec=DBTSpec(asid_tagged=True))
         result = engine.run(max_insns=100_000)
         assert result.halted_ok
         assert board.cpu.regs[5] == 0xBBBB2222

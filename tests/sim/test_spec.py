@@ -20,9 +20,8 @@ from repro.arch import ARM, X86
 from repro.errors import IncompatibleEngineError
 from repro.machine import Board
 from repro.platform import PCPLAT, VEXPRESS
-from repro.sim import SIMULATOR_CLASSES, cost_model_for, create_simulator
-from repro.sim.dbt.config import DBTConfig
-from repro.sim.dbt.versions import dbt_config_for_version
+from repro.sim import SIMULATOR_CLASSES
+from repro.sim.dbt.versions import dbt_spec_for_version
 from repro.sim.spec import (
     DBTSpec,
     DetailedSpec,
@@ -66,11 +65,11 @@ class TestRegistry:
     def test_unknown_engine_error_worded_identically(self):
         board = Board(VEXPRESS)
         messages = set()
-        with pytest.raises(KeyError) as create_err:
-            create_simulator("bogus", board, ARM)
-        messages.add(str(create_err.value))
+        with pytest.raises(KeyError) as build_err:
+            spec_for("bogus").build(board, ARM)
+        messages.add(str(build_err.value))
         with pytest.raises(KeyError) as cost_err:
-            cost_model_for("bogus", ARM)
+            as_engine_spec("bogus").cost_model(ARM)
         messages.add(str(cost_err.value))
         with pytest.raises(KeyError) as spec_err:
             spec_class_for("bogus")
@@ -104,7 +103,7 @@ class TestPayloadRoundTrip:
 
     def test_delta_payload_rebuild_with_non_default_fields(self):
         for spec in (
-            DBTSpec.from_config(dbt_config_for_version("v2.5.0-rc2", "arm")),
+            dbt_spec_for_version("v2.5.0-rc2", "arm"),
             DBTSpec(tlb_bits=7, chain_enabled=False),
             InterpSpec(tlb_capacity=16),
         ):
@@ -131,11 +130,12 @@ class TestPayloadRoundTrip:
         assert clone.cost_overrides == {"translations": 9000.0}
         assert clone.version == "v1.7.0"
 
-    def test_dbt_config_round_trips_through_spec(self):
-        config = dbt_config_for_version("v2.4.1", "arm")
-        spec = DBTSpec.from_config(config)
-        rebuilt = spec.to_config()
-        assert rebuilt.__dict__ == config.__dict__
+    def test_version_spec_round_trips(self):
+        spec = dbt_spec_for_version("v2.4.1", "arm")
+        clone = EngineSpec.from_payload(spec.to_payload())
+        assert clone == spec
+        assert clone.cost_overrides == spec.cost_overrides
+        assert clone.version == "v2.4.1"
 
 
 class TestStructuralVsPricing:
@@ -154,8 +154,8 @@ class TestStructuralVsPricing:
         )
 
     def test_separately_built_specs_are_equal(self):
-        a = DBTSpec.from_config(DBTConfig(tlb_bits=7))
-        b = DBTSpec.from_config(DBTConfig(tlb_bits=7))
+        a = DBTSpec(tlb_bits=7)
+        b = DBTSpec(tlb_bits=7)
         assert a == b
         assert hash(a) == hash(b)
         assert a.structural_key() == b.structural_key()
@@ -224,35 +224,14 @@ class TestValidation:
             DetailedSpec(mode="warp")
 
 
-class TestLegacyAdapter:
+class TestAsEngineSpec:
     def test_spec_passthrough(self):
         spec = InterpSpec()
         assert as_engine_spec(spec) is spec
 
-    def test_spec_with_legacy_arguments_rejected(self):
-        with pytest.raises(ValueError, match="inside the EngineSpec"):
-            as_engine_spec(InterpSpec(), sim_kwargs={"tlb_capacity": 1})
-        with pytest.raises(ValueError, match="inside the EngineSpec"):
-            as_engine_spec(DBTSpec(), dbt_config=DBTConfig())
-
-    def test_dbt_config_entry_wins_over_dbt_config_argument(self):
-        winner = DBTConfig(tlb_bits=7)
-        spec = as_engine_spec(
-            "qemu-dbt", dbt_config=DBTConfig(), sim_kwargs={"config": winner}
-        )
-        assert spec.tlb_bits == 7
-
-    def test_dbt_config_plus_field_options_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            as_engine_spec(
-                "qemu-dbt",
-                dbt_config=DBTConfig(),
-                sim_kwargs={"asid_tagged": True},
-            )
-
-    def test_non_dbt_engine_ignores_dbt_config(self):
-        spec = as_engine_spec("simit", dbt_config=DBTConfig(tlb_bits=7))
-        assert spec == InterpSpec()
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_registry_name_is_the_default_spec(self, engine):
+        assert as_engine_spec(engine) == spec_for(engine)
 
 
 class TestBuildAndCapabilities:
@@ -267,7 +246,7 @@ class TestBuildAndCapabilities:
         sim = InterpSpec(tlb_capacity=16).build(Board(VEXPRESS), ARM)
         assert sim._dtlb.capacity == 16
         dbt = DBTSpec(tlb_bits=6).build(Board(VEXPRESS), ARM)
-        assert dbt.config.tlb_bits == 6
+        assert dbt.spec.tlb_bits == 6
 
     def test_capability_flags_follow_execution_model(self):
         # The whole functional-core family is per-instruction traceable;

@@ -4,7 +4,7 @@ the sweep's ordered version axis."""
 import pytest
 
 from repro.analysis.sweep import version_axis
-from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_config_for_version
+from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 from repro.sim.spec import DBTSpec, InterpSpec, SPEC_CLASSES
 
 
@@ -60,7 +60,7 @@ class TestVersionAxis:
         assert version_axis("arm", QEMU_VERSIONS) is axis
         assert version_axis("arm", list(QEMU_VERSIONS)) == axis
         fresh = tuple(
-            (version, DBTSpec.from_config(dbt_config_for_version(version, "arm")))
+            (version, dbt_spec_for_version(version, "arm"))
             for version in QEMU_VERSIONS
         )
         assert axis == fresh

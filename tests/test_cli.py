@@ -1,5 +1,8 @@
 """CLI tests (``python -m repro``)."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -215,6 +218,32 @@ class TestManifestCommand:
         assert "2 from dataset" in warm.err
         # Result tables (stdout) diff clean between cold and warm runs.
         assert warm.out == cold.out
+
+    def test_fresh_runs_store_identical_rows(self, tmp_path, capsys):
+        """A stored row is a pure function of its cell: two runs into
+        fresh datasets write the same row files, apart from the
+        provenance stamp."""
+
+        def row_files(root):
+            files = {}
+            for dirpath, _dirs, names in os.walk(root):
+                for name in names:
+                    if name.startswith("_totals"):
+                        continue
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        row = json.load(fh)
+                    row.pop("provenance")
+                    files[os.path.relpath(path, root)] = row
+            return files
+
+        dirs = [str(tmp_path / name) for name in ("a", "b")]
+        for dataset_dir in dirs:
+            assert main(["manifest", "run", "smoke", "--dataset-dir", dataset_dir]) == 0
+        capsys.readouterr()
+        first, second = (row_files(d) for d in dirs)
+        assert len(first) == 6
+        assert first == second
 
     def test_diff(self, capsys):
         assert main(["manifest", "diff", "smoke", "figure7"]) == 0

@@ -119,17 +119,17 @@ class TestVersionSensitivity:
     sjeng does not."""
 
     def test_mcf_declines_sjeng_holds(self, runner):
-        from repro.sim.dbt.versions import dbt_config_for_version
+        from repro.sim.dbt.versions import dbt_spec_for_version
 
         def speedup(workload_name):
             workload = get_workload(workload_name)
             base = run_cell(
-                runner, workload, "qemu-dbt", ARM, VEXPRESS, iterations=2,
-                dbt_config=dbt_config_for_version("v1.7.0"),
+                runner, workload, dbt_spec_for_version("v1.7.0"), ARM, VEXPRESS,
+                iterations=2,
             )
             last = run_cell(
-                runner, workload, "qemu-dbt", ARM, VEXPRESS, iterations=2,
-                dbt_config=dbt_config_for_version("v2.5.0-rc2"),
+                runner, workload, dbt_spec_for_version("v2.5.0-rc2"), ARM, VEXPRESS,
+                iterations=2,
             )
             return base.kernel_ns / last.kernel_ns
 
