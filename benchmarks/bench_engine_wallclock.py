@@ -45,7 +45,7 @@ import pytest
 
 from repro.arch import ARM
 from repro.arch.base import AsmWriter
-from repro.core import ExperimentRunner, JobSpec, get_benchmark
+from repro.core import ExperimentRunner, Harness, JobSpec, get_benchmark
 from repro.core.program import ProgramBuilder
 from repro.isa.assembler import assemble
 from repro.machine import Board
@@ -352,11 +352,14 @@ def test_engine_kernel_wallclock(benchmark, engine_name, kernel_name):
 def test_engine_smc_workload_wallclock(benchmark, engine_name):
     """Host time for the Small Blocks benchmark: the DBT engine pays
     real retranslation cost here, the interpreter does not."""
-    runner = ExperimentRunner()
+    # A fresh runner per round, sharing one harness (and its built
+    # program): a runner would reuse the record its first round
+    # executed instead of running the engine again.
+    harness = Harness()
     spec = JobSpec(get_benchmark("Small Blocks"), engine_name, ARM, VEXPRESS, iterations=40)
 
     def run():
-        [result] = runner.run([spec])
+        [result] = ExperimentRunner(harness=harness).run([spec])
         assert result.ok
         return result.kernel_wall_ns
 

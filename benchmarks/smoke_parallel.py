@@ -1,9 +1,12 @@
 """Parallel-speedup smoke: ``--jobs 2`` must not lose to serial.
 
-Runs a small Figure 7 grid twice serially and twice under ``jobs=2``
-(the second parallel pass reuses the persistent warm pool), takes the
-best of each pair to damp CI-runner noise, checks the tables are
-identical, and gates ``parallel_speedup >= 1.0``.
+Runs a small Figure 7 grid twice serially and twice under ``jobs=2``,
+takes the best of each pair to damp CI-runner noise, checks the tables
+are identical, and gates ``parallel_speedup >= 1.0``.  Every round
+gets a fresh runner, because a runner without a dataset reuses what
+its earlier runs executed: serial rounds share one harness (its built
+programs), and each parallel round starts its own pool, as one
+``repro figure 7 --jobs 2`` command does.
 
 On a single-core host fan-out cannot beat serial, so the speedup gate
 is skipped with a notice (exit 0) -- correctness is still asserted.
@@ -15,7 +18,7 @@ import os
 import time
 
 from repro.analysis import figures
-from repro.core import ExperimentRunner
+from repro.core import ExperimentRunner, Harness
 
 SCALE = 0.25
 JOBS = 2
@@ -31,24 +34,22 @@ def _timed(runner):
 def main():
     cpu_count = os.cpu_count() or 1
 
-    serial_runner = ExperimentRunner()
-    baseline, serial_seconds = _timed(serial_runner)
+    harness = Harness()
+    baseline, serial_seconds = _timed(ExperimentRunner(harness=harness))
     for _ in range(ROUNDS - 1):
-        table, seconds = _timed(serial_runner)
+        table, seconds = _timed(ExperimentRunner(harness=harness))
         assert table == baseline, "serial re-run changed the table"
         serial_seconds = min(serial_seconds, seconds)
 
-    with ExperimentRunner(jobs=JOBS) as runner:
-        parallel_seconds = None
-        for _ in range(ROUNDS):
+    parallel_seconds = None
+    for _ in range(ROUNDS):
+        with ExperimentRunner(jobs=JOBS) as runner:
             table, seconds = _timed(runner)
-            assert table == baseline, "parallel execution changed the table"
-            parallel_seconds = (
-                seconds
-                if parallel_seconds is None
-                else min(parallel_seconds, seconds)
-            )
-        stats = dict(runner.last_stats)
+            stats = dict(runner.last_stats)
+        assert table == baseline, "parallel execution changed the table"
+        parallel_seconds = (
+            seconds if parallel_seconds is None else min(parallel_seconds, seconds)
+        )
 
     speedup = serial_seconds / parallel_seconds
     print(

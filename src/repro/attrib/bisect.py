@@ -25,8 +25,9 @@ Three properties keep the search honest:
 - **Dataset reuse.**  Run on an
   :class:`~repro.core.runner.ExperimentRunner` with a dataset, every
   probe that was ever stored resolves at zero guest cost; a warm
-  re-bisect executes 0 cells.  The bisector only counts *executed*
-  cells it caused.
+  re-bisect executes 0 cells.  Without a dataset, a probe of a cell an
+  earlier probe executed reuses that record (``reused_cells``).  The
+  bisector only counts *executed* cells it caused.
 """
 
 from repro.obs.metrics import METRICS
@@ -236,6 +237,7 @@ class BisectResult:
         "note",
         "probes",
         "executed_cells",
+        "reused_cells",
         "dataset_hits",
         "flaky_retries",
         "repeats",
@@ -265,6 +267,7 @@ class BisectResult:
             "note": self.note,
             "probes": self.probes,
             "executed_cells": self.executed_cells,
+            "reused_cells": self.reused_cells,
             "dataset_hits": self.dataset_hits,
             "flaky_retries": self.flaky_retries,
             "repeats": self.repeats,
@@ -330,11 +333,12 @@ class BisectResult:
             )
         lines.append(
             "probes: %d (%d repeats each), executed cells: %d, "
-            "dataset hits: %d, flaky retries: %d"
+            "reused cells: %d, dataset hits: %d, flaky retries: %d"
             % (
                 self.probes,
                 self.repeats,
                 self.executed_cells,
+                self.reused_cells,
                 self.dataset_hits,
                 self.flaky_retries,
             )
@@ -383,6 +387,7 @@ class Bisector:
         self._values = {}
         self._probes = 0
         self._executed = 0
+        self._reused = 0
         self._dataset_hits = 0
         self._flaky_retries = 0
         self._noise = 0.0
@@ -403,6 +408,7 @@ class Bisector:
             result = self.runner.run([spec])[0]
         stats = getattr(self.runner, "last_stats", None) or {}
         self._executed += stats.get("executed", 0)
+        self._reused += stats.get("reused", 0)
         hits = stats.get("from_dataset", 0)
         self._dataset_hits += hits
         if METRICS.enabled:
@@ -453,6 +459,7 @@ class Bisector:
         self._values = {}
         self._probes = 0
         self._executed = 0
+        self._reused = 0
         self._dataset_hits = 0
         self._flaky_retries = 0
         self._noise = 0.0
@@ -522,6 +529,7 @@ class Bisector:
             note=note,
             probes=self._probes,
             executed_cells=self._executed,
+            reused_cells=self._reused,
             dataset_hits=self._dataset_hits,
             flaky_retries=self._flaky_retries,
             repeats=self.repeats,

@@ -46,6 +46,12 @@ class TimingPolicy(enum.Enum):
 #: runner's per-job wall deadline fired).
 FAILURE_STATUSES = ("error", "crashed", "timeout")
 
+#: Statuses of records worth keeping for reuse (in the dataset, or in
+#: a dataset-less runner's memory): completed cells and known engine
+#: limitations.  Failures are transient by policy, so a failed cell
+#: re-executes instead of pinning the failure.
+STORABLE_STATUSES = ("ok", "unsupported")
+
 
 class ExecutionRecord:
     """The raw outcome of *executing* one benchmark on one engine.
@@ -86,6 +92,16 @@ class ExecutionRecord:
     @property
     def ok(self):
         return self.status == "ok"
+
+    def copy(self):
+        """An equal record with its own ``kernel_delta`` dict."""
+        return ExecutionRecord(
+            status=self.status,
+            error=self.error,
+            kernel_delta=dict(self.kernel_delta),
+            kernel_wall_ns=self.kernel_wall_ns,
+            total_instructions=self.total_instructions,
+        )
 
     def to_payload(self):
         """A JSON-serialisable dict (used by the result dataset and any

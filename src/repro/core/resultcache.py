@@ -28,10 +28,38 @@ from repro.sim.base import COUNTER_NAMES
 COST_SCHEMA_VERSION = 2
 
 
+#: ``(COST_SCHEMA_VERSION, COUNTER_NAMES, tag)`` of the last
+#: :func:`schema_tag` call.
+_schema_memo = (None, None, None)
+
+#: ``cell identity -> fingerprint`` (see :func:`cell_fingerprint`), at
+#: most :data:`_FINGERPRINT_LIMIT` entries of about 0.3 KiB each.
+_FINGERPRINTS = {}
+_FINGERPRINT_LIMIT = 1024
+
+
+def remember(memo, key, value, limit):
+    """Store ``value`` under ``key``, evicting the oldest entry first
+    when ``memo`` already holds ``limit`` entries."""
+    if len(memo) >= limit:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def schema_tag():
-    """Identifier of the counter/cost schema stored records were built for."""
-    digest = hashlib.sha256("\n".join(COUNTER_NAMES).encode("utf-8")).hexdigest()
-    return "%d-%s" % (COST_SCHEMA_VERSION, digest[:12])
+    """Identifier of the counter/cost schema stored records were built for.
+
+    Computed once per ``(COST_SCHEMA_VERSION, COUNTER_NAMES)`` pair: a
+    different version or vocabulary (the module attributes are read on
+    every call) yields a fresh tag."""
+    global _schema_memo
+    version, names, tag = _schema_memo
+    if version != COST_SCHEMA_VERSION or names is not COUNTER_NAMES:
+        digest = hashlib.sha256("\n".join(COUNTER_NAMES).encode("utf-8")).hexdigest()
+        tag = "%d-%s" % (COST_SCHEMA_VERSION, digest[:12])
+        _schema_memo = (COST_SCHEMA_VERSION, COUNTER_NAMES, tag)
+    return tag
 
 
 def job_fingerprint(benchmark, simulator, arch, platform, iterations, structure):
@@ -65,3 +93,40 @@ def job_fingerprint(benchmark, simulator, arch, platform, iterations, structure)
             "cache fingerprint inputs must be JSON-serialisable: %s" % exc
         ) from None
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cell_fingerprint(benchmark, engine_spec, arch, platform, iterations):
+    """:func:`job_fingerprint` of a job whose engine is ``engine_spec``
+    (an :class:`~repro.sim.spec.EngineSpec`), memoized process-wide.
+
+    The memo key holds every input of the fingerprint, exactly: the
+    schema tag (so a change of :data:`COST_SCHEMA_VERSION` or of the
+    counter vocabulary misses), the benchmark's name, class and source,
+    arch, platform, iterations, and the spec's canonical JSON
+    :meth:`~repro.sim.spec.EngineSpec.cache_key_token`.  A hit
+    therefore returns what a fresh :func:`job_fingerprint` would.
+    """
+    cls = type(benchmark)
+    key = (
+        schema_tag(),
+        benchmark.name,
+        cls.__module__,
+        cls.__qualname__,
+        getattr(benchmark, "source", None),
+        getattr(arch, "name", arch),
+        getattr(platform, "name", platform),
+        iterations,
+        engine_spec.cache_key_token(),
+    )
+    fingerprint = _FINGERPRINTS.get(key)
+    if fingerprint is None:
+        fingerprint = job_fingerprint(
+            benchmark,
+            engine_spec.engine,
+            arch,
+            platform,
+            iterations,
+            engine_spec.cache_key_payload(),
+        )
+        remember(_FINGERPRINTS, key, fingerprint, _FINGERPRINT_LIMIT)
+    return fingerprint

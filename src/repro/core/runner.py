@@ -17,7 +17,10 @@ execution:
   instruction, and newly executed ``ok``/``unsupported`` records are
   appended with a provenance stamp.  The dataset is only consulted
   under the deterministic MODELED timing policy, and failure records
-  (error/crashed/timeout) are never stored;
+  (error/crashed/timeout) are never stored.  A runner without a
+  dataset keeps the ``ok``/``unsupported`` records it executed under
+  MODELED timing in memory instead, so a command that makes several
+  runs (``repro report``) executes each cell once;
 - unique executions are optionally fanned out over a *persistent warm*
   process pool (``jobs=N``): the deduplicated job list is sharded by
   engine structural key (DBT-memoization / code-store locality) and
@@ -68,12 +71,13 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.harness import (
+    STORABLE_STATUSES,
     ExecutionRecord,
     Harness,
     SuiteResult,
     TimingPolicy,
 )
-from repro.core.resultcache import job_fingerprint
+from repro.core.resultcache import cell_fingerprint, remember
 from repro.core.suite import SUITE, get_benchmark
 from repro.errors import DeadlineExceeded, EngineCrashError
 from repro.obs.metrics import METRICS
@@ -154,14 +158,10 @@ class JobSpec:
         )
 
     def fingerprint(self):
-        """The dataset key (cell id) of this job."""
-        return job_fingerprint(
-            self.benchmark,
-            self.engine_spec.engine,
-            self.arch,
-            self.platform,
-            self.iterations,
-            self.engine_spec.cache_key_payload(),
+        """The dataset key (cell id) of this job, memoized process-wide
+        (:func:`~repro.core.resultcache.cell_fingerprint`)."""
+        return cell_fingerprint(
+            self.benchmark, self.engine_spec, self.arch, self.platform, self.iterations
         )
 
     def executes(self):
@@ -470,10 +470,16 @@ def _execute_chunk(blob):
     return records, aux
 
 
+#: At most this many executed records are kept for reuse by a
+#: dataset-less runner, so a long-lived one (``repro serve`` without
+#: ``--dataset-dir``) stays bounded.
+REUSE_LIMIT = 512
+
 #: The :attr:`ExperimentRunner.last_stats` counters that add up across
 #: runs (:attr:`ExperimentRunner.total_stats`).
 SUMMED_STATS = (
-    "jobs", "unique", "static", "from_dataset", "executed", "dataset_appended",
+    "jobs", "unique", "static", "from_dataset", "reused", "executed",
+    "dataset_appended",
     "crashed", "timeout", "errors", "retried", "worker_lost",
 )
 
@@ -508,6 +514,9 @@ class ExperimentRunner:
         Optional :class:`~repro.exp.dataset.Dataset` to resolve cells
         from and append executed cells to (MODELED timing only).  A
         plain attribute: drivers may hand an existing runner a dataset.
+        While it is ``None``, MODELED runs reuse the ``ok``/
+        ``unsupported`` records this runner executed in earlier runs
+        (source ``reused``).
     deadline:
         Per-job wall deadline in seconds (a watchdog on top of the
         harness's ``max_insns`` budget); expiry yields a ``timeout``
@@ -533,9 +542,9 @@ class ExperimentRunner:
     Observability: after every :meth:`run`, :attr:`last_jobs` holds one
     row per unique cell in first-submission order: identity,
     ``cell_id``, ``manifest``, final ``status`` and ``error``,
-    ``source`` (``executed``/``dataset``/``static``), ``submitted``
-    (the specs that shared the cell), ``attempts``, ``where`` and the
-    wall/queue-wait timings.  :attr:`cells` keeps one row per
+    ``source`` (``executed``/``dataset``/``reused``/``static``),
+    ``submitted`` (the specs that shared the cell), ``attempts``,
+    ``where`` and the wall/queue-wait timings.  :attr:`cells` keeps one row per
     ``cell_id`` across runs: a repeat adds its counts and timings,
     replaces status, source, where and error, and counts its source in
     the row's ``sources`` dict (``{"executed": 1, "dataset": 1}`` for a
@@ -576,6 +585,11 @@ class ExperimentRunner:
         self.last_jobs = []
         #: One telemetry row per ``cell_id`` across every :meth:`run`.
         self.cells = {}
+        # ``cell_id -> ExecutionRecord`` of the ``ok``/``unsupported``
+        # cells this runner executed under MODELED timing without a
+        # dataset, at most :data:`REUSE_LIMIT` (oldest evicted); later
+        # runs reuse them (each reuse gets a copy).
+        self._executed = {}
         #: The :data:`SUMMED_STATS` counters of :attr:`last_stats`,
         #: summed across every :meth:`run` call.
         self.total_stats = dict.fromkeys(SUMMED_STATS, 0)
@@ -685,8 +699,11 @@ class ExperimentRunner:
         manifest = self.manifest
         manifest_id = manifest.manifest_id() if manifest is not None else None
         # A stored record prices to exactly what a fresh run would only
-        # under MODELED timing.
-        dataset = self.dataset if self.harness.timing is TimingPolicy.MODELED else None
+        # under MODELED timing.  Without a dataset, the records this
+        # runner executed in earlier runs stand in for one.
+        modeled = self.harness.timing is TimingPolicy.MODELED
+        dataset = self.dataset if modeled else None
+        reuse = self._executed if modeled and dataset is None else None
 
         # Resolve each unique execution key once, in submission order,
         # into one telemetry row; repeats only count as ``submitted``.
@@ -730,10 +747,14 @@ class ExperimentRunner:
                 )
                 row["source"] = "static"
                 continue
-            record = dataset.record(row["cell_id"]) if dataset is not None else None
+            record = source = None
+            if dataset is not None:
+                record, source = dataset.record(row["cell_id"]), "dataset"
+            elif reuse is not None and row["cell_id"] in reuse:
+                record, source = reuse[row["cell_id"]].copy(), "reused"
             if record is not None:
                 records[key] = record
-                row["source"] = "dataset"
+                row["source"] = source
             else:
                 pending.append((key, spec))
 
@@ -747,6 +768,12 @@ class ExperimentRunner:
             stats["dataset_appended"] = dataset.store_records(
                 [(spec, records[key]) for key, spec in pending], manifest=manifest
             )
+        elif reuse is not None:
+            for key, _spec in pending:
+                if records[key].status in STORABLE_STATUSES:
+                    remember(
+                        reuse, rows[key]["cell_id"], records[key].copy(), REUSE_LIMIT
+                    )
 
         for key, row in rows.items():
             record = records[key]
@@ -759,6 +786,7 @@ class ExperimentRunner:
             unique=len(rows),
             static=sources.count("static"),
             from_dataset=sources.count("dataset"),
+            reused=sources.count("reused"),
             executed=len(pending),
             crashed=statuses.count("crashed"),
             timeout=statuses.count("timeout"),

@@ -36,10 +36,13 @@ write-once (:meth:`Dataset.append` links a complete file into place
 and nothing rewrites one), so an unchanged signature means unchanged
 content; a row removed, quarantined or cleared -- by this process or
 another -- fails the stat and misses exactly as an unmemoized read
-would, and a row written again gets a later mtime (rows younger than
-:data:`_RACY_NS` are never memoized, so a rewrite within the same
-timestamp tick cannot slip by).  Hit, miss and quarantine accounting
-is the same either way.
+would, and a row written again gets a later mtime.  A row younger
+than :data:`_RACY_NS` is memoized together with the bytes it was
+decoded from, and each later read re-reads the file and reuses the
+decoded row only if the bytes are unchanged, so a rewrite within the
+same timestamp tick cannot slip by; once the row is older, the
+signature alone is trusted.  Hit, miss and quarantine accounting is
+the same either way.
 Memoized rows are shared between callers: treat what ``get``/``rows``
 return as read-only (:meth:`Dataset.record` hands out a fresh
 :class:`~repro.core.harness.ExecutionRecord`).
@@ -49,7 +52,7 @@ import json
 import os
 import time
 
-from repro.core.harness import ExecutionRecord
+from repro.core.harness import STORABLE_STATUSES, ExecutionRecord
 from repro.core.suite import slugify
 from repro.exp.provenance import capture
 from repro.storage import DirectoryStore
@@ -71,17 +74,13 @@ _REQUIRED_KEYS = (
     "record",
 )
 
-#: Rows modified less than this long before they are read are not
-#: memoized: a row removed and re-appended within one file-system
-#: timestamp tick can get back the same inode, size and mtime, so only
-#: a row older than the coarsest common tick (2 s) has a signature
-#: that no later write can repeat.
+#: Rows modified less than this long before they are read are
+#: memoized with their bytes, which every later read compares: a row
+#: removed and re-appended within one file-system timestamp tick can
+#: get back the same inode, size and mtime, so only a row older than
+#: the coarsest common tick (2 s) has a signature that no later write
+#: can repeat.
 _RACY_NS = 2_000_000_000
-
-#: Statuses worth persisting: completed cells and known engine
-#: limitations.  Failures are transient by policy, so a failed cell
-#: re-executes instead of pinning the failure.
-STORABLE_STATUSES = ("ok", "unsupported")
 
 
 def make_row(spec, record, provenance=None, manifest=None):
@@ -128,20 +127,28 @@ class Dataset(DirectoryStore):
 
     def __init__(self, root):
         DirectoryStore.__init__(self, root)
-        #: ``path -> (stat signature, decoded row)``; see the module
-        #: docstring for why a matching signature is enough.
+        #: ``path -> (stat signature, decoded row, raw bytes or None)``;
+        #: see the module docstring for when a matching signature is
+        #: enough and when the bytes must match too.
         self._memo = {}
 
     def _read_entry(self, path):
         memo = self._memo.get(path)
-        if memo is not None and memo[0] == _signature(os.stat(path)):
-            return memo[1]
+        if memo is not None and memo[2] is None:
+            if memo[0] == _signature(os.stat(path)):
+                return memo[1]
         self._memo.pop(path, None)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             st = os.fstat(fh.fileno())
-            row = self._decode(json.load(fh))
-        if time.time_ns() - st.st_mtime_ns >= _RACY_NS:
-            self._memo[path] = (_signature(st), row)
+            data = fh.read()
+        if memo is not None and data == memo[2]:
+            # A young row read back unchanged: the bytes vouch for the
+            # decoded row where the signature alone could not.
+            row = memo[1]
+        else:
+            row = self._decode(json.loads(data.decode("utf-8")))
+        young = time.time_ns() - st.st_mtime_ns < _RACY_NS
+        self._memo[path] = (_signature(st), row, data if young else None)
         return row
 
     @staticmethod

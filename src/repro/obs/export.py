@@ -9,8 +9,9 @@ per line, so consumers can stream-filter with nothing smarter than
 - ``{"type": "job", ...}`` -- one line per unique cell, in
   first-submission order: benchmark/engine/arch/platform/iterations
   identity, final ``status`` and ``error``, ``source``
-  (``executed``/``dataset``/``static``), ``sources`` (how often each
-  source resolved the cell, when the rows span several runs),
+  (``executed``/``dataset``/``reused``/``static``), ``sources`` (how
+  often each source resolved the cell, when the rows span several
+  runs),
   ``submitted`` (the specs that shared the cell), ``wall_ns``/
   ``queue_wait_ns`` host timings,
   ``attempts``, and the join keys ``cell_id`` (the structural
@@ -102,6 +103,7 @@ def breakdown(jobs):
                 "jobs": 0,
                 "executed": 0,
                 "dataset": 0,
+                "reused": 0,
                 "static": 0,
                 "dedup": 0,
                 "failed": 0,
@@ -114,7 +116,7 @@ def breakdown(jobs):
         cell["jobs"] += submitted
         cell["dedup"] += submitted - sum(sources.values())
         for source, count in sources.items():
-            if source in ("executed", "dataset", "static"):
+            if source in ("executed", "dataset", "reused", "static"):
                 cell[source] += count
         if row.get("status") in ("error", "crashed", "timeout"):
             cell["failed"] += submitted
@@ -130,6 +132,7 @@ _COLUMNS = (
     ("jobs", "jobs"),
     ("executed", "exec"),
     ("dataset", "dataset"),
+    ("reused", "reused"),
     ("static", "static"),
     ("dedup", "dedup"),
     ("failed", "failed"),
@@ -149,6 +152,7 @@ def render_breakdown(rows):
                 "jobs": str(row["jobs"]),
                 "executed": str(row["executed"]),
                 "dataset": str(row["dataset"]),
+                "reused": str(row["reused"]),
                 "static": str(row["static"]),
                 "dedup": str(row["dedup"]),
                 "failed": str(row["failed"]),

@@ -1,6 +1,7 @@
 """Common simulator infrastructure: counters, cost models, interfaces."""
 
 import enum
+import types
 
 
 #: Every event class an engine may account.  Keeping the list in one
@@ -96,33 +97,54 @@ class CostModel:
     Unknown counters cost zero.  The model is deliberately linear: the
     *shape* of every reproduced figure comes from real event counts, the
     cost table only scales them into 'seconds'.
+
+    A model is read-only once built (``costs`` is a read-only view;
+    :meth:`scaled` and :meth:`with_overrides` return new models), so it
+    can flatten its table once: :meth:`evaluate` walks only the
+    non-zero ``(counter, cost)`` terms, in table order.  Skipping a
+    zero-cost term is exact: the running total starts at ``+0.0`` and
+    so is never ``-0.0``, and adding ``count * 0.0`` (``±0.0`` for an
+    integer count) to it leaves every bit unchanged.
     """
+
+    __slots__ = ("_costs", "_terms", "name")
 
     def __init__(self, costs, name="costs"):
         unknown = set(costs) - set(COUNTER_NAMES)
         if unknown:
             raise ValueError("unknown counters in cost model: %s" % sorted(unknown))
-        self.costs = dict(costs)
+        costs = dict(costs)
+        self._costs = types.MappingProxyType(costs)
+        self._terms = tuple((counter, cost) for counter, cost in costs.items() if cost)
         self.name = name
+
+    @property
+    def costs(self):
+        """The per-counter cost table (a read-only mapping)."""
+        return self._costs
+
+    def __reduce__(self):
+        return (type(self), (dict(self._costs), self.name))
 
     def evaluate(self, delta):
         """Return modeled nanoseconds for a counter-delta dict."""
         total = 0.0
-        for counter, cost in self.costs.items():
-            count = delta.get(counter, 0)
+        get = delta.get
+        for counter, cost in self._terms:
+            count = get(counter, 0)
             if count:
                 total += count * cost
         return total
 
     def scaled(self, factors):
         """A copy with per-counter multiplicative adjustments."""
-        costs = dict(self.costs)
+        costs = dict(self._costs)
         for counter, factor in factors.items():
             costs[counter] = costs.get(counter, 0.0) * factor
         return CostModel(costs, name=self.name)
 
     def with_overrides(self, overrides):
-        costs = dict(self.costs)
+        costs = dict(self._costs)
         costs.update(overrides)
         return CostModel(costs, name=self.name)
 

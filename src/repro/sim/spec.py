@@ -34,6 +34,8 @@ which engines exist: the simulator-class table, cost-model dispatch and
 CLI inventories are all derived from it.
 """
 
+import json
+
 from repro.sim.costs import (
     dbt_cost_model,
     detailed_cost_model,
@@ -163,6 +165,11 @@ class EngineSpec:
         object.__setattr__(
             self, "_structural_key", (cls.engine, _freeze(self.structural_values()))
         )
+        object.__setattr__(
+            self,
+            "_cache_key_token",
+            json.dumps(self.cache_key_payload(), sort_keys=True),
+        )
         object.__setattr__(self, "_cost_models", {})
 
     def __setattr__(self, name, value):
@@ -206,6 +213,15 @@ class EngineSpec:
     def cache_key_payload(self):
         """JSON-serializable identity for the on-disk result dataset."""
         return {"engine": self.engine, "structure": self.structural_values()}
+
+    def cache_key_token(self):
+        """:meth:`cache_key_payload` as canonical JSON text.
+
+        Computed once, when the spec is built.  Unlike
+        :meth:`structural_key`, it tells apart values that compare
+        equal but serialize differently (``True``/``1``/``1.0``), so it
+        can stand in for the payload in a memo of cell fingerprints."""
+        return self._cache_key_token
 
     def to_payload(self):
         """Lossless JSON-serializable form (see :meth:`from_payload`)."""
@@ -567,15 +583,25 @@ def spec_for(engine, **fields):
     return spec_class_for(engine)(**fields)
 
 
+#: ``registry name -> default spec``: built once per process, then
+#: shared by every caller (specs are immutable), so all the jobs of a
+#: grid that name an engine share its structural key, fingerprint
+#: token and cost models.
+_DEFAULT_SPECS = {}
+
+
 def as_engine_spec(engine):
     """Normalize an engine argument to an :class:`EngineSpec`.
 
     ``engine`` may already be a spec (returned unchanged) or a registry
-    name (its default spec).
+    name (its one shared default spec).
     """
     if isinstance(engine, EngineSpec):
         return engine
-    return spec_class_for(engine)()
+    spec = _DEFAULT_SPECS.get(engine)
+    if spec is None:
+        spec = _DEFAULT_SPECS[engine] = spec_class_for(engine)()
+    return spec
 
 
 def engines_for_arch(arch):

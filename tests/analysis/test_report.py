@@ -44,7 +44,14 @@ class TestReportFromDataset:
         from repro.exp import Dataset
 
         timestamp = "2026-07-06T00:00:00"
-        reference = generate_report(scale=0.05, timestamp=timestamp)
+        # Without a dataset the runner reuses what its earlier runs
+        # executed, so shared cells execute once there too.
+        plain = ExperimentRunner()
+        reference = generate_report(scale=0.05, timestamp=timestamp, runner=plain)
+        assert plain.total_stats["executed"] == 206
+        assert all(
+            cell["sources"].get("executed", 0) <= 1 for cell in plain.cells.values()
+        )
         texts = []
         executed = []
         for _ in range(2):

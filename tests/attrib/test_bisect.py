@@ -210,6 +210,22 @@ class TestDatasetReuse:
         assert warm.dataset_hits == warm.probes
         assert len(dataset.rows()) > 0
 
+    def test_datasetless_bisect_counts_reused_probes(self):
+        # Without a dataset the single structural group executes once
+        # and every later probe reuses that record; the verdict line
+        # accounts for every probe.
+        axis = step_axis(16, bad_from=9)
+        with modeled_runner() as runner:
+            result = run_bisect(runner, axis)
+        assert result.status == "found"
+        assert (result.executed_cells, result.dataset_hits) == (1, 0)
+        assert result.reused_cells == result.probes - 1
+        assert result.as_dict()["reused_cells"] == result.reused_cells
+        assert (
+            "executed cells: 1, reused cells: %d, dataset hits: 0"
+            % (result.probes - 1)
+        ) in result.summary()[-1]
+
     def test_warm_restart_resolves_across_processes(self, tmp_path):
         # A fresh runner over the same dataset directory -- the
         # "yesterday's probes" case -- still executes nothing.

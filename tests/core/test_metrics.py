@@ -417,9 +417,68 @@ class TestJobRows:
         assert [row["benchmark"] for row in runner.cells.values()] == [
             "System Call", "TLB Flush",
         ]
+        # Without a dataset the repeat reuses the record the first run
+        # executed: one more submission, no second attempt.
         again = runner.cells[runner.last_jobs[0]["cell_id"]]
-        assert (again["submitted"], again["attempts"]) == (2, 2)
-        assert again["wall_ns"] > runner.last_jobs[0]["wall_ns"] > 0
+        assert (again["submitted"], again["attempts"]) == (2, 1)
+        assert again["sources"] == {"executed": 1, "reused": 1}
+        assert again["wall_ns"] > runner.last_jobs[0]["wall_ns"] == 0
+
+    def test_repeated_failures_add_attempts_and_timings(self):
+        """A failed record is never reused, so each run of a crashing
+        cell executes it again and the cell's row adds up both."""
+        runner = ExperimentRunner()
+        for _ in range(2):
+            runner.run(_grid(CrashingBenchmark()))
+        [cell] = runner.cells.values()
+        assert (cell["submitted"], cell["attempts"]) == (2, 2)
+        assert cell["sources"] == {"executed": 2}
+        assert cell["wall_ns"] > runner.last_jobs[0]["wall_ns"] > 0
+
+    def test_reused_cells_count_under_their_own_source(self):
+        runner = ExperimentRunner()
+        bench = get_benchmark("System Call")
+        first = runner.run(_grid(bench))
+        second = runner.run(_grid(bench))
+        assert [r.kernel_ns for r in first] == [r.kernel_ns for r in second]
+        assert (runner.last_stats["executed"], runner.last_stats["reused"]) == (0, 1)
+        assert runner.total_stats["executed"] == 1
+        [row] = breakdown(runner.cells.values())
+        assert (row["jobs"], row["executed"], row["reused"], row["dedup"]) == (
+            2, 1, 1, 0,
+        )
+        assert "reused" in render_breakdown([row])
+
+    def test_reused_record_is_a_copy(self):
+        runner = ExperimentRunner()
+        bench = get_benchmark("System Call")
+        [first] = runner.run(_grid(bench))
+        first.kernel_delta["instructions"] = -1
+        [second] = runner.run(_grid(bench))
+        assert second.kernel_delta["instructions"] > 0
+        assert second.kernel_delta is not first.kernel_delta
+
+    def test_wallclock_runs_never_reuse(self):
+        runner = ExperimentRunner(harness=Harness(timing=TimingPolicy.WALLCLOCK))
+        bench = get_benchmark("System Call")
+        runner.run(_grid(bench))
+        runner.run(_grid(bench))
+        assert runner.total_stats["executed"] == 2
+        assert runner.total_stats["reused"] == 0
+
+    def test_reuse_store_is_bounded(self, monkeypatch):
+        """A long-lived dataset-less runner keeps at most
+        ``REUSE_LIMIT`` records; the oldest is evicted and re-executes."""
+        monkeypatch.setattr(runner_mod, "REUSE_LIMIT", 1)
+        runner = ExperimentRunner()
+        first, second = get_benchmark("System Call"), get_benchmark("TLB Flush")
+        runner.run(_grid(first))
+        runner.run(_grid(second))
+        assert len(runner._executed) == 1
+        runner.run(_grid(second))
+        assert runner.last_stats["reused"] == 1
+        runner.run(_grid(first))
+        assert (runner.last_stats["executed"], runner.last_stats["reused"]) == (1, 0)
 
     def test_pool_rows_report_pool_and_queue_wait(self):
         METRICS.enable()

@@ -157,6 +157,7 @@ class TestDeduplication:
             "unique": 2,
             "static": 0,
             "from_dataset": 0,
+            "reused": 0,
             "executed": 2,
             "dataset_appended": 0,
             "crashed": 0,

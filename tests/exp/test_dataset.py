@@ -163,7 +163,7 @@ class TestDataset:
 
 def aged(dataset, cell_id, seconds=60):
     """Backdate a row file's mtime, as for a row written in an earlier
-    run; rows younger than ``_RACY_NS`` are never memoized."""
+    run; a row younger than ``_RACY_NS`` is re-read on every probe."""
     stamp = time.time_ns() - seconds * 10**9
     os.utime(dataset._path(cell_id), ns=(stamp, stamp))
 
@@ -195,6 +195,48 @@ class TestRowMemo:
         refuse_open(monkeypatch)
         with pytest.raises(AssertionError, match="opened"):
             dataset.get(row["cell"])
+
+    def test_young_row_is_decoded_once(self, executed, tmp_path, monkeypatch):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        decodes = []
+        loads = json.loads
+
+        def counted_loads(*args, **kwargs):
+            decodes.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_module.json, "loads", counted_loads)
+        first = dataset.get(row["cell"])
+        for _ in range(4):
+            assert dataset.get(row["cell"]) is first
+        assert dataset.rows() == [first]
+        assert len(decodes) == 1
+        assert (dataset.hits, dataset.misses) == (5, 0)
+
+    def test_young_row_rewritten_in_place_is_decoded_again(self, executed, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        row = row_for(executed)
+        dataset.append(row)
+        path = dataset._path(row["cell"])
+        assert dataset.get(row["cell"])["manifest"] == "m" * 64
+        # Same inode, same size and, once restored, the same mtime: the
+        # stat signature cannot tell this write from the first one.
+        st = os.stat(path)
+        with open(path, "r+b") as fh:
+            data = fh.read().replace(b"m" * 64, b"n" * 64)
+            fh.seek(0)
+            fh.write(data)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            st.st_ino,
+            st.st_size,
+            st.st_mtime_ns,
+        )
+        assert dataset.get(row["cell"])["manifest"] == "n" * 64
+        assert dataset.rows()[0]["manifest"] == "n" * 64
 
     def test_row_removed_by_another_handle_misses(self, executed, tmp_path):
         dataset = Dataset(tmp_path / "ds")
