@@ -506,10 +506,11 @@ class ExperimentRunner:
         run and kept warm across :meth:`run` calls until :meth:`close`
         (or garbage collection), so repeat grids reuse built programs,
         translation memos and the open code store.  Every run ships
-        work in a few chunks per worker, ``ceil(pending / (4 *
-        workers))`` jobs each; chunks never mix engine structural keys
-        -- each chunk is homogeneous, for DBT-memoization and
-        code-store locality inside the worker.
+        work in chunks of ``ceil(remaining / (2 * workers))`` jobs,
+        ``remaining`` counting the jobs not yet chunked, so the last
+        chunks are small; chunks never mix engine structural keys --
+        each chunk is homogeneous, for DBT-memoization and code-store
+        locality inside the worker.
     dataset:
         Optional :class:`~repro.exp.dataset.Dataset` to resolve cells
         from and append executed cells to (MODELED timing only).  A
@@ -853,11 +854,12 @@ class ExperimentRunner:
 
     # -- chunk planning ------------------------------------------------
     @staticmethod
-    def _chunk_size(pending_count, workers):
-        """Jobs per chunk for this run: a few chunks per worker for load
-        balance, ``ceil(pending / (4 * workers))`` -- never more than an
-        even share of the grid, so every worker gets work."""
-        return max(1, -(-pending_count // (workers * 4)))
+    def _chunk_size(remaining, workers):
+        """Jobs in the next chunk while ``remaining`` jobs are still
+        unplanned: ``ceil(remaining / (2 * workers))``.  Chunks shrink
+        towards the end of the grid, so a slow chunk submitted last
+        leaves the other workers little to wait for."""
+        return max(1, -(-remaining // (workers * 2)))
 
     def _plan_chunks(self, specs):
         """Shard pending specs into chunks of indices.
@@ -866,26 +868,25 @@ class ExperimentRunner:
         order), then each group is cut into chunks -- a chunk never
         mixes structural keys, so whichever worker picks it up runs a
         homogeneous batch with maximal DBT-memoization and code-store
-        locality.  Chunk order preserves submission order within and
+        locality.  Each chunk is sized by :meth:`_chunk_size` from the
+        jobs not yet planned; ``last_stats["chunk_size"]`` reports the
+        largest.  Chunk order preserves submission order within and
         across groups, and the parent harvests in submission order, so
         the merge stays deterministic."""
         workers = min(self.jobs, len(specs))
-        size = self._chunk_size(len(specs), workers)
-        self.last_stats["chunk_size"] = size
         groups = {}
-        order = []
         for index, spec in enumerate(specs):
-            key = spec.structural_key()
-            members = groups.get(key)
-            if members is None:
-                members = groups[key] = []
-                order.append(key)
-            members.append(index)
+            groups.setdefault(spec.structural_key(), []).append(index)
         chunks = []
-        for key in order:
-            members = groups[key]
-            for start in range(0, len(members), size):
+        remaining = len(specs)
+        for members in groups.values():
+            start = 0
+            while start < len(members):
+                size = self._chunk_size(remaining, workers)
                 chunks.append(members[start : start + size])
+                start += size
+                remaining -= len(chunks[-1])
+        self.last_stats["chunk_size"] = max(map(len, chunks))
         return chunks
 
     def _chunk_blob(self, chunk_specs):

@@ -7,11 +7,14 @@ base offset so translated code can index it directly (this is how the
 DBT engine's softmmu avoids a bus lookup per access).
 
 RAM is a private anonymous ``mmap``: the host kernel supplies zero pages
-on first touch, so a board costs only the pages its guest uses.
+on first touch, so a board costs only the pages its guest uses.  Guest
+memory is little-endian and is read through a native ``uint32`` view of
+that buffer, so the host must be little-endian too.
 """
 
 import bisect
 import mmap
+import sys
 
 from repro.errors import BusError, MachineError
 
@@ -19,21 +22,31 @@ from repro.errors import BusError, MachineError
 class RamRegion:
     """A contiguous RAM region backed by a private anonymous ``mmap``.
 
-    ``data`` supports ``len``, indexing, slice reads (which return
-    ``bytes``) and same-length slice writes; it cannot be resized, so a
-    slice write past the end raises instead of growing the region.
-    ``MAP_PRIVATE`` keeps the pages copy-on-write across ``fork``: a
-    forked worker's stores never reach its parent's board.
+    ``data`` supports ``len``, indexing (one byte as an ``int``), slice
+    reads (which return ``bytes``) and same-length slice writes; it
+    cannot be resized, so a slice write past the end raises instead of
+    growing the region.  ``words`` is one native ``uint32`` view of the
+    same buffer, built once: the aligned word at byte offset ``off`` is
+    ``words[off >> 2]``, read and written without a slice or a
+    conversion.  Words at an unaligned offset go through ``data``
+    slices.  The view is the guest's little-endian word only on a
+    little-endian host, so a big-endian host raises
+    :class:`~repro.errors.MachineError` here.  ``MAP_PRIVATE`` keeps
+    the pages copy-on-write across ``fork``: a forked worker's stores
+    never reach its parent's board.
     """
 
-    __slots__ = ("base", "size", "data")
+    __slots__ = ("base", "size", "data", "words")
 
     def __init__(self, base, size):
         if base % 4096 or size % 4096:
             raise MachineError("RAM regions must be page aligned")
+        if sys.byteorder != "little":
+            raise MachineError("guest RAM needs a little-endian host")
         self.base = base
         self.size = size
         self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        self.words = memoryview(self.data).cast("I")
 
     @property
     def end(self):
@@ -150,9 +163,19 @@ class PhysicalMemory:
         raise BusError(paddr, "write")
 
     def read32(self, paddr):
+        region = self.find_ram(paddr, 4)
+        if region is not None and not paddr & 3:
+            return region.words[(paddr - region.base) >> 2]
         return self.read(paddr, 4)
 
     def write32(self, paddr, value):
+        region = self.find_ram(paddr, 4)
+        if region is not None and not paddr & 3:
+            region.words[(paddr - region.base) >> 2] = value & 0xFFFFFFFF
+            hook = self.on_ram_write
+            if hook is not None:
+                hook(paddr >> 12)
+            return
         self.write(paddr, value, 4)
 
     def read8(self, paddr):

@@ -72,7 +72,11 @@ class CodeStore(DirectoryStore):
 #: never loaded.
 #:
 #: 2: LDR/STR/LDRB/STRB probe the softmmu TLB slot inline.
-CODEGEN_VERSION = 2
+#: 3: the hit path reads the slot's word view, the softmmu state sits
+#:    in block locals, flags are written and tested inline, counters
+#:    are flushed statically and the fallback helpers are
+#:    ``mem_read``/``mem_write``.
+CODEGEN_VERSION = 3
 
 
 def block_key(translation_key, vaddr, word_bytes):

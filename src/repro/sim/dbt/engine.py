@@ -60,12 +60,14 @@ class DBTSimulator(Simulator):
         self._exec_pages = set()
         tlb_size = 1 << self.spec.tlb_bits
         #: Direct-mapped softmmu slots, ``None`` or ``(key, hit_mask,
-        #: data, offset, ppn, perms)``: ``key`` is the vpage plus ASID
-        #: tag, ``perms`` the mapping's
+        #: data, offset, ppn, perms, words)``: ``key`` is the vpage plus
+        #: ASID tag, ``perms`` the mapping's
         #: :meth:`~repro.machine.mmu.TranslationResult.perm_mask` and
         #: ``ppn`` its physical page number.  RAM pages carry the
-        #: region's buffer and the page's offset in it, and
-        #: ``hit_mask == perms``; device pages carry ``None`` and a
+        #: region's byte buffer, the page's offset in it, the page's
+        #: 1024-word window of the region's word view (aligned word
+        #: ``w`` of the page is ``words[w]``), and ``hit_mask ==
+        #: perms``; device pages carry ``None`` buffers and a
         #: ``hit_mask`` of 0, so translated code's inline hit path
         #: (which tests ``hit_mask``) always falls back to a helper.
         self._tlb = [None] * tlb_size
@@ -148,11 +150,13 @@ class DBTSimulator(Simulator):
         ppn = entry.ppage >> PAGE_SHIFT
         region = self._memory.find_ram(entry.ppage, 1)
         if region is not None:
-            slot = (key, perms, region.data, entry.ppage - region.base, ppn, perms)
+            offset = entry.ppage - region.base
+            words = region.words[offset >> 2 : (offset >> 2) + 1024]
+            slot = (key, perms, region.data, offset, ppn, perms, words)
         else:
             # Device page: an inline mask of 0 sends every translated
             # access to the helper, which performs the MMIO.
-            slot = (key, 0, None, 0, ppn, perms)
+            slot = (key, 0, None, 0, ppn, perms, None)
         index = (vaddr >> PAGE_SHIFT) & self._tlb_mask
         old = self._tlb[index]
         if old is not None and old[0] != slot[0]:
@@ -192,13 +196,23 @@ class DBTSimulator(Simulator):
             data = slot[2]
             if data is not None:
                 off = slot[3] + (vaddr & 0xFFF)
-                return int.from_bytes(data[off : off + size], "little")
+                if size == 1:
+                    return data[off]
+                if vaddr & 3:
+                    if off + 4 > len(data):  # spills past the region
+                        raise Fault(FaultType.BUS, vaddr, AccessType.READ)
+                    return int.from_bytes(data[off : off + 4], "little")
+                return slot[6][(vaddr & 0xFFF) >> 2]
             return self._device_read(slot[4] << PAGE_SHIFT | (vaddr & 0xFFF), size, vaddr)
         # MMU off: physical access.
         region = self._memory.find_ram(vaddr, size)
         if region is not None:
             off = vaddr - region.base
-            return int.from_bytes(region.data[off : off + size], "little")
+            if size == 1:
+                return region.data[off]
+            if off & 3:
+                return int.from_bytes(region.data[off : off + 4], "little")
+            return region.words[off >> 2]
         return self._device_read(vaddr, size, vaddr)
 
     def _write(self, vaddr, value, size, kernel):
@@ -207,9 +221,14 @@ class DBTSimulator(Simulator):
             data = slot[2]
             if data is not None:
                 off = slot[3] + (vaddr & 0xFFF)
-                data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                    size, "little"
-                )
+                if size == 1:
+                    data[off] = value & 0xFF
+                elif vaddr & 3:
+                    if off + 4 > len(data):  # spills past the region
+                        raise Fault(FaultType.BUS, vaddr, AccessType.WRITE)
+                    data[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+                else:
+                    slot[6][(vaddr & 0xFFF) >> 2] = value & 0xFFFFFFFF
                 ppage = slot[4]
                 if ppage in self._exec_pages:
                     self.counters.code_writes += 1
@@ -221,9 +240,12 @@ class DBTSimulator(Simulator):
         region = self._memory.find_ram(vaddr, size)
         if region is not None:
             off = vaddr - region.base
-            region.data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                size, "little"
-            )
+            if size == 1:
+                region.data[off] = value & 0xFF
+            elif off & 3:
+                region.data[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+            else:
+                region.words[off >> 2] = value & 0xFFFFFFFF
             ppage = vaddr >> PAGE_SHIFT
             if ppage in self._exec_pages:
                 self.counters.code_writes += 1
@@ -238,21 +260,46 @@ class DBTSimulator(Simulator):
         self._tcache.invalidate_page(ppage)
 
     # -- helpers called from generated code -------------------------------
-    def mem_read32(self, vaddr):
-        self.counters.loads += 1
-        return self._read(vaddr, 4, self.cpu.psr & PSR_MODE_KERNEL)
+    def mem_read(self, vaddr, size, fault_state, pending):
+        """The fallback of an inline LDR/LDRB hit path.
 
-    def mem_read8(self, vaddr):
-        self.counters.loads += 1
-        return self._read(vaddr, 1, self.cpu.psr & PSR_MODE_KERNEL)
+        Translated code counts its accesses as TLB hits and flushes
+        them with its instructions at the next helper call or block
+        exit.  ``pending`` is ``(instructions, loads, stores,
+        tlb_hits)`` the block has not flushed before this access, so
+        the counters are exact while the access walks, faults or
+        reaches a device; afterwards they drop back by ``pending`` plus
+        this access's assumed hit, which the block flushes later.
+        """
+        counters = self.counters
+        insns, loads, stores, hits = pending
+        counters.instructions += insns
+        counters.loads += loads + 1
+        counters.stores += stores
+        counters.tlb_hits += hits
+        self.fault_state = fault_state
+        value = self._read(vaddr, size, self.cpu.psr & PSR_MODE_KERNEL)
+        counters.instructions -= insns
+        counters.loads -= loads + 1
+        counters.stores -= stores
+        counters.tlb_hits -= hits + 1
+        return value
 
-    def mem_write32(self, vaddr, value):
-        self.counters.stores += 1
-        self._write(vaddr, value, 4, self.cpu.psr & PSR_MODE_KERNEL)
-
-    def mem_write8(self, vaddr, value):
-        self.counters.stores += 1
-        self._write(vaddr, value, 1, self.cpu.psr & PSR_MODE_KERNEL)
+    def mem_write(self, vaddr, value, size, fault_state, pending):
+        """The fallback of an inline STR/STRB hit path; see
+        :meth:`mem_read`."""
+        counters = self.counters
+        insns, loads, stores, hits = pending
+        counters.instructions += insns
+        counters.loads += loads
+        counters.stores += stores + 1
+        counters.tlb_hits += hits
+        self.fault_state = fault_state
+        self._write(vaddr, value, size, self.cpu.psr & PSR_MODE_KERNEL)
+        counters.instructions -= insns
+        counters.loads -= loads
+        counters.stores -= stores + 1
+        counters.tlb_hits -= hits + 1
 
     def mem_read32_user(self, vaddr):
         self.counters.loads += 1
@@ -416,8 +463,9 @@ class DBTSimulator(Simulator):
             try:
                 res = block.fn(self)
             except Fault as fault:
-                # The faulting instruction was accounted inline before
-                # its helper call, so no instruction adjustment here.
+                # The block flushed its counts, the faulting
+                # instruction's included, before (or into) the helper
+                # that raised, so no adjustment here.
                 if METRICS.enabled:
                     METRICS.inc("dbt.side_exits")
                 counters.data_aborts += 1

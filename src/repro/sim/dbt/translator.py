@@ -31,28 +31,69 @@ from repro.sim.dbt.passes import run_pipeline
 MASK = "4294967295"
 PAGE_SHIFT = 12
 
-#: Inline branch-condition expressions over ``_x``/``_y`` (the latched
-#: unsigned 32-bit CMP operands), equivalent to ``set_flags_sub(x, y)``
-#: followed by ``condition_holds(cond)``.  Signed comparisons bias both
-#: sides by 2**31; MI/PL test bit 31 of the difference (Python ints are
-#: two's-complement under ``&``).
+#: Inline branch-condition expressions over ``_x`` and ``{y}`` (the
+#: latched unsigned 32-bit CMP operands; ``{y}`` is ``_y`` or a
+#: literal), equivalent to ``set_flags_sub(x, y)`` followed by
+#: ``condition_holds(cond)``.  Signed comparisons bias both sides by
+#: 2**31; MI/PL test bit 31 of the masked difference ``_d``.
 _COND_EXPR = {
-    1: "_x == _y",  # EQ: Z
-    2: "_x != _y",  # NE: !Z
-    3: "(_x ^ 2147483648) < (_y ^ 2147483648)",  # LT: N != V
-    4: "(_x ^ 2147483648) >= (_y ^ 2147483648)",  # GE: N == V
-    5: "(_x ^ 2147483648) <= (_y ^ 2147483648)",  # LE: Z or N != V
-    6: "(_x ^ 2147483648) > (_y ^ 2147483648)",  # GT: !Z and N == V
-    7: "_x < _y",  # LO: !C
-    8: "_x >= _y",  # HS: C
-    9: "(_x - _y) & 2147483648",  # MI: N
-    10: "not (_x - _y) & 2147483648",  # PL: !N
+    1: "_x == {y}",  # EQ: Z
+    2: "_x != {y}",  # NE: !Z
+    3: "(_x ^ 2147483648) < ({y} ^ 2147483648)",  # LT: N != V
+    4: "(_x ^ 2147483648) >= ({y} ^ 2147483648)",  # GE: N == V
+    5: "(_x ^ 2147483648) <= ({y} ^ 2147483648)",  # LE: Z or N != V
+    6: "(_x ^ 2147483648) > ({y} ^ 2147483648)",  # GT: !Z and N == V
+    7: "_x < {y}",  # LO: !C
+    8: "_x >= {y}",  # HS: C
+    9: "_d & 2147483648",  # MI: N
+    10: "not _d & 2147483648",  # PL: !N
 }
 
+
+#: Inline branch conditions over the flags in ``cpu.psr`` (``{f}``),
+#: equivalent to ``condition_holds(cond)``: Z is bit 30, C bit 29, N
+#: bit 31 and V bit 28, so ``f ^ f << 3`` holds N != V in bit 31.
+_PSR_COND = {
+    1: "{f} & 1073741824",  # EQ: Z
+    2: "not {f} & 1073741824",  # NE: !Z
+    3: "({f} ^ {f} << 3) & 2147483648",  # LT: N != V
+    4: "not ({f} ^ {f} << 3) & 2147483648",  # GE: N == V
+    5: "{f} & 1073741824 or ({f} ^ {f} << 3) & 2147483648",  # LE
+    6: "not {f} & 1073741824 and not ({f} ^ {f} << 3) & 2147483648",  # GT
+    7: "not {f} & 536870912",  # LO: !C
+    8: "{f} & 536870912",  # HS: C
+    9: "{f} & 2147483648",  # MI: N
+    10: "not {f} & 2147483648",  # PL: !N
+}
+
+#: NZCV of ``_x - {y}`` (``_d``, masked) written into ``cpu.psr``,
+#: equivalent to ``set_flags_sub(x, y)``: N is bit 31 of ``_d``, Z its
+#: zero test, C the unsigned ``_x >= {y}`` and V the signed overflow
+#: (bit 31 of ``(_x ^ {y}) & (_x ^ _d)``) moved to bit 28.
+_SET_NZCV = (
+    "cpu.psr = cpu.psr & 268435455 | _d & 2147483648 | (not _d) << 30"
+    " | (_x >= {y}) << 29 | ((_x ^ {y}) & (_x ^ _d) & 2147483648) >> 3"
+)
 
 #: Accesses whose softmmu TLB hit is emitted inline; the unprivileged
 #: LDRT/STRT always call their helpers.
 _SOFTMMU_INLINE = frozenset((Op.LDR, Op.STR, Op.LDRB, Op.STRB))
+
+#: Engine state the inline hit path reads, loaded into locals once per
+#: block.  ``_rk``/``_wk`` are the slot-mask bits a load/store needs
+#: (``access << 1 | kernel``, see ``DBTSimulator._tlb``), or 0 while the
+#: MMU is off, which sends every access to its helper.  An MCR can
+#: flush the array, switch the ASID or turn the MMU off, so the locals
+#: are reloaded after every helper a block calls unconditionally (MRC,
+#: MCR, LDRT, STRT).  The softmmu fallbacks only refill a slot in
+#: place, and the mode changes only at block-ending instructions.
+_HOIST_LOADS = (
+    "_tlb = s._tlb",
+    "_tm = s._tlb_mask",
+    "_at = s._asid_tag",
+    "_rk = (s._cp15.sctlr & 1) << (cpu.psr & 1)",
+)
+_HOIST_STORES = ("_wk = _rk << 2", "_xp = s._exec_pages")
 
 
 class _MemoEntry:
@@ -143,20 +184,43 @@ class TranslationMemo:
 TRANSLATION_MEMO = TranslationMemo()
 
 
+#: The counters an inline softmmu hit would bump, in the order of the
+#: ``pending`` tuple its fallback helper takes.
+_ACCESS_COUNTERS = ("loads", "stores", "tlb_hits")
+
+
 class _EmitCtx:
     """Per-lowering emission state.
 
     ``accounted`` is the number of instructions already covered by an
-    emitted ``c.instructions`` increment.  A fresh context per
+    emitted ``c.instructions`` increment, and ``pending`` the accesses
+    counted since the last flush (``loads``/``stores``/``tlb_hits``,
+    each inline access counted as a hit).  A fresh context per
     ``_generate`` call keeps the translator reentrant (no mutable
     instance state threads across emitter calls) and makes the
     incremental-accounting invariant explicit.
     """
 
-    __slots__ = ("accounted",)
+    __slots__ = ("accounted", "pending", "hoisted", "last_inline")
 
-    def __init__(self):
+    def __init__(self, nodes):
         self.accounted = 0
+        self.pending = dict.fromkeys(_ACCESS_COUNTERS, 0)
+        #: Index of the last inline softmmu access (-1: none), and the
+        #: prologue lines that load what the hit paths read.
+        inline = [node.idx for node in nodes if node.op in _SOFTMMU_INLINE]
+        self.last_inline = inline[-1] if inline else -1
+        stores = any(node.op in (Op.STR, Op.STRB) for node in nodes)
+        if not inline:
+            self.hoisted = ()
+        else:
+            self.hoisted = _HOIST_LOADS + (_HOIST_STORES if stores else ())
+
+    def reload(self, body, idx):
+        """Re-read the hoisted state after the helper of node ``idx``
+        when an inline access follows it."""
+        if self.last_inline > idx:
+            body.extend(self.hoisted)
 
 
 class Translator:
@@ -277,12 +341,13 @@ class Translator:
             "        r = cpu.regs",
             "        c = s.counters",
         ]
-        body = []
-        # Instructions are accounted incrementally: before every helper
-        # call that might fault or touch a device (so counters are exact
-        # at side exits and at device-observed snapshot points), and the
-        # remainder at the terminal.
-        ctx = _EmitCtx()
+        # Instructions and inline accesses are counted statically and
+        # flushed before every helper call that might fault or touch a
+        # device (so counters are exact at side exits and at
+        # device-observed snapshot points), and the remainder at each
+        # block exit.
+        ctx = _EmitCtx(nodes)
+        body = list(ctx.hoisted)
         for node in nodes:
             if node.terminal:
                 self._emit_terminal(ctx, body, node)
@@ -291,7 +356,7 @@ class Translator:
         else:
             # Fall off the end of the block (length/page limit).
             last_pc = nodes[-1].pc
-            self._emit_account(ctx, body, len(nodes))
+            self._emit_flush(ctx, body, len(nodes))
             body.append("cpu.pc = %d" % (last_pc + 4))
             self._emit_chain_exit(body, last_pc, last_pc + 4, slot=0)
         lines.extend("        " + line for line in body)
@@ -299,13 +364,18 @@ class Translator:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def _emit_account(ctx, body, through):
-        """Emit 'instructions += k' covering insns up to index ``through``
-        (exclusive count), relative to what is already accounted."""
+    def _emit_flush(ctx, body, through):
+        """Emit the increments covering insns up to index ``through``
+        (exclusive count) and the pending accesses, relative to what is
+        already flushed."""
         pending = through - ctx.accounted
         if pending > 0:
             body.append("c.instructions += %d" % pending)
             ctx.accounted = through
+        for name, count in ctx.pending.items():
+            if count:
+                body.append("c.%s += %d" % (name, count))
+                ctx.pending[name] = 0
 
     @staticmethod
     def _rx(node, reg):
@@ -313,6 +383,13 @@ class Translator:
         pass proved its value, else the register read."""
         value = node.sub(reg)
         return "r[%d]" % reg if value is None else str(value)
+
+    @staticmethod
+    def _cmp_rhs(node):
+        """The second operand of a CMP/CMPI node: a literal when it is
+        known, else ``_y`` (which the CMP's emission assigns)."""
+        value = node.imm if node.op == Op.CMPI else node.sub(node.rm)
+        return "_y" if value is None else str(value)
 
     def _addr_expr(self, node):
         """The memory-address expression for a load/store node."""
@@ -347,28 +424,27 @@ class Translator:
             body.append("r[%d] = _a" % rd)
             return
         if op in MEM_OPS:
-            self._emit_account(ctx, body, node.idx + 1)
             if op in _SOFTMMU_INLINE:
-                self._emit_softmmu(body, node)
+                self._emit_softmmu(ctx, body, node)
                 return
+            self._emit_flush(ctx, body, node.idx + 1)
             body.append("s.fault_state = (%d, %d)" % (node.pc, node.idx))
             addr = self._addr_expr(node)
             if op == Op.LDRT:
                 body.append("r[%d] = s.mem_read32_user(%s)" % (rd, addr))
             else:  # STRT
                 body.append("s.mem_write32_user(%s, %s)" % (addr, self._rx(node, rd)))
+            ctx.reload(body, node.idx)
             return
         if op in (Op.CMP, Op.CMPI):
-            x = self._rx(node, rn)
-            y = str(imm) if op == Op.CMPI else self._rx(node, rm)
-            if node.fuse_branch:
-                # The following branch tests _x/_y directly; flags are
-                # still set because they are live-out through it.
-                body.append("_x = %s" % x)
-                body.append("_y = %s" % y)
-                body.append("cpu.set_flags_sub(_x, _y)")
-            else:
-                body.append("cpu.set_flags_sub(%s, %s)" % (x, y))
+            # A fused branch tests _x/_y directly; flags are still set
+            # because they are live-out through it.
+            body.append("_x = %s" % self._rx(node, rn))
+            y = self._cmp_rhs(node)
+            if y == "_y":
+                body.append("_y = r[%d]" % rm)
+            body.append("_d = (_x - %s) & %s" % (y, MASK))
+            body.append(_SET_NZCV.format(y=y))
             return
         a = self._rx(node, rn)
         b = self._rx(node, rm)
@@ -437,65 +513,65 @@ class Translator:
         elif op == Op.MOVT:
             body.append("r[%d] = (r[%d] & 65535) | %d" % (rd, rd, imm << 16))
         elif op == Op.MRC:
-            self._emit_account(ctx, body, node.idx + 1)
+            self._emit_flush(ctx, body, node.idx + 1)
             body.append("s.fault_state = (%d, %d)" % (node.pc, node.idx))
             body.append("r[%d] = s.cop_read(%d, %d)" % (rd, rn, imm & 0xFF))
+            ctx.reload(body, node.idx)
         elif op == Op.MCR:
-            self._emit_account(ctx, body, node.idx + 1)
+            self._emit_flush(ctx, body, node.idx + 1)
             body.append("s.fault_state = (%d, %d)" % (node.pc, node.idx))
             body.append("s.cop_write(%d, %d, %s)" % (rn, imm & 0xFF, self._rx(node, rd)))
+            ctx.reload(body, node.idx)
         else:  # pragma: no cover - terminals handled elsewhere
             raise AssertionError("unexpected op in straight-line emitter: %r" % op)
 
-    def _emit_softmmu(self, body, node):
+    def _emit_softmmu(self, ctx, body, node):
         """Emit an LDR/STR/LDRB/STRB whose softmmu hit runs inline.
 
         The hit path probes the engine's direct-mapped TLB slot and
-        touches the RAM buffer itself, counting exactly what the helper
-        counts on a hit.  Anything else -- a miss, the MMU off, a device
-        page, a permission the slot's mask does not grant, or a store
-        to a page that has held translated code -- calls the helper,
-        which does its own counting, faulting and SMC invalidation.
-        A hit cannot fault, so only the fallback records
-        ``fault_state``.
+        touches the RAM buffer itself; it counts nothing, because the
+        access is added to ``ctx.pending`` as a hit.  Anything else --
+        a miss, the MMU off, a device page, a permission the slot's
+        mask does not grant, an unaligned word, or a store to a page
+        that has held translated code -- calls the helper with the
+        counts not yet flushed, so it counts, faults and invalidates
+        translated code exactly (see ``DBTSimulator.mem_read``).  A
+        hit cannot fault, so only the fallback records ``fault_state``.
         """
         op, rd = node.op, node.rd
         store = op in (Op.STR, Op.STRB)
+        size = 4 if op in (Op.LDR, Op.STR) else 1
         body.append("_v = %s" % self._addr_expr(node))
-        body.append("_e = s._tlb[(_v >> 12) & s._tlb_mask]")
-        # Slot mask bit ``access << 1 | kernel`` (see DBTSimulator._tlb).
-        perm = "(2 | cpu.psr & 1)" if store else "(cpu.psr & 1)"
-        hit = (
-            "_e is not None and _e[0] == (_v >> 12) | s._asid_tag"
-            " and _e[1] >> %s & 1 and s._cp15.sctlr & 1" % perm
+        body.append("_e = _tlb[_v >> 12 & _tm]")
+        hit = "_e is not None and _e[0] == _v >> 12 | _at and _e[1] & %s" % (
+            "_wk" if store else "_rk"
         )
         if store:
-            hit += " and _e[4] not in s._exec_pages"
+            hit += " and _e[4] not in _xp"
+        if size == 4:
+            # Unaligned words take the helper, which slices the bytes.
+            hit += " and not _v & 3"
         body.append("if %s:" % hit)
-        body.append("    c.%s += 1" % ("stores" if store else "loads"))
-        body.append("    c.tlb_hits += 1")
-        body.append("    _o = _e[3] + (_v & 4095)")
         value = node.sub(rd)
         if op == Op.LDR:
-            body.append('    r[%d] = int.from_bytes(_e[2][_o:_o + 4], "little")' % rd)
-            fallback = "r[%d] = s.mem_read32(_v)" % rd
+            body.append("    r[%d] = _e[6][(_v & 4095) >> 2]" % rd)
         elif op == Op.LDRB:
-            body.append("    r[%d] = _e[2][_o]" % rd)
-            fallback = "r[%d] = s.mem_read8(_v)" % rd
+            body.append("    r[%d] = _e[2][_e[3] + (_v & 4095)]" % rd)
         elif op == Op.STR:
-            if value is None:
-                data = 'r[%d].to_bytes(4, "little")' % rd
-            else:
-                data = repr((value & 0xFFFFFFFF).to_bytes(4, "little"))
-            body.append("    _e[2][_o:_o + 4] = %s" % data)
-            fallback = "s.mem_write32(_v, %s)" % self._rx(node, rd)
+            data = self._rx(node, rd)
+            body.append("    _e[6][(_v & 4095) >> 2] = %s" % data)
         else:  # STRB
             data = "r[%d] & 255" % rd if value is None else str(value & 255)
-            body.append("    _e[2][_o] = %s" % data)
-            fallback = "s.mem_write8(_v, %s)" % data
+            body.append("    _e[2][_e[3] + (_v & 4095)] = %s" % data)
+        pending = (node.idx + 1 - ctx.accounted,) + tuple(ctx.pending.values())
+        where = "(%d, %d), %r" % (node.pc, node.idx, pending)
         body.append("else:")
-        body.append("    s.fault_state = (%d, %d)" % (node.pc, node.idx))
-        body.append("    " + fallback)
+        if store:
+            body.append("    s.mem_write(_v, %s, %d, %s)" % (data, size, where))
+        else:
+            body.append("    r[%d] = s.mem_read(_v, %d, %s)" % (rd, size, where))
+        ctx.pending["stores" if store else "loads"] += 1
+        ctx.pending["tlb_hits"] += 1
 
     # -- terminals ---------------------------------------------------------
     def _chainable(self, from_pc, to_pc):
@@ -527,7 +603,7 @@ class Translator:
         op = node.op
         pc = node.pc
         next_pc = pc + 4
-        self._emit_account(ctx, body, node.idx + 1)
+        self._emit_flush(ctx, body, node.idx + 1)
         if op in (Op.B, Op.BL):
             target = (pc + 4 + 4 * node.imm) & 0xFFFFFFFF
             taken = []
@@ -540,10 +616,14 @@ class Translator:
             if node.cond == 0:
                 body.extend(taken)
                 return
-            if node.fused_cmp is not None and node.cond in _COND_EXPR:
-                body.append("if %s:" % _COND_EXPR[node.cond])
+            if node.fused_cmp is not None:
+                rhs = self._cmp_rhs(node.fused_cmp)
+                body.append("if %s:" % _COND_EXPR[node.cond].format(y=rhs))
+            elif "{f} ^" in _PSR_COND[node.cond]:
+                body.append("_f = cpu.psr")
+                body.append("if %s:" % _PSR_COND[node.cond].format(f="_f"))
             else:
-                body.append("if cpu.condition_holds(%d):" % node.cond)
+                body.append("if %s:" % _PSR_COND[node.cond].format(f="cpu.psr"))
             body.extend("    " + line for line in taken)
             body.append("c.branches_not_taken += 1")
             body.append("cpu.pc = %d" % next_pc)

@@ -100,14 +100,18 @@ class FunctionalCore(Simulator):
         #: Code Generation benchmarks.
         self._exec_pages = set()
         #: Last-page fetch fast path: ``(vpage, kernel, mmu_on, data,
-        #: page_off, ppage)`` for the most recently fetched code page.
-        #: ``data``/``page_off`` index the page's RAM region directly.
+        #: page_off, ppage, words)`` for the most recently fetched code
+        #: page.  ``data``/``words``/``page_off`` index the page's RAM
+        #: region directly: an aligned word at region offset ``off`` is
+        #: ``words[off >> 2]``, anything else a ``data`` slice or byte
+        #: (see :class:`~repro.machine.memory.RamRegion`).
         #: Invalidated on TLB maintenance and address-space switches;
         #: SCTLR.M and the privilege mode are part of the key, so mode
         #: or translation-regime changes miss naturally.
         self._fetch_state = None
         #: Last-page *data* fast path, mirroring the fetch one:
-        #: ``(vpage, sctlr_bit, perms_or_None, data, page_off, ppage)``.
+        #: ``(vpage, sctlr_bit, perms_or_None, data, page_off, ppage,
+        #: words)``.
         #: ``perms`` is the live data-TLB entry's
         #: :meth:`~repro.machine.mmu.TranslationResult.perm_mask` when
         #: the MMU was on at arm time (each access tests its bit,
@@ -252,6 +256,7 @@ class FunctionalCore(Simulator):
             region.data,
             page_base - region.base,
             paddr >> PAGE_SHIFT,
+            region.words,
         )
 
     def _mem_read(self, vaddr, size, kernel):
@@ -268,14 +273,22 @@ class FunctionalCore(Simulator):
                 if not perms >> kernel & 1:  # bit READ << 1 | kernel
                     raise Fault(FaultType.PERMISSION, vaddr, AccessType.READ)
             off = state[4] + (vaddr & 0xFFF)
-            return int.from_bytes(state[3][off : off + size], "little")
+            if size == 1:
+                return state[3][off]
+            if off & 3:
+                return int.from_bytes(state[3][off : off + 4], "little")
+            return state[6][off >> 2]
         paddr = self._translate_data(vaddr, AccessType.READ, kernel)
         memory = self._memory
         region = memory.find_ram(paddr, size)
         if region is not None:
             off = paddr - region.base
             self._note_data_page(vaddr, paddr, region)
-            return int.from_bytes(region.data[off : off + size], "little")
+            if size == 1:
+                return region.data[off]
+            if off & 3:
+                return int.from_bytes(region.data[off : off + 4], "little")
+            return region.words[off >> 2]
         hit = memory.find_device(paddr)
         if hit is None:
             raise Fault(FaultType.BUS, vaddr, AccessType.READ)
@@ -299,9 +312,12 @@ class FunctionalCore(Simulator):
                 if not perms >> (2 | kernel) & 1:  # bit WRITE << 1 | kernel
                     raise Fault(FaultType.PERMISSION, vaddr, AccessType.WRITE)
             off = state[4] + (vaddr & 0xFFF)
-            state[3][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                size, "little"
-            )
+            if size == 1:
+                state[3][off] = value & 0xFF
+            elif off & 3:
+                state[3][off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+            else:
+                state[6][off >> 2] = value & 0xFFFFFFFF
             ppage = state[5]
             if ppage in self._exec_pages:
                 self.counters.code_writes += 1
@@ -313,9 +329,12 @@ class FunctionalCore(Simulator):
         region = memory.find_ram(paddr, size)
         if region is not None:
             off = paddr - region.base
-            region.data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                size, "little"
-            )
+            if size == 1:
+                region.data[off] = value & 0xFF
+            elif off & 3:
+                region.data[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+            else:
+                region.words[off >> 2] = value & 0xFFFFFFFF
             self._note_data_page(vaddr, paddr, region)
             ppage = paddr >> PAGE_SHIFT
             if ppage in self._exec_pages:
@@ -352,7 +371,10 @@ class FunctionalCore(Simulator):
             and state[2] == (self._cp15.sctlr & 1)
         ):
             off = state[4] + (pc & 0xFFF)
-            word = int.from_bytes(state[3][off : off + 4], "little")
+            if off & 3:
+                word = int.from_bytes(state[3][off : off + 4], "little")
+            else:
+                word = state[6][off >> 2]
             return self._decode_at((state[5] << PAGE_SHIFT) | (pc & 0xFFF), word)
         paddr = self._translate_fetch(pc)
         memory = self._memory
@@ -360,7 +382,10 @@ class FunctionalCore(Simulator):
         if region is None:
             raise Fault(FaultType.BUS, pc, AccessType.EXECUTE)
         off = paddr - region.base
-        word = int.from_bytes(region.data[off : off + 4], "little")
+        if off & 3:
+            word = int.from_bytes(region.data[off : off + 4], "little")
+        else:
+            word = region.words[off >> 2]
         page_base = paddr & ~0xFFF
         # Cache the page for subsequent same-page fetches; require the
         # page (plus an unaligned-fetch spill word) to sit fully inside
@@ -373,6 +398,7 @@ class FunctionalCore(Simulator):
                 region.data,
                 page_base - region.base,
                 paddr >> PAGE_SHIFT,
+                region.words,
             )
         return self._decode_at(paddr, word)
 
@@ -908,6 +934,7 @@ class FunctionalCore(Simulator):
         intc = self._intc
         dispatch = self._dispatch
         data = state[3]
+        words = state[6]
         page_off = state[4]
         start_ppage = state[5]
         start_paddr = paddr
@@ -915,7 +942,10 @@ class FunctionalCore(Simulator):
         entries = []
         while True:
             off = page_off + (paddr & 0xFFF)
-            word = int.from_bytes(data[off : off + 4], "little")
+            if off & 3:
+                word = int.from_bytes(data[off : off + 4], "little")
+            else:
+                word = words[off >> 2]
             try:
                 insn = self._decode_at(paddr, word)
             except DecodeError:

@@ -22,7 +22,12 @@ QEMU version name) that affect neither execution nor pricing but must
 survive serialization.  Host-side fast paths (predecoded block replay,
 translation memoization) are not fields at all: they are always on.
 
-Field values are canonicalized on construction: only JSON scalars,
+Field values are canonicalized on construction.  Each is first brought
+to its field's type, the default's (:meth:`Field.coerce`): an
+exact-valued number converts (``1`` to ``True`` for a bool field,
+``8.0`` to ``8`` for an int field), so values that compare equal build
+one spec -- one structural key, one dataset fingerprint -- and any
+other mismatch raises :class:`ValueError`.  Then only JSON scalars,
 lists/tuples and string-keyed dicts are accepted.  Arbitrary objects
 (a pre-built TLB, a config object smuggled in as a constructor kwarg)
 are rejected with :class:`ValueError` instead of leaking an unstable
@@ -94,18 +99,43 @@ def _arch_name(arch):
 
 
 class Field:
-    """One declared engine option: name, default and kind."""
+    """One declared engine option: name, default, kind and type.
+
+    The type is the default's (``None`` for a ``None`` default, which
+    accepts any canonical value).  :meth:`coerce` brings a given value
+    to it, so values that compare equal (``1``/``1.0``/``True``) build
+    one spec with one structural key and one fingerprint.
+    """
 
     STRUCTURAL = "structural"
     PRICING = "pricing"
     META = "meta"
 
-    __slots__ = ("name", "default", "kind")
+    __slots__ = ("name", "default", "kind", "type")
 
     def __init__(self, name, default, kind=STRUCTURAL):
         self.name = name
         self.default = default
         self.kind = kind
+        self.type = None if default is None else type(default)
+
+    def coerce(self, value, where):
+        """``value`` as this field's type.
+
+        An exact-valued number converts (``1`` to ``True`` for a bool
+        field, ``8.0`` to ``8`` for an int field); anything else of the
+        wrong type raises :class:`ValueError`."""
+        kind = self.type
+        if kind is None or type(value) is kind:
+            return value
+        number = isinstance(value, (int, float))
+        if kind is bool and number and value in (0, 1):
+            return bool(value)
+        if kind is int and number and float(value).is_integer():
+            return int(value)
+        raise ValueError(
+            "%s: %r is not a valid %s value" % (where, value, kind.__name__)
+        )
 
     def __repr__(self):
         return "Field(%r, default=%r, kind=%r)" % (self.name, self.default, self.kind)
@@ -155,12 +185,9 @@ class EngineSpec:
                 )
             )
         for field in cls.fields:
-            value = kwargs.get(field.name, field.default)
-            object.__setattr__(
-                self,
-                field.name,
-                canonical(value, "%s.%s" % (cls.engine, field.name)),
-            )
+            where = "%s.%s" % (cls.engine, field.name)
+            value = field.coerce(kwargs.get(field.name, field.default), where)
+            object.__setattr__(self, field.name, canonical(value, where))
         self.validate()
         object.__setattr__(
             self, "_structural_key", (cls.engine, _freeze(self.structural_values()))
@@ -217,10 +244,9 @@ class EngineSpec:
     def cache_key_token(self):
         """:meth:`cache_key_payload` as canonical JSON text.
 
-        Computed once, when the spec is built.  Unlike
-        :meth:`structural_key`, it tells apart values that compare
-        equal but serialize differently (``True``/``1``/``1.0``), so it
-        can stand in for the payload in a memo of cell fingerprints."""
+        Computed once, when the spec is built.  It is the payload's
+        exact JSON text, so it can stand in for the payload in a memo
+        of cell fingerprints."""
         return self._cache_key_token
 
     def to_payload(self):

@@ -6,8 +6,9 @@ Contracts under test:
 - chunk planning shards by engine structural key: a chunk never mixes
   keys, covers every pending index exactly once, and preserves
   submission order (groups in first-seen order, members in order);
-- chunk sizing: every run cuts a few chunks per worker,
-  ``ceil(pending / (4 * workers))``;
+- chunk sizing: each chunk takes ``ceil(remaining / (2 * workers))``
+  of the jobs not yet chunked, so the last chunks are small, and
+  ``last_stats["chunk_size"]`` reports the largest;
 - the wire payload is compact: engine specs are interned per chunk and
   shipped as defaults-stripped deltas, benchmarks by registry name
   (ad-hoc objects by value), and shipped bytes feed the
@@ -55,12 +56,13 @@ class LocalOnlyBenchmark(Benchmark):
         return get_benchmark("System Call").build(arch, platform)
 
 
-def _mixed_grid(iterations=10):
+def _mixed_grid(iterations=10, benchmarks=3):
     """A grid interleaving three structural keys (two engines plus a
-    structurally-distinct variant of one of them)."""
+    structurally-distinct variant of one of them) over the first
+    ``benchmarks`` healthy benchmarks."""
     engines = ["simit", "qemu-dbt", InterpSpec(tlb_capacity=128)]
     specs = []
-    for benchmark in _ok_benchmarks():
+    for benchmark in _ok_benchmarks()[:benchmarks]:
         for engine in engines:
             specs.append(JobSpec(benchmark, engine, ARM, VEXPRESS, iterations))
     return specs
@@ -76,7 +78,7 @@ def _simit_grid(iterations=10):
 class TestChunkPlanning:
     def test_chunks_never_mix_structural_keys(self):
         runner = ExperimentRunner(jobs=2)
-        specs = _mixed_grid()  # 9 jobs over 2 workers: ceil(9 / 8) = 2 per chunk
+        specs = _mixed_grid()  # 9 jobs over 2 workers: chunks of 3, 2, 1, ...
         chunks = runner._plan_chunks(specs)
         for chunk in chunks:
             keys = {specs[index].structural_key() for index in chunk}
@@ -85,26 +87,27 @@ class TestChunkPlanning:
         assert covered == list(range(len(specs)))
 
     def test_chunks_preserve_submission_order(self):
-        # Interleaved keys A,B,A,B,A,B regroup to A-chunks then
+        # Interleaved keys A,B,A,B,... regroup to A-chunks then
         # B-chunks (first-seen order), members in submission order.
-        # One worker: ceil(6 / 4) = 2 jobs per chunk.
+        # One worker: ceil(8 / 2) = 4 jobs, then ceil(4 / 2) = 2, then 1s.
         runner = ExperimentRunner(jobs=1)
-        benchmarks = _ok_benchmarks()
+        benchmark = _ok_benchmarks()[0]
         specs = []
-        for benchmark in benchmarks:
-            specs.append(JobSpec(benchmark, "simit", ARM, VEXPRESS, 10))
-            specs.append(JobSpec(benchmark, "qemu-dbt", ARM, VEXPRESS, 10))
+        for iterations in range(10, 14):
+            specs.append(JobSpec(benchmark, "simit", ARM, VEXPRESS, iterations))
+            specs.append(JobSpec(benchmark, "qemu-dbt", ARM, VEXPRESS, iterations))
         chunks = runner._plan_chunks(specs)
-        assert chunks == [[0, 2], [4], [1, 3], [5]]
+        assert chunks == [[0, 2, 4, 6], [1, 3], [5], [7]]
+        assert runner.last_stats["chunk_size"] == 4
 
     def test_first_run_falls_back_to_share(self):
         runner = ExperimentRunner(jobs=4)
-        # A few chunks per worker -- on the first run and every later
-        # one (nothing is learned from earlier runs).
-        assert runner._chunk_size(144, 4) == 9  # ceil(144 / (4*4))
+        # The same rule on the first run and every later one (nothing
+        # is learned from earlier runs).
+        assert runner._chunk_size(144, 4) == 18  # ceil(144 / (2*4))
         assert runner._chunk_size(3, 2) == 1
         runner.run(_simit_grid())
-        assert runner._chunk_size(144, 4) == 9
+        assert runner._chunk_size(144, 4) == 18
 
 
 class TestCompactPayloads:
@@ -180,7 +183,7 @@ class TestChunkedDeterminism:
     def test_mixed_grid_matches_serial_at_every_chunk_size(self):
         specs = _mixed_grid
         serial = ExperimentRunner(jobs=1).run(specs())
-        # 9 jobs: chunks of 2 at jobs=2, singletons at jobs=3 and 4.
+        # 9 jobs: chunks of at most 3 at jobs=2 and 2 at jobs=3 and 4.
         for jobs in (2, 3, 4):
             with ExperimentRunner(jobs=jobs) as runner:
                 parallel = runner.run(specs())
@@ -203,7 +206,7 @@ class TestDispatchObservability:
     def test_dispatch_instruments_recorded(self):
         METRICS.enable()
         with ExperimentRunner(jobs=2) as runner:
-            runner.run(_mixed_grid())
+            runner.run(_mixed_grid(benchmarks=2))  # 6 jobs: chunks of 2, then 1s
             snap = METRICS.snapshot()
             assert snap["phases"]["runner.dispatch"]["count"] == runner.last_stats["chunks"]
             assert snap["phases"]["runner.chunk"]["count"] >= 1
@@ -223,7 +226,7 @@ class TestDispatchObservability:
 
     def test_pool_run_reports_chunk_stats(self):
         with ExperimentRunner(jobs=2) as runner:
-            runner.run(_mixed_grid())
+            runner.run(_mixed_grid(benchmarks=2))
             assert runner.last_stats["chunks"] >= 3
             assert runner.last_stats["chunk_size"] == 2
             assert runner.last_stats["payload_bytes"] > 0

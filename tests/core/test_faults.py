@@ -118,12 +118,12 @@ def _grid(*benchmarks, engine="simit", iterations=10):
 
 
 def _chunk_mates(first):
-    """``first`` followed by nine cheap jobs: ten pending jobs over two
-    workers make chunks of ``ceil(10 / 8) = 2``, so ``first`` shares
-    its chunk with a healthy neighbour."""
+    """``first`` followed by seven cheap jobs: eight pending jobs over
+    two workers make a first chunk of ``ceil(8 / 4) = 2``, so ``first``
+    shares its chunk with a healthy neighbour."""
     return _grid(first) + [
         JobSpec(get_benchmark("System Call"), "simit", ARM, VEXPRESS, iterations)
-        for iterations in range(10, 19)
+        for iterations in range(10, 17)
     ]
 
 
@@ -223,7 +223,7 @@ class TestChunkedFaults:
         with ExperimentRunner(jobs=2) as runner:
             results = runner.run(_chunk_mates(CrashingBenchmark()))
             assert runner.last_stats["chunk_size"] == 2
-            assert [res.status for res in results] == ["crashed"] + ["ok"] * 9
+            assert [res.status for res in results] == ["crashed"] + ["ok"] * 7
             # The crash was contained inside the worker: the chunk came
             # back whole and nothing fell through to the parent.
             assert runner.last_stats["worker_lost"] == 0
@@ -237,7 +237,7 @@ class TestChunkedFaults:
             # it into a timeout row without losing its chunk neighbour
             # (the deadline stays per-job under chunking).
             assert runner.last_stats["chunk_size"] == 2
-            assert [res.status for res in results] == ["timeout"] + ["ok"] * 9
+            assert [res.status for res in results] == ["timeout"] + ["ok"] * 7
             assert runner.last_stats["worker_lost"] == 0
 
     def test_worker_death_in_chunk_splits_and_recovers(self):

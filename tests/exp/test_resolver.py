@@ -218,6 +218,30 @@ class TestDatasetResolution:
         values = {r.kernel_ns for r in results}
         assert len(values) == 1 and not any(math.isnan(v) for v in values)
 
+    def test_equal_field_values_share_one_cell(self, tmp_path):
+        """``chain_enabled=True`` and ``=1`` are one cell: the runner
+        dedups them and the dataset keys them alike, so the ``=1`` spec
+        alone is served from the row the pair stored."""
+        from repro.arch import ARM
+        from repro.core import JobSpec, get_benchmark
+        from repro.platform import VEXPRESS
+        from repro.sim.spec import spec_for
+
+        dataset = Dataset(tmp_path / "ds")
+        bench = get_benchmark("System Call")
+        specs = [
+            JobSpec(bench, spec_for("qemu-dbt", chain_enabled=value), ARM, VEXPRESS, 10)
+            for value in (True, 1)
+        ]
+        with ExperimentRunner(dataset=dataset) as runner:
+            runner.run(specs)
+            assert (runner.last_stats["unique"], runner.last_stats["executed"]) == (1, 1)
+        assert len(dataset.rows()) == 1
+        with ExperimentRunner(dataset=dataset) as runner:
+            runner.run(specs[1:])
+            assert runner.last_stats["executed"] == 0
+            assert runner.last_stats["from_dataset"] == 1
+
     def test_one_probe_per_unique_key_and_one_row_file(self, tmp_path, monkeypatch):
         """The probe sits in the dedup loop: pricing variants and
         repeats cost one ``Dataset.get`` per unique key, and an

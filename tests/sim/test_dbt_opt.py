@@ -227,8 +227,16 @@ class TestOptimizedEmission:
         optimized = _block_sources(_PEEPHOLE_BODY)
         assert "_a = (r[4] + 4)" in optimized  # fused address pair
         assert "_a = " not in reference
-        assert "condition_holds" in reference
-        assert "condition_holds" not in optimized  # inlined branch cond
+        # bne: the reference tests Z in the PSR the CMPI wrote; the
+        # fused pair compares the CMPI operands instead.
+        assert "if not cpu.psr & 1073741824:" in reference
+        assert "if not cpu.psr" not in optimized
+        assert "if _x != 0:" in optimized
+        assert "if _x" not in reference
+        # Flags are written and tested inline on both paths.
+        for source in (reference, optimized):
+            assert "condition_holds" not in source
+            assert "set_flags_sub" not in source
         assert "r[2] = 13" in optimized  # folded constant chain
         assert "r[2] = 13" not in reference
 
@@ -248,7 +256,8 @@ _SOFTMMU_BODY = """
 
 
 class TestSoftmmuEmission:
-    HELPERS = {"mem_read32", "mem_write32", "mem_read8", "mem_write8"}
+    #: (helper, access size) of each probe's fallback.
+    FALLBACKS = [("mem_read", 1), ("mem_read", 4), ("mem_write", 1), ("mem_write", 4)]
 
     @staticmethod
     def _helper_calls(tree):
@@ -263,17 +272,31 @@ class TestSoftmmuEmission:
 
     def test_helpers_called_only_on_fallback(self):
         source = _block_sources(_SOFTMMU_BODY)
-        assert source.count("s._tlb[") == 4
+        assert source.count("_e = _tlb[") == 4
         tree = ast.parse(source)
-        fallback = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.If) and "c.tlb_hits += 1" in ast.unparse(node.body):
-                orelse = ast.Module(node.orelse, [])
-                fallback.update(id(call) for call in self._helper_calls(orelse))
-        calls = [
-            call for call in self._helper_calls(tree) if call.func.attr in self.HELPERS
+        probes = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and "_e is not None" in ast.unparse(node.test)
         ]
-        assert sorted(call.func.attr for call in calls) == sorted(self.HELPERS)
+        assert len(probes) == 4
+        fallback = set()
+        for probe in probes:
+            # The hit path calls nothing and counts nothing.
+            hit = ast.Module(probe.body, [])
+            assert not self._helper_calls(hit)
+            assert "c." not in ast.unparse(hit)
+            orelse = ast.Module(probe.orelse, [])
+            fallback.update(id(call) for call in self._helper_calls(orelse))
+        calls = [
+            call
+            for call in self._helper_calls(tree)
+            if call.func.attr in {name for name, _size in self.FALLBACKS}
+        ]
+        size_arg = {"mem_read": 1, "mem_write": 2}
+        assert sorted(
+            (call.func.attr, call.args[size_arg[call.func.attr]].value) for call in calls
+        ) == self.FALLBACKS
         assert all(id(call) in fallback for call in calls)
         # The unprivileged accesses stay on their helpers, unguarded.
         assert "s.mem_read32_user(" in source
@@ -319,7 +342,7 @@ class TestKeyCompleteness:
         monkeypatch.setattr(codestore.importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
         assert codestore.block_key(
             DBTSpec().translation_key(), 0x8000, bytes(range(8))
-        ) == "4e24ec5637ccc15a13bc3592d26ee4a7dc60fe2e0d50d78ae257e588b36e95f2"
+        ) == "b3b106b68bd1bad23153ea453ea303a32647b4c2e3f59498d172a0c8c213be76"
 
     @pytest.mark.parametrize("field", sorted(VARIANTS))
     def test_codegen_sensitive_fields_are_keyed(self, field):

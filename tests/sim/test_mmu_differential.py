@@ -69,16 +69,27 @@ def _prepare_board():
 DATA_BASE = 0x0200_0000
 
 
+#: Byte offsets into a data page: aligned and unaligned words at its
+#: start, and the last words, whose unaligned forms spill into the
+#: next page.
+OFFSETS = (0, 1, 2, 3, 0x7FE, 0xFFC, 0xFFD, 0xFFE, 0xFFF)
+
+#: Access kinds: mnemonic and whether it stores.
+KINDS = (("ldr", False), ("str", True), ("ldrb", False), ("strb", True))
+
+
 def _body_for(accesses):
     lines = []
-    for index, (page, is_store) in enumerate(accesses):
-        addr = DATA_BASE + page * 0x1000
+    for index, (page, kind, offset) in enumerate(accesses):
+        mnemonic, is_store = KINDS[kind]
+        addr = DATA_BASE + page * 0x1000 + offset
         lines.append("    li r1, 0x%08x" % addr)
         if is_store:
-            lines.append("    movi r2, %d" % (index + 1))
-            lines.append("    str r2, [r1]")
+            lines.append("    li r2, 0x%08x" % (0x01010101 * (index + 1) ^ 0x80402010))
+            lines.append("    %s r2, [r1]" % mnemonic)
         else:
-            lines.append("    ldr r3, [r1]")
+            lines.append("    %s r3, [r1]" % mnemonic)
+            lines.append("    add r4, r4, r3")
     return "\n".join(lines)
 
 
@@ -86,7 +97,11 @@ def _body_for(accesses):
 @given(
     mapped=st.sets(st.integers(min_value=0, max_value=7), max_size=8),
     accesses=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=7), st.booleans()),
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=len(KINDS) - 1),
+            st.sampled_from(OFFSETS),
+        ),
         min_size=1,
         max_size=12,
     ),
@@ -120,7 +135,7 @@ def test_engines_agree_under_mmu(mapped, accesses):
     for name, outcome in outcomes.items():
         assert outcome == reference, "engine %s diverged" % name
     # Sanity: the abort count equals the number of unmapped accesses.
-    unmapped_accesses = sum(1 for page, _s in accesses if page not in mapped)
+    unmapped_accesses = sum(1 for page, _k, _o in accesses if page not in mapped)
     assert reference[3] == unmapped_accesses
 
 

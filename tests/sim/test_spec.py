@@ -219,6 +219,47 @@ class TestValidation:
         with pytest.raises(ValueError, match="keys must be strings"):
             DBTSpec(cost_overrides={1: 2.0})
 
+    @pytest.mark.parametrize(
+        "engine, field, given, stored",
+        [
+            ("qemu-dbt", "chain_enabled", 1, True),
+            ("qemu-dbt", "chain_enabled", 0.0, False),
+            ("qemu-dbt", "max_block_insns", 8.0, 8),
+            ("simit", "tlb_capacity", True, 1),
+        ],
+    )
+    def test_exact_numbers_take_the_field_type(self, engine, field, given, stored):
+        spec = spec_for(engine, **{field: given})
+        value = getattr(spec, field)
+        assert value == stored and type(value) is type(stored)
+        plain = spec_for(engine, **{field: stored})
+        assert spec == plain
+        assert spec.structural_key() == plain.structural_key()
+        assert spec.cache_key_token() == plain.cache_key_token()
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {"max_block_insns": 1.5},
+            {"chain_enabled": "yes"},
+            {"chain_enabled": 2},
+            {"tlb_bits": "8"},
+            {"cost_overrides": [("loads", 1.0)]},
+        ],
+    )
+    def test_inexact_or_mistyped_values_rejected(self, given):
+        (name,) = given
+        with pytest.raises(ValueError, match="qemu-dbt.%s" % name):
+            DBTSpec(**given)
+
+    def test_field_type_comes_from_the_default(self):
+        fields = {f.name: f for f in DBTSpec.fields}
+        assert fields["chain_enabled"].type is bool
+        assert fields["max_block_insns"].type is int
+        assert fields["cost_overrides"].type is dict
+        assert fields["version"].type is None
+        assert DBTSpec(version="v2.5.0").version == "v2.5.0"
+
     def test_detailed_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             DetailedSpec(mode="warp")
