@@ -24,7 +24,8 @@ engine forced to step per instruction by a no-op ``_pre_execute`` hook
 (floor: 2x on ``hot-loop``), and a warm vs cold DBT
 sweep through the persistent code cache (floor: 3x).  A third tracked
 split runs ``hot-loop`` with the observability layer disabled vs
-enabled (ceiling: 5% overhead enabled, guest counters bit-identical).
+enabled (ceiling: 5% overhead enabled, read as the median of
+per-round ratios; guest counters bit-identical).
 The standalone entry point emits ``BENCH_engines.json`` at the repo
 root (same shape as ``BENCH_runner.json``); all runs assert counters
 are bit-identical across each split.
@@ -34,6 +35,7 @@ Runnable standalone::
     PYTHONPATH=src python benchmarks/bench_engine_wallclock.py [--quick]
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -67,6 +69,9 @@ HOT_LOOP_ITERS = 20_000
 MEM_LOOP_OUTER = 300
 EXC_LOOP_ITERS = 8_000
 UNROLLED_INSNS = 6_000
+#: The metrics-overhead split times ``hot-loop`` at this many times its
+#: iterations, so a scheduling hiccup is a smaller share of one run.
+OVERHEAD_LOOP_SCALE = 4
 #: Runs per engine-matrix cell (median, min and max are reported).
 MATRIX_RUNS = 5
 
@@ -278,11 +283,17 @@ def run_dbt_code_cache_sweep(scale=1):
     }
 
 
-def run_metrics_overhead_split(scale=1, rounds=5):
+def run_metrics_overhead_split(scale=1, rounds=31):
     """Hot interpreter kernel with the observability layer disabled vs
-    enabled: one warm-up pass, then ``rounds`` interleaved rounds (the
-    two modes alternate within each round, min taken per mode, so a
-    host-load drift hits both modes equally).
+    enabled: one warm-up pass per mode, then ``rounds`` rounds that
+    each time both modes back to back on a kernel of
+    :data:`OVERHEAD_LOOP_SCALE` times the ``hot-loop`` iterations,
+    with the garbage collector held off while a run is timed.  The
+    mode that goes first alternates from round to round, and the
+    reading is the median of the per-round enabled/disabled ratios: a
+    burst of host load spoils the rounds it lands in, not the median,
+    where a ratio of two minima taken over different rounds moves with
+    every burst.
 
     The per-instruction dispatch loop carries no instrumentation at
     all -- only decode misses and TLB walks check ``METRICS.enabled``
@@ -290,31 +301,45 @@ def run_metrics_overhead_split(scale=1, rounds=5):
     and the disabled overhead (what every normal run pays) is bounded
     above by it.  Guest counters must be bit-identical either way.
     """
-    program = assemble(kernels(scale)["hot-loop"])
-    _run_engine(FastInterpreter, program)  # warm-up, not timed
+    program = assemble(
+        HOT_LOOP % max(OVERHEAD_LOOP_SCALE * HOT_LOOP_ITERS // scale, 1000)
+    )
+    modes = (("disabled", False), ("enabled", True))
     timings = {"disabled": [], "enabled": []}
     snapshots = {}
+
+    def timed(enabled):
+        METRICS.reset()
+        METRICS.enable(enabled)
+        gc.collect()
+        gc.disable()
+        try:
+            return _run_engine(FastInterpreter, program)
+        finally:
+            gc.enable()
+            METRICS.enable(False)
+
     try:
-        for _ in range(rounds):
-            for mode, enabled in (("disabled", False), ("enabled", True)):
-                METRICS.reset()
-                METRICS.enable(enabled)
-                engine, seconds = _run_engine(FastInterpreter, program)
-                METRICS.enable(False)
+        for _mode, enabled in modes:
+            timed(enabled)  # warm-up, not timed
+        for index in range(rounds):
+            for mode, enabled in modes if index % 2 == 0 else modes[::-1]:
+                engine, seconds = timed(enabled)
                 timings[mode].append(seconds)
                 snapshots[mode] = engine.counters.snapshot()
     finally:
-        METRICS.enable(False)
         METRICS.reset()
     assert (
         snapshots["disabled"] == snapshots["enabled"]
     ), "metrics layer changed guest-visible counters"
-    disabled = min(timings["disabled"])
-    enabled = min(timings["enabled"])
+    ratio = statistics.median(
+        enabled / disabled
+        for disabled, enabled in zip(timings["disabled"], timings["enabled"])
+    )
     return {
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "overhead_pct": (enabled - disabled) / disabled * 100.0,
+        "disabled_seconds": statistics.median(timings["disabled"]),
+        "enabled_seconds": statistics.median(timings["enabled"]),
+        "overhead_pct": (ratio - 1.0) * 100.0,
         "instructions": snapshots["enabled"]["instructions"],
         "identical_counters": True,
     }

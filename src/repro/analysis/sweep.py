@@ -8,11 +8,12 @@ and then prices the recorded kernel counter delta under every version's
 cost table.  This keeps the sweep honest -- counts come from real runs
 on the right structure -- while staying fast.
 
-The grouping itself lives in the engine-spec layer
-(:meth:`repro.sim.spec.EngineSpec.structural_key`): the sweep takes
-one :class:`~repro.sim.spec.DBTSpec` per version from the shared
-:func:`version_axis`, submits one job per (benchmark, version) and
-lets the runner deduplicate, store and parallelise the executions.
+The grouping is the runner's: the sweep takes one
+:class:`~repro.sim.spec.DBTSpec` per version from the shared
+:func:`version_axis`, submits one job per (benchmark, version), and
+the runner deduplicates the jobs by cell fingerprint -- versions with
+equal structural fields share one -- then stores and parallelises the
+executions.
 """
 
 import math
@@ -23,7 +24,7 @@ from repro.sim.dbt.versions import QEMU_VERSIONS, dbt_spec_for_version
 
 #: ``(arch_name, versions) -> axis``: every sweep and bisection over
 #: the same timeline shares one tuple of specs, and with it each
-#: spec's cached structural key and cost models.
+#: spec's cached tokens and cost models.
 _AXES = {}
 
 
@@ -135,13 +136,6 @@ class VersionSweep:
             if diff:
                 deltas.append((prev, current, diff))
         return tuple(deltas)
-
-    def _structural_groups(self):
-        groups = {}
-        for version in self.versions:
-            key = self.engine_specs[version].structural_key()
-            groups.setdefault(key, []).append(version)
-        return groups
 
     def _specs(self, benchmark, iterations):
         return [

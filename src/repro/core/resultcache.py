@@ -1,13 +1,16 @@
-"""Fingerprints of benchmark execution jobs.
+"""Fingerprints of benchmark execution jobs: the one cell identity.
 
 Under the MODELED timing policy an :class:`~repro.core.harness.ExecutionRecord`
 is a pure function of the job's structural inputs, so it can be stored
-once and re-priced forever ("execute once, price many").  The
-experiment dataset (:mod:`repro.exp.dataset`) stores one record per
-job under a SHA-256 fingerprint over everything the record depends on:
+once and re-priced forever ("execute once, price many").  A cell is
+identified by a SHA-256 fingerprint over everything the record
+depends on.  The runner dedups a grid by it (jobs with one fingerprint
+share one execution and one telemetry row), and the experiment
+dataset (:mod:`repro.exp.dataset`) stores one record per fingerprint.
+It covers:
 
-- the benchmark's identity (name, implementing class, and -- for MiniC
-  workloads -- a hash of the guest source);
+- the benchmark's identity (name, implementing class and its module,
+  and -- for MiniC workloads -- a hash of the guest source);
 - the engine name and the *structural* part of its configuration (cost
   overrides deliberately excluded: they only affect pricing);
 - architecture, platform and iteration count;

@@ -7,12 +7,13 @@ results are assembled into tables.  The runner executes such a grid
 efficiently while keeping results bit-for-bit equal to naive serial
 execution:
 
-- jobs whose *structural* inputs coincide share one execution (the
-  generalisation of the version sweep's structural grouping to every
-  engine: engine specs differing only in pricing fields, or plainly
-  repeated jobs, execute once and are priced per spec);
+- jobs with one cell fingerprint (:meth:`JobSpec.fingerprint`, the
+  dataset's row key) share one execution: engine specs differing only
+  in pricing fields, or plainly repeated jobs, execute once and are
+  priced per spec -- the generalisation of the version sweep's
+  structural grouping to every engine;
 - with a result dataset (:class:`~repro.exp.dataset.Dataset`), each
-  unique execution key is probed once, in the same pass as the dedup:
+  unique cell is probed once, in the same pass as the dedup:
   a stored record is priced without executing a single guest
   instruction, and newly executed ``ok``/``unsupported`` records are
   appended with a provenance stamp.  The dataset is only consulted
@@ -23,7 +24,8 @@ execution:
   runs (``repro report``) executes each cell once;
 - unique executions are optionally fanned out over a *persistent warm*
   process pool (``jobs=N``): the deduplicated job list is sharded by
-  engine structural key (DBT-memoization / code-store locality) and
+  :meth:`~repro.sim.spec.EngineSpec.cache_key_token`, the engine's
+  structural fields (DBT-memoization / code-store locality), and
   submitted in *chunks* -- a few per worker -- with one aggregated
   return payload per chunk,
   so per-dispatch pickling/IPC/snapshot cost is amortised over many
@@ -142,24 +144,10 @@ class JobSpec:
         """The engine's registry name."""
         return self.engine_spec.engine
 
-    def structural_key(self):
-        return self.engine_spec.structural_key()
-
-    def execution_key(self):
-        """Jobs sharing this key share one execution (and dataset row)."""
-        return (
-            self.benchmark.name,
-            type(self.benchmark).__qualname__,
-            getattr(self.benchmark, "source", None),
-            self.arch.name,
-            self.platform.name,
-            self.iterations,
-            self.structural_key(),
-        )
-
     def fingerprint(self):
-        """The dataset key (cell id) of this job, memoized process-wide
-        (:func:`~repro.core.resultcache.cell_fingerprint`)."""
+        """The cell id of this job, memoized process-wide
+        (:func:`~repro.core.resultcache.cell_fingerprint`): jobs sharing
+        it share one execution, one telemetry row and one dataset row."""
         return cell_fingerprint(
             self.benchmark, self.engine_spec, self.arch, self.platform, self.iterations
         )
@@ -508,9 +496,10 @@ class ExperimentRunner:
         translation memos and the open code store.  Every run ships
         work in chunks of ``ceil(remaining / (2 * workers))`` jobs,
         ``remaining`` counting the jobs not yet chunked, so the last
-        chunks are small; chunks never mix engine structural keys --
-        each chunk is homogeneous, for DBT-memoization and code-store
-        locality inside the worker.
+        chunks are small; a chunk never mixes engine cache key tokens
+        (:meth:`~repro.sim.spec.EngineSpec.cache_key_token`) -- each
+        chunk runs one engine structure, for DBT-memoization and
+        code-store locality inside the worker.
     dataset:
         Optional :class:`~repro.exp.dataset.Dataset` to resolve cells
         from and append executed cells to (MODELED timing only).  A
@@ -579,7 +568,7 @@ class ExperimentRunner:
         self._pool_key = None
         #: Counters for the last (or running) :meth:`run` call.
         self.last_stats = dict.fromkeys(RUN_STATS, 0)
-        #: Raw :class:`ExecutionRecord` per execution key for the last
+        #: Raw :class:`ExecutionRecord` per cell id for the last
         #: :meth:`run` call -- the unpriced half of the results.
         self.last_records = {}
         #: One telemetry row per unique cell of the last :meth:`run`.
@@ -693,7 +682,7 @@ class ExperimentRunner:
 
     def _run_grid(self, specs):
         specs = [spec if isinstance(spec, JobSpec) else JobSpec(*spec) for spec in specs]
-        keys = [spec.execution_key() for spec in specs]
+        cell_ids = [spec.fingerprint() for spec in specs]
         # Fresh every run, so no counter carries over from a previous grid.
         self.last_stats = stats = dict.fromkeys(RUN_STATS, 0)
         self._worker_codestore = {}
@@ -706,22 +695,21 @@ class ExperimentRunner:
         dataset = self.dataset if modeled else None
         reuse = self._executed if modeled and dataset is None else None
 
-        # Resolve each unique execution key once, in submission order,
-        # into one telemetry row; repeats only count as ``submitted``.
-        # Jobs decided statically (not-applicable / unsupported engine)
-        # run no guest code, so they are neither stored nor counted as
+        # Resolve each unique cell once, in submission order, into one
+        # telemetry row; repeats only count as ``submitted``.  Jobs
+        # decided statically (not-applicable / unsupported engine) run
+        # no guest code, so they are neither stored nor counted as
         # executions; the rest get one dataset probe, and what the
-        # dataset lacks executes.  The fingerprint is the row key and
-        # the row's ``cell_id``.
+        # dataset lacks executes.
         records = {}
         rows = {}
         pending = []
-        for key, spec in zip(keys, specs):
-            row = rows.get(key)
+        for cell_id, spec in zip(cell_ids, specs):
+            row = rows.get(cell_id)
             if row is not None:
                 row["submitted"] += 1
                 continue
-            rows[key] = row = {
+            rows[cell_id] = row = {
                 "benchmark": spec.benchmark.name,
                 "engine": spec.engine_spec.engine,
                 "arch": spec.arch.name,
@@ -730,7 +718,7 @@ class ExperimentRunner:
                 "status": None,
                 "error": None,
                 "source": "executed",
-                "cell_id": spec.fingerprint(),
+                "cell_id": cell_id,
                 "manifest": manifest_id,
                 "submitted": 1,
                 "wall_ns": 0,
@@ -739,7 +727,7 @@ class ExperimentRunner:
                 "where": None,
             }
             if not spec.executes():
-                records[key] = self.harness.execute_benchmark(
+                records[cell_id] = self.harness.execute_benchmark(
                     spec.benchmark,
                     spec.engine_spec,
                     spec.arch,
@@ -750,38 +738,37 @@ class ExperimentRunner:
                 continue
             record = source = None
             if dataset is not None:
-                record, source = dataset.record(row["cell_id"]), "dataset"
-            elif reuse is not None and row["cell_id"] in reuse:
-                record, source = reuse[row["cell_id"]].copy(), "reused"
+                record, source = dataset.record(cell_id), "dataset"
+            elif reuse is not None and cell_id in reuse:
+                record, source = reuse[cell_id].copy(), "reused"
             if record is not None:
-                records[key] = record
+                records[cell_id] = record
                 row["source"] = source
             else:
-                pending.append((key, spec))
+                pending.append((cell_id, spec))
 
         # Execute the remainder -- serially, or over a fork pool.
         executed = self._execute_pending(
-            [spec for _, spec in pending], [rows[key] for key, _ in pending]
+            [spec for _, spec in pending], [rows[cell_id] for cell_id, _ in pending]
         )
-        for (key, _spec), record in zip(pending, executed):
-            records[key] = record
+        for (cell_id, _spec), record in zip(pending, executed):
+            records[cell_id] = record
         if dataset is not None:
             stats["dataset_appended"] = dataset.store_records(
-                [(spec, records[key]) for key, spec in pending], manifest=manifest
+                [(spec, records[cell_id]) for cell_id, spec in pending],
+                manifest=manifest,
             )
         elif reuse is not None:
-            for key, _spec in pending:
-                if records[key].status in STORABLE_STATUSES:
-                    remember(
-                        reuse, rows[key]["cell_id"], records[key].copy(), REUSE_LIMIT
-                    )
+            for cell_id, _spec in pending:
+                if records[cell_id].status in STORABLE_STATUSES:
+                    remember(reuse, cell_id, records[cell_id].copy(), REUSE_LIMIT)
 
-        for key, row in rows.items():
-            record = records[key]
+        for cell_id, row in rows.items():
+            record = records[cell_id]
             row["status"] = record.status
             row["error"] = str(record.error) if record.error else None
         sources = [row["source"] for row in rows.values()]
-        statuses = [records[key].status for key, _ in pending]
+        statuses = [records[cell_id].status for cell_id, _ in pending]
         stats.update(
             jobs=len(specs),
             unique=len(rows),
@@ -797,10 +784,10 @@ class ExperimentRunner:
         for name in SUMMED_STATS:
             self.total_stats[name] += stats[name]
         self.last_jobs = list(rows.values())
-        for row in self.last_jobs:
-            cell = self.cells.get(row["cell_id"])
+        for cell_id, row in rows.items():
+            cell = self.cells.get(cell_id)
             if cell is None:
-                cell = self.cells[row["cell_id"]] = dict(row, sources={})
+                cell = self.cells[cell_id] = dict(row, sources={})
             else:
                 for name in _ROW_SUMS:
                     cell[name] += row[name]
@@ -817,14 +804,14 @@ class ExperimentRunner:
         with METRICS.phase("harness.price_grid"):
             return [
                 self.harness.price_record(
-                    records[key],
+                    records[cell_id],
                     spec.benchmark,
                     spec.engine_spec,
                     spec.arch,
                     spec.platform,
                     iterations=spec.iterations,
                 )
-                for key, spec in zip(keys, specs)
+                for cell_id, spec in zip(cell_ids, specs)
             ]
 
     def _fold_store_totals(self):
@@ -864,10 +851,11 @@ class ExperimentRunner:
     def _plan_chunks(self, specs):
         """Shard pending specs into chunks of indices.
 
-        Jobs are first grouped by engine structural key (first-seen
+        Jobs are first grouped by engine
+        :meth:`~repro.sim.spec.EngineSpec.cache_key_token` (first-seen
         order), then each group is cut into chunks -- a chunk never
-        mixes structural keys, so whichever worker picks it up runs a
-        homogeneous batch with maximal DBT-memoization and code-store
+        mixes tokens, so whichever worker picks it up runs one engine
+        structure with maximal DBT-memoization and code-store
         locality.  Each chunk is sized by :meth:`_chunk_size` from the
         jobs not yet planned; ``last_stats["chunk_size"]`` reports the
         largest.  Chunk order preserves submission order within and
@@ -876,7 +864,7 @@ class ExperimentRunner:
         workers = min(self.jobs, len(specs))
         groups = {}
         for index, spec in enumerate(specs):
-            groups.setdefault(spec.structural_key(), []).append(index)
+            groups.setdefault(spec.engine_spec.cache_key_token(), []).append(index)
         chunks = []
         remaining = len(specs)
         for members in groups.values():

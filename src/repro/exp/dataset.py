@@ -5,7 +5,7 @@ one row per *cell* -- a (benchmark, engine structure, arch, platform,
 iterations) point -- keyed by the job's structural fingerprint
 (:meth:`repro.core.runner.JobSpec.fingerprint`).  An
 :class:`~repro.core.runner.ExperimentRunner` handed a dataset probes
-it once per unique execution key (:meth:`Dataset.record`), prices hits
+it once per unique cell id (:meth:`Dataset.record`), prices hits
 at zero guest cost, and appends what it executed
 (:meth:`Dataset.store_records`).  Rows are:
 

@@ -2,9 +2,10 @@
 
 An :class:`EngineSpec` is the *single* description of an execution
 engine configuration, threaded unchanged through every layer of an
-experiment: the harness builds the engine from it, the runner dedups
-structurally-equal jobs with it, the result dataset keys stored counter
-deltas by it, and the analysis drivers construct their grids from it.
+experiment: the harness builds the engine from it, its structural
+fields enter the cell fingerprint by which the runner dedups a grid
+and the result dataset keys stored counter deltas, and the analysis
+drivers construct their grids from it.
 
 Every spec separates two kinds of fields:
 
@@ -15,24 +16,26 @@ Every spec separates two kinds of fields:
   modeled host time (per-counter cost overrides).
 
 Two specs with equal structural fields execute identical guest
-instruction streams, so they may share one execution and one cache
-entry; their pricing fields are applied afterwards ("execute once,
-price many").  A third kind, **meta**, carries labels (the synthetic
-QEMU version name) that affect neither execution nor pricing but must
-survive serialization.  Host-side fast paths (predecoded block replay,
-translation memoization) are not fields at all: they are always on.
+instruction streams, so they share one cell fingerprint, one
+execution and one dataset row; their pricing fields are applied
+afterwards ("execute once, price many").  A third kind, **meta**,
+carries labels (the synthetic QEMU version name) that affect neither
+execution nor pricing but must survive serialization.  Host-side fast
+paths (predecoded block replay, translation memoization) are not
+fields at all: they are always on.
 
 Field values are canonicalized on construction.  Each is first brought
 to its field's type, the default's (:meth:`Field.coerce`): an
 exact-valued number converts (``1`` to ``True`` for a bool field,
 ``8.0`` to ``8`` for an int field), so values that compare equal build
-one spec -- one structural key, one dataset fingerprint -- and any
-other mismatch raises :class:`ValueError`.  Then only JSON scalars,
-lists/tuples and string-keyed dicts are accepted.  Arbitrary objects
-(a pre-built TLB, a config object smuggled in as a constructor kwarg)
-are rejected with :class:`ValueError` instead of leaking an unstable
-``repr`` -- whose embedded ``0x...`` id would silently defeat
-structural dedup and the on-disk result dataset.
+one spec -- one :meth:`EngineSpec.cache_key_token`, one dataset
+fingerprint -- and any other mismatch raises :class:`ValueError`.
+Then only JSON scalars, lists/tuples and string-keyed dicts are
+accepted.  Arbitrary objects (a pre-built TLB, a config object
+smuggled in as a constructor kwarg) are rejected with
+:class:`ValueError` instead of leaking an unstable ``repr`` -- whose
+embedded ``0x...`` id would silently split one cell into many, in the
+runner's dedup and the on-disk result dataset.
 
 The registry (:data:`SPEC_CLASSES`) is the one source of truth for
 which engines exist: the simulator-class table, cost-model dispatch and
@@ -61,8 +64,8 @@ def canonical(value, where="engine option"):
     Accepts JSON scalars, lists/tuples (normalized to lists) and
     string-keyed dicts, recursively.  Anything else -- in particular
     arbitrary objects whose ``repr`` embeds a memory address -- raises
-    :class:`ValueError`: such values cannot produce stable structural
-    or cache keys.
+    :class:`ValueError`: such values cannot produce a stable cell
+    fingerprint.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -81,17 +84,8 @@ def canonical(value, where="engine option"):
         "%s: %r is not canonically serializable -- engine configurations "
         "may only contain JSON scalars, lists and string-keyed dicts "
         "(object-valued options would embed an unstable repr in the "
-        "structural/cache key)" % (where, value)
+        "cell fingerprint)" % (where, value)
     )
-
-
-def _freeze(value):
-    """A hashable view of a canonical value (dicts sorted by key)."""
-    if isinstance(value, dict):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value
 
 
 def _arch_name(arch):
@@ -104,7 +98,7 @@ class Field:
     The type is the default's (``None`` for a ``None`` default, which
     accepts any canonical value).  :meth:`coerce` brings a given value
     to it, so values that compare equal (``1``/``1.0``/``True``) build
-    one spec with one structural key and one fingerprint.
+    one spec with one cache key token and one fingerprint.
     """
 
     STRUCTURAL = "structural"
@@ -150,7 +144,8 @@ class EngineSpec:
 
     A spec is immutable once built: assigning an attribute raises
     :class:`AttributeError` (:meth:`replace` makes a changed copy).
-    That is what lets an instance compute its :meth:`structural_key`
+    That is what lets an instance compute its canonical JSON tokens
+    (:meth:`cache_key_token`, and the one behind ``==`` and ``hash``)
     once and build its cost model once per arch, so the many jobs and
     sweeps sharing one spec share those values too.
     """
@@ -190,12 +185,12 @@ class EngineSpec:
             object.__setattr__(self, field.name, canonical(value, where))
         self.validate()
         object.__setattr__(
-            self, "_structural_key", (cls.engine, _freeze(self.structural_values()))
-        )
-        object.__setattr__(
             self,
             "_cache_key_token",
             json.dumps(self.cache_key_payload(), sort_keys=True),
+        )
+        object.__setattr__(
+            self, "_payload_token", json.dumps(self.to_payload(), sort_keys=True)
         )
         object.__setattr__(self, "_cost_models", {})
 
@@ -228,15 +223,6 @@ class EngineSpec:
         return self._values(Field.PRICING)
 
     # -- keys and serialization -------------------------------------------
-    def structural_key(self):
-        """Hashable signature of the execution-relevant configuration.
-
-        Two jobs with equal structural keys (and equal benchmark, arch,
-        platform and iterations) share one execution.  Computed once,
-        when the spec is built.
-        """
-        return self._structural_key
-
     def cache_key_payload(self):
         """JSON-serializable identity for the on-disk result dataset."""
         return {"engine": self.engine, "structure": self.structural_values()}
@@ -246,7 +232,8 @@ class EngineSpec:
 
         Computed once, when the spec is built.  It is the payload's
         exact JSON text, so it can stand in for the payload in a memo
-        of cell fingerprints."""
+        of cell fingerprints; specs with equal tokens execute alike,
+        which is how the runner shards a grid by engine structure."""
         return self._cache_key_token
 
     def to_payload(self):
@@ -326,7 +313,7 @@ class EngineSpec:
         The named inverse of the compact transport/manifest form:
         omitted fields take their declared defaults, so
         ``from_delta_payload(spec.delta_payload())`` reproduces
-        ``spec`` exactly -- same structural key, same cache
+        ``spec`` exactly -- same cache key token, same cell
         fingerprint, same full payload.  (Mechanically identical to
         :meth:`from_payload`, which already default-fills; this alias
         exists so manifest/wire code states which format it consumes,
@@ -341,16 +328,18 @@ class EngineSpec:
         return type(self)(**fields)
 
     def __eq__(self, other):
-        return type(other) is type(self) and other._identity() == self._identity()
+        """Equal when :meth:`to_payload` is: compares the canonical JSON
+        of every field, built once when the spec is."""
+        return (
+            type(other) is type(self)
+            and other._payload_token == self._payload_token
+        )
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __hash__(self):
-        return hash(self._identity())
-
-    def _identity(self):
-        return (self.engine, _freeze(self._values()))
+        return hash(self._payload_token)
 
     # -- construction / pricing -------------------------------------------
     def constructor_kwargs(self):
@@ -611,8 +600,7 @@ def spec_for(engine, **fields):
 
 #: ``registry name -> default spec``: built once per process, then
 #: shared by every caller (specs are immutable), so all the jobs of a
-#: grid that name an engine share its structural key, fingerprint
-#: token and cost models.
+#: grid that name an engine share its tokens and cost models.
 _DEFAULT_SPECS = {}
 
 

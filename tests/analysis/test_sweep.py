@@ -32,13 +32,17 @@ class TestVersionSweep:
         assert len(series.seconds) == 20
         assert all(s > 0 for s in series.seconds)
 
-    def test_structural_groups_share_runs(self, sweep):
+    def test_structural_groups_share_runs(self):
         """Only two structural configurations exist in the timeline
         (v1.x with the small TLB, v2.x with the large one), so the sweep
         needs only two real executions."""
-        groups = sweep._structural_groups()
-        assert len(groups) == 2
-        sizes = sorted(len(v) for v in groups.values())
+        sweep = VersionSweep(ARM, VEXPRESS)
+        sweep.run(get_benchmark("System Call"), iterations=30)
+        stats = sweep.runner.last_stats
+        assert stats["jobs"] == 20
+        assert stats["unique"] == 2
+        assert stats["executed"] == 2
+        sizes = sorted(row["submitted"] for row in sweep.runner.last_jobs)
         assert sizes == [3, 17]
 
     def test_exception_benchmark_declines(self, sweep):

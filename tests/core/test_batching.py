@@ -3,8 +3,8 @@ compact payloads, pool persistence, and parallel/serial determinism.
 
 Contracts under test:
 
-- chunk planning shards by engine structural key: a chunk never mixes
-  keys, covers every pending index exactly once, and preserves
+- chunk planning shards by engine cache key token: a chunk never mixes
+  tokens, covers every pending index exactly once, and preserves
   submission order (groups in first-seen order, members in order);
 - chunk sizing: each chunk takes ``ceil(remaining / (2 * workers))``
   of the jobs not yet chunked, so the last chunks are small, and
@@ -57,7 +57,7 @@ class LocalOnlyBenchmark(Benchmark):
 
 
 def _mixed_grid(iterations=10, benchmarks=3):
-    """A grid interleaving three structural keys (two engines plus a
+    """A grid interleaving three cache key tokens (two engines plus a
     structurally-distinct variant of one of them) over the first
     ``benchmarks`` healthy benchmarks."""
     engines = ["simit", "qemu-dbt", InterpSpec(tlb_capacity=128)]
@@ -76,12 +76,12 @@ def _simit_grid(iterations=10):
 
 
 class TestChunkPlanning:
-    def test_chunks_never_mix_structural_keys(self):
+    def test_chunks_never_mix_cache_key_tokens(self):
         runner = ExperimentRunner(jobs=2)
         specs = _mixed_grid()  # 9 jobs over 2 workers: chunks of 3, 2, 1, ...
         chunks = runner._plan_chunks(specs)
         for chunk in chunks:
-            keys = {specs[index].structural_key() for index in chunk}
+            keys = {specs[index].engine_spec.cache_key_token() for index in chunk}
             assert len(keys) == 1
         covered = sorted(index for chunk in chunks for index in chunk)
         assert covered == list(range(len(specs)))

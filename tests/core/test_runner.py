@@ -54,20 +54,20 @@ class _CountingHarness(Harness):
 
 
 def _key(engine, **fields):
-    return spec_for(engine, **fields).structural_key()
+    return spec_for(engine, **fields).cache_key_token()
 
 
-class TestStructuralKey:
+class TestCacheKeyToken:
     def test_cost_overrides_do_not_matter(self):
         a = dbt_spec_for_version("v2.1.0", "arm")
         b = dbt_spec_for_version("v2.4.1", "arm")
         assert a.cost_overrides != b.cost_overrides
-        assert a.structural_key() == b.structural_key()
+        assert a.cache_key_token() == b.cache_key_token()
 
     def test_structure_matters(self):
         old = dbt_spec_for_version("v1.7.0", "arm")  # tlb_bits=7
         new = dbt_spec_for_version("v2.5.0-rc2", "arm")  # tlb_bits=8
-        assert old.structural_key() != new.structural_key()
+        assert old.cache_key_token() != new.cache_key_token()
 
     def test_structural_fields_matter(self):
         assert _key("qemu-dbt", asid_tagged=True) != _key("qemu-dbt")
@@ -118,7 +118,7 @@ class TestJobSpec:
         assert clone.benchmark is spec.benchmark
         assert clone.iterations == spec.iterations
         assert clone.fingerprint() == spec.fingerprint()
-        assert clone.execution_key() == spec.execution_key()
+        assert clone.engine_spec.cache_key_token() == spec.engine_spec.cache_key_token()
 
     def test_executes_flags_static_outcomes(self):
         ok = JobSpec("System Call", "simit", ARM, VEXPRESS)
@@ -172,6 +172,48 @@ class TestDeduplication:
         }
         assert len(runner.last_jobs) == 2
         assert sum(row["submitted"] for row in runner.last_jobs) == 20
+
+    def test_benchmark_module_splits_cells(self):
+        # Two classes that differ only in ``__module__`` are two cells:
+        # the fingerprint names the module, so the dedup must too.
+        base = type(get_benchmark("System Call"))
+        twins = [
+            type(
+                base.__name__,
+                (base,),
+                {"__module__": module, "__qualname__": base.__qualname__},
+            )()
+            for module in ("repro_twin_a", "repro_twin_b")
+        ]
+        harness = _CountingHarness(timing=TimingPolicy.MODELED)
+        runner = ExperimentRunner(harness=harness)
+        specs = [JobSpec(twin, "simit", ARM, VEXPRESS, iterations=10) for twin in twins]
+        assert all(res.ok for res in runner.run(specs))
+        assert runner.last_stats["unique"] == 2
+        assert runner.last_stats["executed"] == 2
+        assert harness.executions == 2
+        assert [row["cell_id"] for row in runner.last_jobs] == [
+            spec.fingerprint() for spec in specs
+        ]
+        assert list(runner.last_records) == [spec.fingerprint() for spec in specs]
+
+    def test_equal_field_values_share_one_record_key(self):
+        specs = [
+            JobSpec(
+                "System Call",
+                spec_for("qemu-dbt", chain_enabled=value),
+                ARM,
+                VEXPRESS,
+                iterations=10,
+            )
+            for value in (True, 1)
+        ]
+        runner = ExperimentRunner()
+        runner.run(specs)
+        assert runner.last_stats["unique"] == 1
+        assert runner.last_stats["executed"] == 1
+        assert list(runner.last_records) == [specs[0].fingerprint()]
+        assert specs[1].fingerprint() == specs[0].fingerprint()
 
     def test_deduped_results_match_naive_serial(self):
         benchmark = get_benchmark("System Call")
@@ -352,7 +394,7 @@ class TestCacheKey:
             arch=ARM,
             platform=VEXPRESS,
             iterations=20,
-            structure=_key("qemu-dbt"),
+            structure=spec_for("qemu-dbt").cache_key_payload(),
         )
         params.update(overrides)
         return job_fingerprint(**params)
@@ -361,12 +403,12 @@ class TestCacheKey:
         assert self._fingerprint() != self._fingerprint(iterations=21)
 
     def test_structural_config_changes_key(self):
-        other = _key("qemu-dbt", tlb_bits=7)
+        other = spec_for("qemu-dbt", tlb_bits=7).cache_key_payload()
         assert self._fingerprint() != self._fingerprint(structure=other)
 
     def test_cost_overrides_share_key(self):
-        a = dbt_spec_for_version("v2.1.0", "arm").structural_key()
-        b = dbt_spec_for_version("v2.4.1", "arm").structural_key()
+        a = dbt_spec_for_version("v2.1.0", "arm").cache_key_payload()
+        b = dbt_spec_for_version("v2.4.1", "arm").cache_key_payload()
         assert self._fingerprint(structure=a) == self._fingerprint(structure=b)
 
     def test_benchmark_and_arch_change_key(self):

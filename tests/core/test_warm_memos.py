@@ -154,8 +154,8 @@ class TestFingerprintMemo:
             assert job.fingerprint() == first == fresh_fingerprint(job)
 
     def test_values_that_compare_equal_share_one_fingerprint(self):
-        # Fields coerce exact numbers to their type, so the runner's
-        # dedup key and the dataset's fingerprint agree on one cell.
+        # Fields coerce exact numbers to their type, so the three specs
+        # build one cache key token and one fingerprint: one cell.
         bench = SUITE[0]
         jobs = [
             JobSpec(bench, spec_for("qemu-dbt", chain_enabled=value), ARM, VEXPRESS, 10)
@@ -164,7 +164,7 @@ class TestFingerprintMemo:
         prints = [job.fingerprint() for job in jobs]
         assert prints == [fresh_fingerprint(job) for job in jobs]
         assert len(set(prints)) == 1
-        assert len({job.execution_key() for job in jobs}) == 1
+        assert len({job.engine_spec.cache_key_token() for job in jobs}) == 1
 
     def test_schema_inputs_are_part_of_the_key(self, monkeypatch):
         job = JobSpec(SUITE[0], "simit", ARM, VEXPRESS, 10)

@@ -86,11 +86,11 @@ class TestPayloadRoundTrip:
         assert clone == spec
         assert hash(clone) == hash(spec)
         assert clone.to_payload() == spec.to_payload()
-        assert clone.structural_key() == spec.structural_key()
+        assert clone.cache_key_token() == spec.cache_key_token()
         assert clone.cache_key_payload() == spec.cache_key_payload()
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
-    def test_delta_payload_rebuild_preserves_structural_key(self, engine):
+    def test_delta_payload_rebuild_preserves_cache_key_token(self, engine):
         """The manifest transport contract: delta_payload -> rebuild via
         from_delta_payload is a structural identity for every registry
         engine, so manifest-declared engines hash to the same cells as
@@ -98,7 +98,7 @@ class TestPayloadRoundTrip:
         spec = spec_for(engine)
         clone = EngineSpec.from_delta_payload(spec.delta_payload())
         assert clone == spec
-        assert clone.structural_key() == spec.structural_key()
+        assert clone.cache_key_token() == spec.cache_key_token()
         assert clone.cache_key_payload() == spec.cache_key_payload()
 
     def test_delta_payload_rebuild_with_non_default_fields(self):
@@ -109,7 +109,7 @@ class TestPayloadRoundTrip:
         ):
             clone = EngineSpec.from_delta_payload(spec.delta_payload())
             assert clone == spec
-            assert clone.structural_key() == spec.structural_key()
+            assert clone.cache_key_token() == spec.cache_key_token()
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     @pytest.mark.parametrize("arch", [ARM, X86], ids=["arm", "x86"])
@@ -142,15 +142,15 @@ class TestStructuralVsPricing:
     def test_cost_overrides_absent_from_structural_identity(self):
         cheap = DBTSpec()
         priced = DBTSpec(cost_overrides={"translations": 1.0}, version="vX")
-        assert cheap.structural_key() == priced.structural_key()
+        assert cheap.cache_key_token() == priced.cache_key_token()
         assert cheap.cache_key_payload() == priced.cache_key_payload()
         assert cheap != priced  # full identity still distinguishes them
 
     def test_structural_fields_change_the_key(self):
-        assert DBTSpec(tlb_bits=7).structural_key() != DBTSpec().structural_key()
+        assert DBTSpec(tlb_bits=7).cache_key_token() != DBTSpec().cache_key_token()
         assert (
-            InterpSpec(tlb_capacity=128).structural_key()
-            != InterpSpec().structural_key()
+            InterpSpec(tlb_capacity=128).cache_key_token()
+            != InterpSpec().cache_key_token()
         )
 
     def test_separately_built_specs_are_equal(self):
@@ -158,7 +158,7 @@ class TestStructuralVsPricing:
         b = DBTSpec(tlb_bits=7)
         assert a == b
         assert hash(a) == hash(b)
-        assert a.structural_key() == b.structural_key()
+        assert a.cache_key_token() == b.cache_key_token()
 
     def test_replace_revalidates(self):
         spec = InterpSpec().replace(tlb_capacity=256)
@@ -179,10 +179,10 @@ class TestImmutability:
         with pytest.raises(AttributeError, match="immutable"):
             del spec.engine
 
-    def test_structural_key_is_computed_once(self):
+    def test_cache_key_token_is_computed_once(self):
         spec = DBTSpec(tlb_bits=7)
-        assert spec.structural_key() is spec.structural_key()
-        assert spec.structural_key() == DBTSpec(tlb_bits=7).structural_key()
+        assert spec.cache_key_token() is spec.cache_key_token()
+        assert spec.cache_key_token() == DBTSpec(tlb_bits=7).cache_key_token()
 
     def test_cost_model_is_built_once_per_arch(self):
         spec = VirtSpec()
@@ -195,7 +195,7 @@ class TestImmutability:
         spec.cost_model(ARM)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.structural_key() == spec.structural_key()
+        assert clone.cache_key_token() == spec.cache_key_token()
         assert clone.cost_model(ARM).costs == spec.cost_model(ARM).costs
 
 
@@ -234,7 +234,7 @@ class TestValidation:
         assert value == stored and type(value) is type(stored)
         plain = spec_for(engine, **{field: stored})
         assert spec == plain
-        assert spec.structural_key() == plain.structural_key()
+        assert hash(spec) == hash(plain)
         assert spec.cache_key_token() == plain.cache_key_token()
 
     @pytest.mark.parametrize(
