@@ -21,11 +21,11 @@ Three guest kernels stress the three hot paths:
 Besides the per-engine matrix, two tracked speedups gate the fast-path
 work: the fast interpreter replaying predecoded blocks vs the same
 engine forced to step per instruction by a no-op ``_pre_execute`` hook
-(floor: 2x on ``hot-loop``), and a warm vs cold DBT
-sweep through the persistent code cache (floor: 3x).  A third tracked
-split runs ``hot-loop`` with the observability layer disabled vs
-enabled (ceiling: 5% overhead enabled, read as the median of
-per-round ratios; guest counters bit-identical).
+(floor: 2x on ``hot-loop``, read as the median of per-round ratios),
+and a warm vs cold DBT sweep through the persistent code cache (floor:
+3x).  A third tracked split runs ``hot-loop`` with the observability
+layer disabled vs enabled (ceiling: 5% overhead enabled, read as the
+median of per-round ratios; guest counters bit-identical).
 The standalone entry point emits ``BENCH_engines.json`` at the repo
 root (same shape as ``BENCH_runner.json``); all runs assert counters
 are bit-identical across each split.
@@ -74,6 +74,8 @@ UNROLLED_INSNS = 6_000
 OVERHEAD_LOOP_SCALE = 4
 #: Runs per engine-matrix cell (median, min and max are reported).
 MATRIX_RUNS = 5
+#: Timed rounds per paired split (:func:`_paired_rounds`).
+ROUNDS = 31
 
 HOT_LOOP = """
 .org 0x8000
@@ -227,21 +229,62 @@ def run_engine_matrix(scale=1):
     return matrix
 
 
+def _paired_rounds(modes):
+    """Time each ``(name, run)`` of ``modes`` once as a warm-up, then
+    :data:`ROUNDS` rounds that each time every mode back to back, with the
+    garbage collector held off while a run is timed and the mode that
+    goes first alternating from round to round.  ``run()`` returns
+    ``(engine, seconds)``; returns ``({name: [seconds per round]},
+    {name: engine of its last round})``."""
+    timings = {name: [] for name, _run in modes}
+    engines = {}
+
+    def timed(run):
+        gc.collect()
+        gc.disable()
+        try:
+            return run()
+        finally:
+            gc.enable()
+
+    for _name, run in modes:
+        timed(run)  # warm-up, not timed
+    for index in range(ROUNDS):
+        for name, run in modes if index % 2 == 0 else modes[::-1]:
+            engines[name], seconds = timed(run)
+            timings[name].append(seconds)
+    return timings, engines
+
+
+def _median_ratio(numerators, denominators):
+    """The median of the per-round ratios: a burst of host load spoils
+    the rounds it lands in, not the median, where a ratio of two
+    single timings (or of two minima taken over different rounds)
+    moves with every burst."""
+    return statistics.median(a / b for a, b in zip(numerators, denominators))
+
+
 def run_interp_block_split(scale=1):
     """Fast interpreter replaying predecoded blocks vs stepping one
-    instruction at a time, on the hot loop; counters must be
-    bit-identical, wallclock must not be."""
+    instruction at a time, on the hot loop, timed in alternating
+    rounds (:func:`_paired_rounds`); the speedup is the median of the
+    per-round step/block ratios.  Counters must be bit-identical,
+    wallclock must not be."""
     program = assemble(kernels(scale)["hot-loop"])
-    base_engine, base_seconds = _run_engine(FastInterpreter, program, step=True)
-    fast_engine, fast_seconds = _run_engine(FastInterpreter, program)
+    timings, engines = _paired_rounds(
+        (
+            ("step", lambda: _run_engine(FastInterpreter, program, step=True)),
+            ("block", lambda: _run_engine(FastInterpreter, program)),
+        )
+    )
     assert (
-        base_engine.counters.snapshot() == fast_engine.counters.snapshot()
+        engines["step"].counters.snapshot() == engines["block"].counters.snapshot()
     ), "predecoded blocks changed guest-visible counters"
     return {
-        "baseline_seconds": base_seconds,
-        "block_seconds": fast_seconds,
-        "speedup": base_seconds / fast_seconds,
-        "instructions": fast_engine.counters.instructions,
+        "baseline_seconds": statistics.median(timings["step"]),
+        "block_seconds": statistics.median(timings["block"]),
+        "speedup": _median_ratio(timings["step"], timings["block"]),
+        "instructions": engines["block"].counters.instructions,
         "identical_counters": True,
     }
 
@@ -283,17 +326,12 @@ def run_dbt_code_cache_sweep(scale=1):
     }
 
 
-def run_metrics_overhead_split(scale=1, rounds=31):
+def run_metrics_overhead_split(scale=1):
     """Hot interpreter kernel with the observability layer disabled vs
-    enabled: one warm-up pass per mode, then ``rounds`` rounds that
-    each time both modes back to back on a kernel of
-    :data:`OVERHEAD_LOOP_SCALE` times the ``hot-loop`` iterations,
-    with the garbage collector held off while a run is timed.  The
-    mode that goes first alternates from round to round, and the
-    reading is the median of the per-round enabled/disabled ratios: a
-    burst of host load spoils the rounds it lands in, not the median,
-    where a ratio of two minima taken over different rounds moves with
-    every burst.
+    enabled, timed in alternating rounds (:func:`_paired_rounds`) on a
+    kernel of :data:`OVERHEAD_LOOP_SCALE` times the ``hot-loop``
+    iterations; the reading is the median of the per-round
+    enabled/disabled ratios.
 
     The per-instruction dispatch loop carries no instrumentation at
     all -- only decode misses and TLB walks check ``METRICS.enabled``
@@ -304,38 +342,29 @@ def run_metrics_overhead_split(scale=1, rounds=31):
     program = assemble(
         HOT_LOOP % max(OVERHEAD_LOOP_SCALE * HOT_LOOP_ITERS // scale, 1000)
     )
-    modes = (("disabled", False), ("enabled", True))
-    timings = {"disabled": [], "enabled": []}
-    snapshots = {}
 
-    def timed(enabled):
+    def metered(enabled):
         METRICS.reset()
         METRICS.enable(enabled)
-        gc.collect()
-        gc.disable()
         try:
             return _run_engine(FastInterpreter, program)
         finally:
-            gc.enable()
             METRICS.enable(False)
 
     try:
-        for _mode, enabled in modes:
-            timed(enabled)  # warm-up, not timed
-        for index in range(rounds):
-            for mode, enabled in modes if index % 2 == 0 else modes[::-1]:
-                engine, seconds = timed(enabled)
-                timings[mode].append(seconds)
-                snapshots[mode] = engine.counters.snapshot()
+        timings, engines = _paired_rounds(
+            (
+                ("disabled", lambda: metered(False)),
+                ("enabled", lambda: metered(True)),
+            )
+        )
     finally:
         METRICS.reset()
+    snapshots = {mode: engine.counters.snapshot() for mode, engine in engines.items()}
     assert (
         snapshots["disabled"] == snapshots["enabled"]
     ), "metrics layer changed guest-visible counters"
-    ratio = statistics.median(
-        enabled / disabled
-        for disabled, enabled in zip(timings["disabled"], timings["enabled"])
-    )
+    ratio = _median_ratio(timings["enabled"], timings["disabled"])
     return {
         "disabled_seconds": statistics.median(timings["disabled"]),
         "enabled_seconds": statistics.median(timings["enabled"]),

@@ -10,12 +10,12 @@ dataset), then gates the service contract:
 2. a warm resubmission of the same manifest must execute **zero**
    cells (every cell priced from the dataset);
 3. SIGTERM must drain gracefully: exit code 0 and no dataset rows
-   lost (the warm pass's row count survives the restart).
+   lost (the warm pass's row count survives the restart), and the
+   jobs' ``dataset_appended`` counts add up to the rows on disk.
 
 Runnable standalone: ``PYTHONPATH=src python benchmarks/smoke_serve.py``.
 """
 
-import json
 import os
 import shutil
 import signal
@@ -157,7 +157,7 @@ def main():
         )
         assert rows_before > 0
 
-        # Graceful drain: SIGTERM -> exit 0, totals persisted, no rows lost.
+        # Graceful drain: SIGTERM -> exit 0, no rows lost.
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=DRAIN_WAIT_S)
         assert proc.returncode == 0, (proc.returncode, out, err)
@@ -169,10 +169,11 @@ def main():
         )
         assert rows_after == rows_before, (rows_before, rows_after)
         assert not os.path.exists(sock), "drain left the socket behind"
-        totals_path = os.path.join(dataset_dir, "_totals.json")
-        with open(totals_path) as fh:
-            totals = json.load(fh)
-        assert totals.get("stores", 0) == rows_after, (totals, rows_after)
+        # Every row on disk was appended by exactly one job.
+        appended = sum(
+            info["dataset_appended"] for info in [*finals.values(), warm_info]
+        )
+        assert appended == rows_after, (appended, rows_after)
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -162,8 +162,8 @@ class VersionSweep:
         the runner as one :meth:`~repro.core.runner.ExperimentRunner.run`
         call: with ``jobs=N`` the per-structural-group executions of
         *every* benchmark proceed in parallel, and a warm regeneration
-        pays one dataset-totals fold, not one per iteration count.  The
-        result keeps the order of ``cells``.
+        pays one runner pass, not one per iteration count.  The result
+        keeps the order of ``cells``.
 
         The grid always completes (the runner is fault-isolated); what
         ``strict`` controls is reporting.  ``strict=True`` raises

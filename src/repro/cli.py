@@ -37,7 +37,7 @@ Commands
     Run the long-lived experiment service: one warm worker pool and
     one dataset serving manifest submissions over a local socket, in
     submission order.  SIGTERM drains gracefully (finish in-flight
-    work, persist totals, exit 0).
+    work, exit 0).
 ``submit MANIFEST``
     Submit a manifest (bundled name or path) -- or an ad-hoc grid via
     ``--adhoc`` -- to a running service; prints the job id.
@@ -679,31 +679,20 @@ def _cmd_bisect(args):
     return 0 if result.status in ("found", "no-change") else 1
 
 
-def _print_store_totals(stats):
-    # Session counters of a freshly opened store are always zero; the
-    # meaningful numbers are the persisted totals, folded in by every
-    # run that used the store -- parent and pool workers alike.
-    totals = stats["totals"]
-    print(
-        "  totals:  %d hits, %d misses, %d stores, %d quarantined"
-        % (
-            totals["hits"],
-            totals["misses"],
-            totals["stores"],
-            totals["quarantined"],
-        )
-    )
-
-
 def _cmd_cache(args):
     dataset = Dataset(args.dataset_dir)
     if args.action == "stats":
+        # One scan quarantines (unlinks and counts) the corrupt and
+        # other-schema rows, as `repro query` does, so entries and bytes
+        # count good rows.
+        for _row in dataset.scan():
+            pass
         stats = dataset.stats()
         print("dataset %s" % stats["root"])
         print("  entries: %d" % stats["entries"])
         print("  bytes:   %d" % stats["bytes"])
         print("  schema:  %s" % stats["schema"])
-        _print_store_totals(stats)
+        print("  quarantined: %d" % stats["quarantined"])
     else:
         removed = dataset.clear()
         print("removed %d dataset rows from %s" % (removed, args.dataset_dir))
@@ -714,7 +703,6 @@ def _cmd_cache(args):
             print("code cache %s" % stats["root"])
             print("  entries: %d" % stats["entries"])
             print("  bytes:   %d" % stats["bytes"])
-            _print_store_totals(stats)
         else:
             removed = store.clear()
             print("removed %d code-cache entries from %s"
@@ -841,7 +829,6 @@ def _cmd_query(args):
     summary = "%d row(s)" % len(rows)
     if quarantined:
         summary += " (%d corrupt row(s) quarantined)" % quarantined
-        dataset.fold_totals()
     print(summary, file=sys.stderr)
     return 0 if rows else 1
 
@@ -1313,7 +1300,9 @@ def build_parser():
         "--dataset-dir",
         default=".repro-dataset",
         help="experiment dataset directory (default: .repro-dataset); "
-        "stats include quarantined corrupt-row counts",
+        "stats scans it, deleting (quarantining) every corrupt or "
+        "other-schema row as `repro query` does, then prints its rows, "
+        "bytes and schema and how many rows it deleted",
     )
     p_cache.add_argument(
         "--code-cache-dir",
@@ -1524,8 +1513,8 @@ def main(argv=None):
         return 2
     except KeyboardInterrupt:
         # Ctrl-C: the runner has already discarded its pool (queued
-        # chunks cancelled, workers exited quietly) and flushed store
-        # totals on the way out -- exit with the conventional 130
+        # chunks cancelled, workers exited quietly) on the way out --
+        # exit with the conventional 130
         # instead of a pile of concurrent.futures tracebacks.
         print("interrupted", file=sys.stderr)
         return 130

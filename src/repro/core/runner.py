@@ -57,9 +57,10 @@ themselves.  The parent additionally times chunk dispatch
 (``runner.dispatch``), records a chunk-size histogram
 (``runner.chunk_size``) and counts shipped payload bytes
 (``runner.payload_bytes``), so pool overhead is visible per run.
-Persistent-store session deltas (dataset, DBT code store) are folded
-into each store's on-disk totals at the end of every run, covering
-parent *and* worker activity (``repro cache stats`` reports them).
+Store traffic (dataset, DBT code store) is counted in the same
+registry (``dataset.*`` and ``codestore.*`` counters), so a pool
+worker's code-store hits and misses reach the parent in its chunk's
+snapshot; nothing about it is persisted.
 """
 
 import json
@@ -417,9 +418,9 @@ def _execute_chunk(blob):
     in chunk order, plus ONE aggregated aux for the whole chunk --
     per-job wall times, the chunk's total wall, a single snapshot of
     the worker's metrics registry (reset at chunk start, so snapshots
-    are disjoint deltas) and a single DBT code-store session delta.
-    This is the batching payoff: one snapshot/delta/transport per
-    dispatch instead of per job.
+    are disjoint deltas; its ``codestore.*`` counters carry the
+    worker's code-store traffic).  This is the batching payoff: one
+    snapshot/transport per dispatch instead of per job.
     """
     from repro.arch import get_arch
     from repro.platform import get_platform
@@ -427,8 +428,6 @@ def _execute_chunk(blob):
     payload = pickle.loads(blob)
     engines = [_worker_spec(spec) for spec in payload["engines"]]
     METRICS.reset()
-    store = codestore.active()
-    store_before = store.session_stats() if store is not None else None
     chunk_start = time.perf_counter_ns()
     records = []
     walls = []
@@ -445,17 +444,11 @@ def _execute_chunk(blob):
         walls.append(wall_ns)
     chunk_wall_ns = time.perf_counter_ns() - chunk_start
     METRICS.add_phase_ns("runner.chunk", chunk_wall_ns)
-    aux = {
+    return records, {
         "walls": walls,
         "chunk_wall_ns": chunk_wall_ns,
         "metrics": METRICS.snapshot(),
     }
-    if store is not None:
-        after = store.session_stats()
-        aux["codestore"] = {
-            key: after[key] - store_before[key] for key in after
-        }
-    return records, aux
 
 
 #: At most this many executed records are kept for reuse by a
@@ -583,8 +576,6 @@ class ExperimentRunner:
         #: The :data:`SUMMED_STATS` counters of :attr:`last_stats`,
         #: summed across every :meth:`run` call.
         self.total_stats = dict.fromkeys(SUMMED_STATS, 0)
-        # Worker code-store deltas shipped back during the current run.
-        self._worker_codestore = {}
 
     # -- pool lifecycle ------------------------------------------------
     def _ensure_pool(self):
@@ -666,18 +657,13 @@ class ExperimentRunner:
         ``KeyboardInterrupt`` is the one failure that *does* abort the
         grid -- but cleanly: the pool is discarded with its queued
         chunks cancelled (workers exit quietly, no
-        ``concurrent.futures`` traceback spew), persistent-store
-        totals are flushed, and the interrupt propagates for the
-        caller to exit 130.
+        ``concurrent.futures`` traceback spew), and the interrupt
+        propagates for the caller to exit 130.
         """
         try:
             return self._run_grid(specs)
         except KeyboardInterrupt:
             self._discard_pool()
-            try:
-                self._fold_store_totals()
-            except Exception:
-                pass
             raise
 
     def _run_grid(self, specs):
@@ -685,7 +671,6 @@ class ExperimentRunner:
         cell_ids = [spec.fingerprint() for spec in specs]
         # Fresh every run, so no counter carries over from a previous grid.
         self.last_stats = stats = dict.fromkeys(RUN_STATS, 0)
-        self._worker_codestore = {}
         manifest = self.manifest
         manifest_id = manifest.manifest_id() if manifest is not None else None
         # A stored record prices to exactly what a fresh run would only
@@ -796,10 +781,6 @@ class ExperimentRunner:
             sources = cell["sources"]
             sources[row["source"]] = sources.get(row["source"], 0) + 1
 
-        # Fold this run's store activity (parent-side session deltas
-        # plus worker-shipped code-store deltas) into on-disk totals.
-        self._fold_store_totals()
-
         # Price every original spec against its shared record.
         with METRICS.phase("harness.price_grid"):
             return [
@@ -813,31 +794,6 @@ class ExperimentRunner:
                 )
                 for cell_id, spec in zip(cell_ids, specs)
             ]
-
-    def _fold_store_totals(self):
-        """Fold store session deltas into persistent totals, once per
-        run: the dataset's and the parent code store's counters since
-        their previous fold, plus every code-store delta the workers
-        shipped back.  This is what makes ``repro cache stats`` totals
-        cover ``--jobs N`` runs instead of silently under-reporting
-        worker-side hits."""
-        for store in (self.dataset, codestore.active()):
-            if store is None:
-                continue
-            try:
-                store.fold_session()
-            except OSError:
-                pass  # totals are best-effort accounting, never fatal
-        if self._worker_codestore:
-            store = codestore.active()
-            if store is None and self.code_cache_dir is not None:
-                store = codestore.CodeStore(self.code_cache_dir)
-            if store is not None:
-                try:
-                    store.fold_totals(self._worker_codestore)
-                except OSError:
-                    pass
-            self._worker_codestore = {}
 
     # -- chunk planning ------------------------------------------------
     @staticmethod
@@ -956,12 +912,6 @@ class ExperimentRunner:
             _note_attempt(rows[index], wall_ns, "pool")
             rows[index]["queue_wait_ns"] += queue_share
         METRICS.merge(aux.get("metrics"))
-        delta = aux.get("codestore")
-        if delta:
-            for key, value in delta.items():
-                self._worker_codestore[key] = (
-                    self._worker_codestore.get(key, 0) + int(value)
-                )
         return True
 
     def _execute_pending(self, specs, rows):

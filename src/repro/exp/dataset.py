@@ -208,7 +208,7 @@ class Dataset(DirectoryStore):
         plus a CLI run, or two concurrent manifest runs) store the same
         cell -- the existing row is kept untouched, this writer's temp
         file is discarded, and ``False`` is returned.  History never
-        gets rewritten, ``stores`` totals never double-count a cell,
+        gets rewritten, the ``stores`` counter never double-counts a cell,
         and :meth:`~repro.storage.DirectoryStore.scan` sees exactly one
         row per cell.
         """

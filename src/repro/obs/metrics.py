@@ -20,7 +20,7 @@ Design rules:
   bench_engine_wallclock.py`` tracks the overhead on the hot
   interpreter kernel.
 - **Rare events may record unconditionally.**  Events that must never
-  be lost (``runner.deadline_softcheck``, store hit/miss totals)
+  be lost (``runner.deadline_softcheck``, store hit/miss counts)
   bypass the gate; instruments themselves (:class:`Counter`,
   :class:`Phase`, ...) always work.
 - **Deterministic merge.**  :meth:`Metrics.snapshot` is a sorted,

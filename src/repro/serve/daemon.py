@@ -39,8 +39,10 @@ Execution model:
 Graceful drain: on SIGTERM (or ``drain``), the service stops accepting
 submissions, cancels queued slices (their jobs finish ``drained`` with
 partial stats -- completed slices' dataset rows are already
-persisted), lets the in-flight slice finish, folds every store's
-``_totals.json``, closes the socket, and exits 0.
+persisted), lets the in-flight slice finish, closes the socket, and
+exits 0.  The drain writes nothing to the dataset: each job's
+``dataset_appended`` and per-cell ``source`` already say what it
+stored and read.
 
 Service observability rides the metrics registry:
 ``serve.queue_depth`` / ``serve.inflight_slices`` gauges,
@@ -465,7 +467,7 @@ class ExperimentService:
 
     def serve_forever(self):
         """Park until a drain completes; returns 0 (the drain exit
-        contract: in-flight work finished, rows and totals persisted)."""
+        contract: in-flight work finished, its rows stored)."""
         self._draining.wait()
         if self._scheduler is not None:
             self._scheduler.join()
@@ -491,14 +493,6 @@ class ExperimentService:
             for job in list(self._jobs.values()):
                 if not job.done.is_set():
                     self._finish(job, "drained")
-        # Persist every store's totals: the runner folds once per run;
-        # one final fold covers counters a failed slice left unflushed,
-        # then the pool goes down.
-        if self.dataset is not None:
-            try:
-                self.dataset.fold_session()
-            except OSError:
-                pass
         self.runner.close()
 
     def stop(self):

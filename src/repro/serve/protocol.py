@@ -32,7 +32,7 @@ Operations (see :mod:`repro.serve.daemon` for semantics):
     executed ones.
 ``drain``
     Begin graceful shutdown: finish in-flight work, cancel the queue,
-    persist dataset rows and store totals, exit 0.
+    exit 0 (completed slices' dataset rows are already stored).
 """
 
 import json

@@ -7,46 +7,22 @@ execution records (:mod:`repro.exp.dataset`) and compiled DBT blocks
 dependency-free, so either side can import it without dragging in the
 other's package.
 
-Two layers of accounting:
-
-- **session counters** (``hits``/``misses``/``stores``/``quarantined``)
-  live on the instance and cover this process only; they are mirrored
-  into the process-global metrics registry under
-  ``<metrics_name>.<event>`` names so the observability layer sees
-  them without polling;
-- **persistent totals** live in a ``_totals.json`` file at the store
-  root (never mistaken for an entry: entries only live in the
-  two-character fan-out subdirectories).  :meth:`fold_totals` folds a
-  session delta in with a read-add-replace over an atomic rename,
-  serialised across processes by an advisory ``fcntl.flock`` on a
-  sidecar ``_totals.lock`` file -- so two concurrent runners (or the
-  experiment service plus a CLI run on the same store) never lose each
-  other's deltas.  Callers fold once per run through
-  :meth:`fold_session`, whose baseline lives on the store instance, so
-  runners sharing one instance never fold the same event twice; the
-  experiment runner also folds every pool worker's shipped code-store
-  delta, so ``repro cache stats`` reports activity across all
-  processes, not just the parent.
+Accounting is per process: the session counters (``hits``/``misses``/
+``stores``/``quarantined``) live on the instance, and are mirrored into
+the process-global metrics registry under ``<metrics_name>.<event>``
+names, which pool workers ship back to the parent with every chunk.
+Nothing about a store's traffic is persisted: what a run did stays with
+the run (its runner stats and metrics), and what the store holds is
+read off the directory itself (:meth:`DirectoryStore.stats`, and a
+:meth:`DirectoryStore.scan` for corrupt entries).
 """
 
-import json
 import os
 import tempfile
 
-try:  # POSIX advisory locks; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
 from repro.obs.metrics import METRICS
 
-#: The persistent-totals file at the store root.
-TOTALS_FILENAME = "_totals.json"
-
-#: Sidecar advisory-lock file serialising concurrent totals folds.
-TOTALS_LOCKFILE = "_totals.lock"
-
-#: The session-counter vocabulary (also the totals-file schema).
+#: The session-counter vocabulary.
 SESSION_KEYS = ("hits", "misses", "stores", "quarantined")
 
 
@@ -78,8 +54,6 @@ class DirectoryStore:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
-        # Session counters already folded by fold_session().
-        self._folded = dict.fromkeys(SESSION_KEYS, 0)
 
     # ------------------------------------------------------------------
     def _path(self, key):
@@ -203,97 +177,14 @@ class DirectoryStore:
         return True
 
     # ------------------------------------------------------------------
-    def session_stats(self):
-        """This process's counters (a delta suitable for fold_totals)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "quarantined": self.quarantined,
-        }
-
-    def fold_session(self):
-        """Fold this instance's counters since its previous
-        :meth:`fold_session` into the persistent totals; returns them."""
-        current = self.session_stats()
-        delta = {key: current[key] - self._folded[key] for key in SESSION_KEYS}
-        self._folded = current
-        return self.fold_totals(delta)
-
-    def _totals_path(self):
-        return os.path.join(self.root, TOTALS_FILENAME)
-
     def totals(self):
-        """The persistent cross-process totals (zeros when absent)."""
-        try:
-            with open(self._totals_path(), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return dict.fromkeys(SESSION_KEYS, 0)
-        return {key: int(payload.get(key, 0)) for key in SESSION_KEYS}
+        """This instance's session counters, keyed by :data:`SESSION_KEYS`."""
+        return {key: getattr(self, key) for key in SESSION_KEYS}
 
-    def _fold_lock(self):
-        """An exclusively-flocked descriptor on the sidecar lock file,
-        or ``None`` where advisory locks are unavailable (the fold then
-        degrades to the bare atomic replace)."""
-        if fcntl is None:
-            return None
-        try:
-            fd = os.open(
-                os.path.join(self.root, TOTALS_LOCKFILE),
-                os.O_CREAT | os.O_RDWR,
-                0o644,
-            )
-        except OSError:
-            return None
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-        except OSError:
-            os.close(fd)
-            return None
-        return fd
-
-    def fold_totals(self, delta=None):
-        """Fold a session delta into ``_totals.json`` and return the new
-        totals.
-
-        ``delta`` defaults to this instance's session counters.  The
-        fold is read-add-replace through an atomic rename, guarded by
-        an advisory ``fcntl.flock`` on a sidecar lock file: the rename
-        alone keeps the file from tearing, but two concurrent folds
-        would both read the same base and the second replace would
-        silently drop the first's delta -- with the lock held across
-        read-add-replace, every delta lands exactly once however many
-        runners share the store.
-        """
-        if delta is None:
-            delta = self.session_stats()
-        if not any(int(delta.get(key, 0)) for key in SESSION_KEYS):
-            return self.totals()
-        os.makedirs(self.root, exist_ok=True)
-        lock_fd = self._fold_lock()
-        try:
-            totals = self.totals()
-            for key in SESSION_KEYS:
-                totals[key] += int(delta.get(key, 0))
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(totals, fh, sort_keys=True)
-                os.replace(tmp, self._totals_path())
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        finally:
-            if lock_fd is not None:
-                try:
-                    fcntl.flock(lock_fd, fcntl.LOCK_UN)
-                finally:
-                    os.close(lock_fd)
-        return totals
+    def fold_totals(self):
+        """:meth:`totals`; writes nothing.  Kept only for the frozen
+        ``perfbench/layers.py``, which wraps it; leaves with ROADMAP item 5."""
+        return self.totals()
 
     # ------------------------------------------------------------------
     def _entry_paths(self):
@@ -308,8 +199,7 @@ class DirectoryStore:
                     yield os.path.join(subdir, name)
 
     def stats(self):
-        """Summary of the on-disk store plus this session's counters
-        and the persistent cross-process totals."""
+        """Summary of the on-disk store plus this session's counters."""
         entries = 0
         total_bytes = 0
         for path in self._entry_paths():
@@ -322,26 +212,16 @@ class DirectoryStore:
             "root": self.root,
             "entries": entries,
             "bytes": total_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "quarantined": self.quarantined,
-            "totals": self.totals(),
+            **self.totals(),
         }
 
     def clear(self):
-        """Delete every entry (and the persistent totals);
-        returns the number of entries removed."""
+        """Delete every entry; returns the number removed."""
         removed = 0
         for path in list(self._entry_paths()):
             try:
                 os.unlink(path)
                 removed += 1
-            except OSError:
-                pass
-        for name in (TOTALS_FILENAME, TOTALS_LOCKFILE):
-            try:
-                os.unlink(os.path.join(self.root, name))
             except OSError:
                 pass
         return removed

@@ -1,5 +1,5 @@
 """Observability-layer tests: the metrics registry, the worker-merge
-protocol, the JSONL exporter, persistent store totals, and the stats/
+protocol, the JSONL exporter, store accounting, and the stats/
 deadline bugfix regressions from the runner audit.
 
 Contracts under test:
@@ -10,10 +10,10 @@ Contracts under test:
 - the runner emits one observability row per unique cell (source =
   executed/dataset/static, ``submitted`` = specs sharing it), keeps one
   row per ``cell_id`` across runs, and merges worker metrics snapshots
-  and code-store deltas back into the parent under ``jobs=N``;
-- store accounting survives the process boundary: ``_totals.json``
-  accumulates across instances/processes and ``repro cache stats``
-  reports it;
+  back into the parent under ``jobs=N`` -- pool workers' code-store
+  traffic included;
+- store accounting is per process and persists nothing: a store's
+  ``totals()`` are its session counters, mirrored into the registry;
 - ``retried``/``worker_lost`` reset exactly once per run (a crash-once
   engine retried to success leaves ``crashed == 0``, and the next run
   starts from zero);
@@ -53,6 +53,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import METRICS, Metrics, enabled_scope
 from repro.platform import VEXPRESS
+from repro.sim.dbt import codestore
 from repro.sim.dbt.codestore import CodeStore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
 from repro.sim.dbt.versions import dbt_spec_for_version
@@ -283,51 +284,63 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------------
-# Persistent store totals
+# Store totals
 # ---------------------------------------------------------------------------
 
 
 class TestStoreTotals:
-    def test_fold_accumulates_across_instances(self, tmp_path):
-        delta = {"hits": 2, "misses": 1, "stores": 1, "quarantined": 0}
-        first = Dataset(tmp_path / "ds")
-        first.fold_totals(delta)
-        second = Dataset(tmp_path / "ds")  # a "new process"
-        second.fold_totals(delta)
-        assert second.totals() == {
-            "hits": 4, "misses": 2, "stores": 2, "quarantined": 0,
-        }
-
-    def test_totals_file_is_not_an_entry(self, tmp_path):
+    def test_totals_are_session_counters_and_write_nothing(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
-        dataset.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
-        assert dataset.stats()["entries"] == 0
-
-    def test_zero_delta_writes_nothing(self, tmp_path):
-        dataset = Dataset(tmp_path / "ds")
-        dataset.fold_totals({"hits": 0, "misses": 0, "stores": 0, "quarantined": 0})
-        assert not (tmp_path / "ds").exists()
-
-    def test_clear_removes_totals(self, tmp_path):
-        dataset = Dataset(tmp_path / "ds")
-        dataset.fold_totals({"hits": 1, "misses": 0, "stores": 0, "quarantined": 0})
-        dataset.clear()
+        dataset.get("ab" + "0" * 62)
+        dataset.get("cd" + "0" * 62)
         assert dataset.totals() == {
-            "hits": 0, "misses": 0, "stores": 0, "quarantined": 0,
+            "hits": 0, "misses": 2, "stores": 0, "quarantined": 0,
         }
+        assert Dataset(tmp_path / "ds").totals()["misses"] == 0
+        assert not (tmp_path / "ds").exists()
 
     def test_store_traffic_mirrors_into_metrics(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
         dataset.get("ab" + "0" * 62)
         assert METRICS.counters["dataset.misses"].value == 1
 
-    def test_fold_session_folds_each_event_once(self, tmp_path):
+    def test_totals_file_is_not_an_entry(self, tmp_path):
+        """A ``_totals.json``/``_totals.lock`` left in the root by an
+        older version is neither an entry nor read as counts."""
+        root = tmp_path / "ds"
+        root.mkdir()
+        (root / "_totals.json").write_text('{"hits": 7}')
+        (root / "_totals.lock").write_text("")
+        dataset = Dataset(root)
+        assert dataset.stats()["entries"] == 0
+        assert dataset.rows() == []
+        assert dataset.totals()["hits"] == 0
+        assert dataset.clear() == 0
+
+    def test_fold_totals_is_totals_and_writes_nothing(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
         dataset.get("ab" + "0" * 62)
-        dataset.fold_session()
-        dataset.fold_session()  # nothing new since the last fold
-        dataset.get("cd" + "0" * 62)
-        assert dataset.fold_session()["misses"] == 2
+        assert dataset.fold_totals() == dataset.totals()
+        assert dataset.fold_totals()["misses"] == 1  # nothing consumed
+        assert not (tmp_path / "ds").exists()
+
+    def test_clear_removes_entries_not_counters(self, tmp_path):
+        code = CodeStore(tmp_path / "code")
+        payload = (b"\x00" * 4, 1, "pass", compile("pass", "<block>", "exec"))
+        code.put("ab" + "0" * 62, payload)
+        assert code.get("ab" + "0" * 62)[:3] == payload[:3]
+        assert code.clear() == 1
+        assert code.stats()["entries"] == 0
+        assert code.totals() == {
+            "hits": 1, "misses": 0, "stores": 1, "quarantined": 0,
+        }
+
+    def test_stats_carry_session_counters_only(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        dataset.get("ab" + "0" * 62)
+        stats = dataset.stats()
+        assert "totals" not in stats
+        assert {key: stats[key] for key in dataset.totals()} == dataset.totals()
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +551,7 @@ class TestWorkerMetricsMerge:
             )
         assert counts(parallel_snap) == counts(serial_snap)
 
-    def test_worker_codestore_delta_reaches_totals(self, tmp_path):
+    def test_worker_codestore_traffic_reaches_parent_metrics(self, tmp_path):
         code_dir = tmp_path / "code"
         # Forked workers inherit this process's translation memo; clear
         # it so they translate, and reach the store, rather than reuse
@@ -551,13 +564,17 @@ class TestWorkerMetricsMerge:
                 for bench in _ok_benchmarks()
             ]
         )
-        totals = CodeStore(code_dir).totals()
-        # Translation happened only inside pool workers, yet the store
-        # totals saw it: the delta crossed the process boundary.
-        assert totals["stores"] > 0
-        assert totals["misses"] > 0
+        # Translation happened only inside pool workers (the parent's
+        # own store saw nothing), yet the parent's registry counted it:
+        # the counters crossed the process boundary in the chunk
+        # snapshots.
+        assert runner.last_stats["chunks"] > 0
+        assert codestore.active().totals()["stores"] == 0
+        assert CodeStore(code_dir).stats()["entries"] > 0
+        assert METRICS.counters["codestore.stores"].value > 0
+        assert METRICS.counters["codestore.misses"].value > 0
 
-    def test_parent_dataset_folds_totals(self, tmp_path):
+    def test_dataset_totals_count_each_run(self, tmp_path):
         dataset = Dataset(tmp_path / "ds")
         specs = lambda: _grid(get_benchmark("System Call"))  # noqa: E731
         runner = ExperimentRunner(dataset=dataset)
@@ -565,8 +582,7 @@ class TestWorkerMetricsMerge:
         assert dataset.totals()["stores"] == 1
         runner.run(specs())
         assert dataset.totals()["hits"] == 1
-        # Folds are incremental: the first run's counters were not
-        # double-counted by the second fold.
+        # The warm run stored nothing new.
         assert dataset.totals()["stores"] == 1
 
 

@@ -114,9 +114,10 @@ class TestDataset:
         os.makedirs(bad.parent, exist_ok=True)
         bad.write_text("{not json")
         dataset.rows()
-        dataset.fold_totals()
-        fresh = Dataset(tmp_path / "ds")
-        assert fresh.stats()["totals"]["quarantined"] == 1
+        assert dataset.totals()["quarantined"] == 1
+        assert dataset.stats()["quarantined"] == 1
+        # Counts are per session: a fresh handle starts from zero.
+        assert Dataset(tmp_path / "ds").totals()["quarantined"] == 0
 
     def test_foreign_entries_are_quarantined_and_reexecuted(self, tmp_path):
         """A row of another schema and a leftover result-cache entry
@@ -318,13 +319,13 @@ class TestRowMemo:
             for op, key in reads:
                 handle = handle_for()
                 out.append(handle.get(key) if op == "get" else handle.rows())
-                for name, value in handle.session_stats().items():
+                for name, value in handle.totals().items():
                     totals[name] += value
             return out, totals
 
         memoized = Dataset(tmp_path / "ds")
         with_memo = replay(lambda: memoized)
-        memoized_totals = memoized.session_stats()
+        memoized_totals = memoized.totals()
         fresh = replay(lambda: Dataset(tmp_path / "ds"))
         assert with_memo[0] == fresh[0]
         assert memoized_totals == fresh[1]

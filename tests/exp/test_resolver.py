@@ -265,9 +265,9 @@ class TestDatasetResolution:
         entries = [p for p in (tmp_path / "ds").rglob("*.json") if p.parent.name != "ds"]
         assert len(entries) == unique
 
-    def test_shared_dataset_totals_fold_once(self, tmp_path):
-        """Runners sharing one Dataset instance fold each session event
-        into ``_totals.json`` exactly once."""
+    def test_shared_dataset_totals_count_once(self, tmp_path):
+        """Runners sharing one Dataset instance count each store event
+        once in its session totals, and persist none of them."""
         dataset = Dataset(tmp_path / "ds")
         manifest = tiny_manifest()
         for _ in range(3):
@@ -276,6 +276,7 @@ class TestDatasetResolution:
         assert dataset.totals() == {
             "hits": 12, "misses": 6, "stores": 6, "quarantined": 0,
         }
+        assert not list((tmp_path / "ds").glob("_totals*"))
 
 
 class TestFrozenBenchmarkSurface:

@@ -228,8 +228,6 @@ class TestManifestCommand:
             files = {}
             for dirpath, _dirs, names in os.walk(root):
                 for name in names:
-                    if name.startswith("_totals"):
-                        continue
                     path = os.path.join(dirpath, name)
                     with open(path, encoding="utf-8") as fh:
                         row = json.load(fh)
@@ -293,9 +291,24 @@ class TestQueryCommand:
         out = capsys.readouterr().out
         assert "dataset %s" % dataset_dir in out
         assert "entries: 2" in out
-        assert "quarantined" in out
+        assert "quarantined: 0" in out
         assert main(["cache", "clear", "--dataset-dir", dataset_dir]) == 0
         assert "removed 2 dataset rows" in capsys.readouterr().out
+
+    def test_cache_stats_quarantines_corrupt_rows(self, tmp_path, capsys):
+        dataset_dir = self._populate(tmp_path, capsys)
+        bad = os.path.join(dataset_dir, "ab", "ab" + "0" * 62 + ".json")
+        os.makedirs(os.path.dirname(bad), exist_ok=True)
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("{not json")
+        assert main(["cache", "stats", "--dataset-dir", dataset_dir]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 2" in out
+        assert "quarantined: 1" in out
+        assert not os.path.exists(bad)
+        # Nothing persists: the next scan finds nothing to quarantine.
+        assert main(["cache", "stats", "--dataset-dir", dataset_dir]) == 0
+        assert "quarantined: 0" in capsys.readouterr().out
 
     def test_suite_with_dataset_dir(self, tmp_path, capsys):
         dataset_dir = str(tmp_path / "ds")
